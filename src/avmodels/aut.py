@@ -11,7 +11,7 @@ are canonical; anything else round-trips as an opaque label.
 from __future__ import annotations
 
 import re
-from typing import IO, List, Tuple, Union
+from typing import IO, List, Tuple
 
 from . import values
 from .kernel import Action, Lts, parse_action

@@ -186,18 +186,27 @@ def cmd_render(args) -> int:
         raise CliError(f"cannot read {args.sim}: {e}")
     except json.JSONDecodeError as e:
         raise CliError(f"{args.sim} is not valid JSON: {e}")
+    sizes = {ob.kind: (ob.w, ob.h) for ob in scn.mobile}
     anchors = {ob.kind: ob.anchor() for ob in scn.mobile}
     car = (scn.car.x, scn.car.y)
+
+    def check_on_grid(i, what, cells):
+        for x, y in cells:
+            if not (0 <= x < scn.width and 0 <= y < scn.height):
+                raise CliError(f"{args.sim}: tick {i} puts {what} at ({x}, {y}), "
+                               f"off the {scn.width}x{scn.height} grid")
+
     print("tick 0 (initial)")
     print(_frame(scn, anchors, car))
-    ended = set()
     for i, tick in enumerate(sim.ticks, start=1):
         for mv in tick.obstacles:
-            if mv.kind not in anchors or mv.kind in ended:
-                raise CliError(f"{args.sim}: tick {i} moves unknown or ended "
-                               f"obstacle {mv.kind}")
+            if mv.kind not in anchors:
+                raise CliError(f"{args.sim}: tick {i} moves unknown obstacle {mv.kind}")
+            w, h = sizes[mv.kind]
+            check_on_grid(i, mv.kind, rect_cells(mv.source, w, h) + rect_cells(mv.target, w, h))
             anchors[mv.kind] = mv.target
         if tick.car is not None:
+            check_on_grid(i, "the car", tick.car)
             car = tick.car[1]
         print(f"tick {i}")
         print(_frame(scn, anchors, car))

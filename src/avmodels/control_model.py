@@ -23,12 +23,11 @@ is invalid at the car's real street.
 """
 from __future__ import annotations
 
-import collections
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple, Union
+from typing import Dict, FrozenSet, List, Tuple, Union
 
-from .kernel import Action, Component, Composition
+from .kernel import Action, Component, Composition, bfs, trace_to
 from .values import Nat, Rec, Seq, Sym, Value, sort_key
 
 BRAKES = "brakes"
@@ -126,26 +125,15 @@ def compute_itinerary(gmap: GraphMap, origin: str, destination: str,
     for s in (origin, destination):
         if not gmap.has_street(s):
             raise MapError(f"unknown street {s}")
-    if origin == destination:
-        return Itinerary((), True)
-    parent: Dict[str, Tuple[str, Turn]] = {origin: None}
-    queue = collections.deque([origin])
-    while queue:
-        cur = queue.popleft()
-        for i, nxt in enumerate(successors(gmap, cur)):
-            if nxt in blocked or nxt in parent:
-                continue
-            parent[nxt] = (cur, Turn(i))
-            if nxt == destination:
-                controls = []
-                back = nxt
-                while parent[back] is not None:
-                    prev, turn = parent[back]
-                    controls.append(turn)
-                    back = prev
-                return Itinerary(tuple(reversed(controls)), True)
-            queue.append(nxt)
-    return Itinerary((), False)
+
+    def turns(street):
+        return ((Turn(i), nxt) for i, nxt in enumerate(successors(gmap, street))
+                if nxt not in blocked)
+
+    parents, found = bfs(origin, turns, lambda street: street == destination)
+    if found is None:
+        return Itinerary((), False)
+    return Itinerary(trace_to(parents, found), True)
 
 
 # ---------------------------------------------------------------------------

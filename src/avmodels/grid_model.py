@@ -18,7 +18,7 @@ moves that stray from the car, the map and lidar just track.
 """
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 from .kernel import Action, Component, Composition
 from .perception import (
@@ -210,17 +210,25 @@ def build_grid_composition(scn: GridScenario, expose_grid: bool = False) -> Comp
         (initial_view, mgr_scripts, mgr_norm(0, mgr_scripts), "say"),
         mgr_step)
 
-    # --- MAP_MANAGER: ground truth and round phasing
-    def map_norm(view, live, car_dead, j):
+    # --- round slot order, walked by MAP_MANAGER and SCHEDULER alike
+    def next_slot(live, car_dead, j):
+        """Round phase from slot j on: the next live obstacle, then the car
+        while it runs, then TICK while any obstacle lives."""
         while j < n and not live[j]:
             j += 1
         if j < n:
-            return ("obs", j, "say")
+            return ("obs", j)
         if not car_dead:
             return ("car",)
         if any(live):
             return ("tick",)
         return ("halted",)
+
+    # --- MAP_MANAGER: ground truth and round phasing; an obstacle's slot
+    # opens with its "say" stage (GRID_UPDATE or END_OBSTACLE)
+    def map_norm(live, car_dead, j):
+        slot = next_slot(live, car_dead, j)
+        return slot + ("say",) if slot[0] == "obs" else slot
 
     def map_step(st):
         view, live, car_dead, phase = st
@@ -232,11 +240,11 @@ def build_grid_composition(scn: GridScenario, expose_grid: bool = False) -> Comp
                 out.append((grid_update[kinds[i]], (view, live, car_dead, ("obs", i, "move"))))
                 live2 = live[:i] + (False,) + live[i + 1:]
                 out.append((end_obstacle[kinds[i]],
-                            (view, live2, car_dead, map_norm(view, live2, car_dead, i + 1))))
+                            (view, live2, car_dead, map_norm(live2, car_dead, i + 1))))
             else:
                 for _, act, resolved, anchor in obstacle_candidates(view, i):
                     v2 = view_after_obstacle(view, i, resolved, anchor)
-                    out.append((act, (v2, live, car_dead, map_norm(v2, live, car_dead, i + 1))))
+                    out.append((act, (v2, live, car_dead, map_norm(live, car_dead, i + 1))))
         elif tag == "car":
             for _, act, cell in car_candidates(view[0]):
                 v2 = view_after_car(view, cell)
@@ -250,7 +258,7 @@ def build_grid_composition(scn: GridScenario, expose_grid: bool = False) -> Comp
             out.append((Action("GRID_CAR", (position_value(view[0]),)),
                         (view, live, car_dead, ("tick",))))
         elif tag == "tick":
-            out.append((TICK, (view, live, car_dead, map_norm(view, live, car_dead, 0))))
+            out.append((TICK, (view, live, car_dead, map_norm(live, car_dead, 0))))
         return out
 
     map_init_live = tuple(True for _ in mobiles)
@@ -258,7 +266,7 @@ def build_grid_composition(scn: GridScenario, expose_grid: bool = False) -> Comp
         "MAP_MANAGER",
         frozenset({"GRID_UPDATE", "OBSTACLE_POSITION", "END_OBSTACLE", "CAR_POSITION",
                    "ARRIVAL", "COLLISION", "GRID_CAR", "TICK"}),
-        (initial_view, map_init_live, False, map_norm(initial_view, map_init_live, False, 0)),
+        (initial_view, map_init_live, False, map_norm(map_init_live, False, 0)),
         map_step)
 
     # --- MOVE_CAR: the car's own script
@@ -319,17 +327,6 @@ def build_grid_composition(scn: GridScenario, expose_grid: bool = False) -> Comp
         lidar_step)
 
     # --- SCHEDULER: slot order, without the map's say/move granularity
-    def sched_norm(live, car_dead, j):
-        while j < n and not live[j]:
-            j += 1
-        if j < n:
-            return ("obs", j)
-        if not car_dead:
-            return ("car",)
-        if any(live):
-            return ("tick",)
-        return ("halted",)
-
     def sched_step(st):
         view, live, car_dead, phase = st
         out = []
@@ -338,10 +335,10 @@ def build_grid_composition(scn: GridScenario, expose_grid: bool = False) -> Comp
             i = phase[1]
             for _, act, resolved, anchor in obstacle_candidates(view, i):
                 out.append((act, (view_after_obstacle(view, i, resolved, anchor),
-                                  live, car_dead, sched_norm(live, car_dead, i + 1))))
+                                  live, car_dead, next_slot(live, car_dead, i + 1))))
             live2 = live[:i] + (False,) + live[i + 1:]
             out.append((end_obstacle[kinds[i]],
-                        (view, live2, car_dead, sched_norm(live2, car_dead, i + 1))))
+                        (view, live2, car_dead, next_slot(live2, car_dead, i + 1))))
         elif tag == "car":
             for _, act, cell in car_candidates(view[0]):
                 out.append((act, (view_after_car(view, cell), live, car_dead, ("tick",))))
@@ -349,14 +346,14 @@ def build_grid_composition(scn: GridScenario, expose_grid: bool = False) -> Comp
         elif tag == "tick":
             for k in all_kinds:
                 out.append((collisions[k], (view, live, True, ("tick",))))
-            out.append((TICK, (view, live, car_dead, sched_norm(live, car_dead, 0))))
+            out.append((TICK, (view, live, car_dead, next_slot(live, car_dead, 0))))
         return out
 
     scheduler = Component(
         "SCHEDULER",
         frozenset({"OBSTACLE_POSITION", "CAR_POSITION", "END_OBSTACLE",
                    "ARRIVAL", "COLLISION", "TICK"}),
-        (initial_view, map_init_live, False, sched_norm(map_init_live, False, 0)),
+        (initial_view, map_init_live, False, next_slot(map_init_live, False, 0)),
         sched_step)
 
     # --- RESTRAND: vetoes random moves that wander away from the car

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import collections
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
 from . import values
 from .values import Value
@@ -162,9 +162,6 @@ class Composition:
                     _emit_combos(out, state, act, choices)
         return out
 
-    def enabled_set(self, state: tuple) -> Set[Tuple[Action, tuple]]:
-        return set(self.enabled_actions(state))
-
 
 def _emit_combos(out, state, act, choices):
     # cartesian product over each member's alternative next states
@@ -268,6 +265,42 @@ def explore(comp: Composition, limits: ExplorationLimits = ExplorationLimits()) 
     if truncated:
         raise ExplorationLimitError(lts, len(payload), truncated)
     return lts
+
+
+def bfs(start: Hashable,
+        successors: Callable[[Hashable], Iterable[Tuple[object, Hashable]]],
+        goal: Optional[Callable[[Hashable], bool]] = None):
+    """Breadth-first search from start. successors(node) yields (label, next)
+    pairs in expansion order; the first edge to reach a node wins. Returns
+    (parents, found): parents maps each discovered node to (parent, label),
+    and start to None, with keys in discovery order; found is the first
+    discovered node satisfying goal (start included), else None. The goal is
+    tested as soon as a node is discovered, so the search stops on the edge
+    that reaches it and trace_to gives a shortest trace.
+    """
+    parents: Dict[Hashable, Optional[tuple]] = {start: None}
+    if goal is not None and goal(start):
+        return parents, start
+    queue = collections.deque([start])
+    while queue:
+        node = queue.popleft()
+        for label, nxt in successors(node):
+            if nxt in parents:
+                continue
+            parents[nxt] = (node, label)
+            if goal is not None and goal(nxt):
+                return parents, nxt
+            queue.append(nxt)
+    return parents, None
+
+
+def trace_to(parents, node) -> tuple:
+    """Labels along the BFS tree path from the start to node."""
+    trace = []
+    while parents[node] is not None:
+        node, label = parents[node]
+        trace.append(label)
+    return tuple(reversed(trace))
 
 
 def detect_deadlocks(lts: Lts) -> Set[int]:

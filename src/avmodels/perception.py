@@ -19,7 +19,7 @@ corner crosses both cells sharing it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .values import Bool, Nat, Pos, Rec, Seq, Sym, Value
 

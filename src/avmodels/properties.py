@@ -7,13 +7,12 @@ repeating cycle).
 """
 from __future__ import annotations
 
-import collections
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 from . import control_model
 from .control_model import BRAKES, GraphMap, Turn
-from .kernel import Action, Lts
+from .kernel import Action, Lts, bfs, trace_to
 from .values import Nat, Rec, Sym
 
 VIOLATION = ("violation",)
@@ -70,25 +69,15 @@ def product_with_monitor(lts: Lts, monitor: Monitor):
     label trace reaching VIOLATION.
     """
     out = lts.outgoing()
-    start = (lts.initial, monitor.initial)
-    parents: Dict[tuple, Optional[tuple]] = {start: None}
-    queue = collections.deque([start])
-    while queue:
-        s, m = queue.popleft()
+
+    def successors(node):
+        s, m = node
         for act, dst in out[s]:
-            m2 = monitor.step(m, act)
-            if m2 == VIOLATION:
-                trace = [act]
-                node = (s, m)
-                while parents[node] is not None:
-                    node, a = parents[node]
-                    trace.append(a)
-                return tuple(reversed(trace))
-            nxt = (dst, m2)
-            if nxt not in parents:
-                parents[nxt] = ((s, m), act)
-                queue.append(nxt)
-    return None
+            yield act, (dst, monitor.step(m, act))
+
+    parents, found = bfs((lts.initial, monitor.initial), successors,
+                         lambda node: node[1] == VIOLATION)
+    return None if found is None else trace_to(parents, found)
 
 
 # ---------------------------------------------------------------------------
@@ -150,19 +139,16 @@ def check_consistent_updates(lts: Lts, gmap: GraphMap, consistent=None) -> Verdi
 def _pruned_product(lts: Lts, terminal_gates, end_obstacle_total):
     """Reachable (state, end-count) product where traversal stops at terminal
     actions. END_OBSTACLE is terminal only at its end_obstacle_total-th
-    occurrence (None behaves like 1). Yields adjacency over product nodes,
-    the BFS parent map (for shortest prefixes) and discovery order.
+    occurrence (None behaves like 1). Returns adjacency over product nodes
+    and the BFS parent map, whose keys are in discovery order (for shortest
+    prefixes).
     """
     need = 1 if end_obstacle_total is None else max(1, end_obstacle_total)
     counted = "END_OBSTACLE" in terminal_gates
     out = lts.outgoing()
-    start = (lts.initial, 0)
-    parents: Dict[tuple, Optional[tuple]] = {start: None}
-    order: List[tuple] = [start]
     adj: Dict[tuple, List[Tuple[Action, tuple]]] = {}
-    queue = collections.deque([start])
-    while queue:
-        node = queue.popleft()
+
+    def successors(node):
         s, c = node
         edges = []
         for act, dst in out[s]:
@@ -174,22 +160,12 @@ def _pruned_product(lts: Lts, terminal_gates, end_obstacle_total):
                 continue
             else:
                 c2 = c
-            nxt = (dst, c2)
-            edges.append((act, nxt))
-            if nxt not in parents:
-                parents[nxt] = (node, act)
-                order.append(nxt)
-                queue.append(nxt)
+            edges.append((act, (dst, c2)))
         adj[node] = edges
-    return adj, parents, order
+        return edges
 
-
-def _prefix_to(parents, node) -> Tuple[Action, ...]:
-    trace = []
-    while parents[node] is not None:
-        node, act = parents[node]
-        trace.append(act)
-    return tuple(reversed(trace))
+    parents, _ = bfs((lts.initial, 0), successors)
+    return adj, parents
 
 
 def _find_cycle(adj, order) -> Optional[tuple]:
@@ -255,31 +231,18 @@ def _find_cycle(adj, order) -> Optional[tuple]:
 
 
 def _shortest_cycle(adj, members, entry) -> Tuple[Action, ...]:
-    seen = {}
-    queue = collections.deque()
-    for act, nxt in adj[entry]:
-        if nxt in members:
-            if nxt == entry:
-                return (act,)
-            if nxt not in seen:
-                seen[nxt] = (None, act)
-                queue.append(nxt)
-    while queue:
-        node = queue.popleft()
-        for act, nxt in adj[node]:
-            if nxt not in members:
-                continue
-            if nxt == entry:
-                trace = [act]
-                while node is not None:
-                    prev, a = seen[node]
-                    trace.append(a)
-                    node = prev
-                return tuple(reversed(trace))
-            if nxt not in seen:
-                seen[nxt] = (node, act)
-                queue.append(nxt)
-    raise AssertionError("entry was reported cyclic but no cycle found")
+    # searching from a fresh sentinel with entry's edges makes the return to
+    # entry a discovery, so the goal test finds it
+    sentinel = object()
+
+    def successors(node):
+        edges = adj[entry if node is sentinel else node]
+        return ((act, nxt) for act, nxt in edges if nxt in members)
+
+    parents, found = bfs(sentinel, successors, lambda node: node == entry)
+    if found is None:
+        raise AssertionError("entry was reported cyclic but no cycle found")
+    return trace_to(parents, found)
 
 
 def check_inevitable_termination(lts: Lts,
@@ -290,16 +253,16 @@ def check_inevitable_termination(lts: Lts,
     sink (finite escape) or cycle (infinite escape, reported as a lasso).
     """
     gates = frozenset(terminal_gates)
-    adj, parents, order = _pruned_product(lts, gates, end_obstacle_total)
+    adj, parents = _pruned_product(lts, gates, end_obstacle_total)
     out = lts.outgoing()
-    for node in order:  # BFS order: first hit is a shortest prefix
+    for node in parents:  # BFS order: first hit is a shortest prefix
         if not out[node[0]]:
-            return Verdict("inevitable-termination", "fail", _prefix_to(parents, node))
-    hit = _find_cycle(adj, order)
+            return Verdict("inevitable-termination", "fail", trace_to(parents, node))
+    hit = _find_cycle(adj, parents)
     if hit is not None:
         entry, cycle = hit
         return Verdict("inevitable-termination", "fail_lasso",
-                       _prefix_to(parents, entry), cycle)
+                       trace_to(parents, entry), cycle)
     return Verdict("inevitable-termination", "pass")
 
 
@@ -311,9 +274,9 @@ def check_deadlock_freedom(lts: Lts,
     legitimate; anything else with no way out is a deadlock.
     """
     gates = frozenset(terminal_gates)
-    adj, parents, order = _pruned_product(lts, gates, end_obstacle_total)
+    _, parents = _pruned_product(lts, gates, end_obstacle_total)
     out = lts.outgoing()
-    for node in order:
+    for node in parents:
         if not out[node[0]]:
-            return Verdict("deadlock", "fail", _prefix_to(parents, node))
+            return Verdict("deadlock", "fail", trace_to(parents, node))
     return Verdict("deadlock", "pass")

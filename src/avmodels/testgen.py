@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import values
-from .kernel import Action, Composition, Lts
+from .kernel import Action, Composition, Lts, bfs, trace_to
 from .perception import GridScenario
 from .grid_model import build_grid_composition
 
@@ -138,27 +138,10 @@ def extract_test(product: Lts) -> Optional[Tuple[Action, ...]]:
     """Shortest trace to an accepting state, None when unreachable."""
     if product.state_payload is None:
         raise PurposeError("not a purpose product: no payload")
-    accepting = {i for i, p in enumerate(product.state_payload) if p[2]}
-    if product.initial in accepting:
-        return ()
+    payload = product.state_payload
     out = product.outgoing()
-    parents: Dict[int, tuple] = {product.initial: None}
-    queue = collections.deque([product.initial])
-    while queue:
-        s = queue.popleft()
-        for act, dst in out[s]:
-            if dst in parents:
-                continue
-            parents[dst] = (s, act)
-            if dst in accepting:
-                trace = []
-                node = dst
-                while parents[node] is not None:
-                    node, a = parents[node]
-                    trace.append(a)
-                return tuple(reversed(trace))
-            queue.append(dst)
-    return None
+    parents, found = bfs(product.initial, lambda s: out[s], lambda s: payload[s][2])
+    return None if found is None else trace_to(parents, found)
 
 
 # ---------------------------------------------------------------------------
@@ -206,18 +189,25 @@ class SimScenario:
             ticks = []
             for t in data["ticks"]:
                 moves = tuple(
-                    ObstacleMove(kind, tuple(m["from"]), tuple(m["to"]), m["direction"])
+                    ObstacleMove(kind, _cell(m["from"]), _cell(m["to"]), m["direction"])
                     for kind, m in t["obstacles"].items())
                 car = None
                 if t.get("car") is not None:
-                    car = (tuple(t["car"]["from"]), tuple(t["car"]["to"]))
+                    car = (_cell(t["car"]["from"]), _cell(t["car"]["to"]))
                 ticks.append(SimTick(moves, car))
             terminal = data.get("terminal")
-        except (KeyError, TypeError) as e:
+        except (AttributeError, KeyError, TypeError) as e:
             raise FoldError(f"bad simulation scenario JSON: {e}")
         if terminal is not None and terminal not in TERMINALS:
             raise FoldError(f"bad terminal {terminal!r}")
         return SimScenario(tuple(ticks), terminal)
+
+
+def _cell(raw) -> Tuple[int, int]:
+    if (not isinstance(raw, list) or len(raw) != 2
+            or not all(isinstance(v, int) and not isinstance(v, bool) for v in raw)):
+        raise FoldError(f"bad cell {raw!r}: need a list of two integers")
+    return raw[0], raw[1]
 
 
 def _decode_obstacle_move(act: Action) -> ObstacleMove:

@@ -5,9 +5,36 @@ them in a dedicated section after the run, so they show up even though
 pytest captures stdout during the tests themselves.
 """
 import contextlib
+import pathlib
 import time
+from typing import NamedTuple
+
+import pytest
+
+from avmodels.grid_model import build_grid_composition
+from avmodels.kernel import Lts, explore
+from avmodels.perception import GridScenario
+from avmodels.scenarios import load_scenario
+
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
 acceptance_lines = []
+
+
+class GridReference(NamedTuple):
+    scn: GridScenario
+    lts: Lts
+    explore_s: float  # what exploring cost, for tests whose time budget covers it
+
+
+@pytest.fixture(scope="session")
+def grid_reference() -> GridReference:
+    """configs/grid.json and its LTS without exposed grids, explored once for
+    every test that reads it (about 8 s per exploration)."""
+    t0 = time.monotonic()
+    scn = load_scenario(str(CONFIGS / "grid.json"))
+    lts = explore(build_grid_composition(scn))
+    return GridReference(scn, lts, time.monotonic() - t0)
 
 
 @contextlib.contextmanager

@@ -2,15 +2,15 @@
 
 Everything here is deliberately written with different algorithms and data
 layouts than the package: set-comprehension rendezvous semantics, a naive
-greatest-fixpoint bisimulation, a solved attacker/defender game, and exact
-rational geometry for line-of-sight.
+greatest-fixpoint bisimulation, a solved attacker/defender game, exact
+rational geometry for line-of-sight, and level-by-level shortest distances.
 """
 from __future__ import annotations
 
 import itertools
 import random
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from avmodels.kernel import Action, Component, Composition, Lts
 from avmodels.values import Bool, Nat, Pos, Sym
@@ -296,6 +296,32 @@ def oracle_perception(m, prev=None, prev_car=None):
                 row.append("M" if fresh else "O")
         rows.append(tuple(row))
     return tuple(rows)
+
+
+# ---------------------------------------------------------------------------
+# shortest distances, one whole frontier at a time
+
+def shortest_distance(start, neighbours, goal) -> Optional[int]:
+    """Edges from start to the nearest node satisfying goal, None when no
+    such node is reachable. Each level is a complete frontier, and only a
+    visited set is kept (no parents, no queue), so a shortest trace of any
+    search must have exactly this length.
+    """
+    seen = {start}
+    frontier = [start]
+    level = 0
+    while frontier:
+        if any(goal(node) for node in frontier):
+            return level
+        following = []
+        for node in frontier:
+            for nxt in neighbours(node):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    following.append(nxt)
+        frontier = following
+        level += 1
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -159,6 +159,30 @@ def test_render_draws_every_tick(tmp_path, tiny_grid, capsys):
     assert "#" in first and "C" in first and "W" in first
 
 
+@pytest.mark.parametrize("car_from, car_to, pedestrian_to", [
+    ([6, 9], [6, 12], [4, 5]),
+    ([6, 9], "ab", [4, 5]),
+    ([6, 9], [6.5, 8], [4, 5]),
+    ([6, 9], [True, 8], [4, 5]),
+    ([6, 9], [-1, -2], [4, 5]),
+    ([6], [6, 8], [4, 5]),
+    ([6, 9], [6, 8], [10, 5]),
+], ids=["car-off-map", "string-cell", "float-cell", "bool-cell", "negative-cell",
+        "one-element-cell", "obstacle-off-map"])
+def test_render_rejects_bad_cells_with_exit_2(tmp_path, capsys, car_from, car_to,
+                                              pedestrian_to):
+    sim = {"ticks": [{
+        "obstacles": {"Pedestrian": {"from": [3, 5], "to": pedestrian_to,
+                                     "direction": "right"}},
+        "car": {"from": car_from, "to": car_to},
+    }], "terminal": None}
+    sim_path = write_json(tmp_path / "sim.json", sim)
+    code = main(["render", "--scenario", str(CONFIGS / "grid.json"), "--sim", sim_path])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_missing_files_exit_2(tmp_path, capsys):
     assert main(["explore", "--scenario", str(tmp_path / "none.json"),
                  "--out", str(tmp_path / "x.aut")]) == 2

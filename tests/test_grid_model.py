@@ -26,9 +26,8 @@ CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
 
 @pytest.fixture(scope="module")
-def reference():
-    scn = load_scenario(str(CONFIGS / "grid.json"))
-    return scn, explore(build_grid_composition(scn))
+def reference(grid_reference):
+    return grid_reference.scn, grid_reference.lts
 
 
 @pytest.fixture(scope="module")

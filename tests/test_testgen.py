@@ -1,12 +1,9 @@
 """Purpose parsing, the purpose product, trace folding and scenario replay."""
-import pathlib
-
 import pytest
 
 from avmodels.grid_model import build_grid_composition
 from avmodels.kernel import Action, Lts, explore
 from avmodels.perception import obstacle_value, position_value
-from avmodels.scenarios import load_scenario
 from avmodels.testgen import (
     ActionPattern, FoldError, ObstacleMove, PurposeError, ReplayError,
     SimScenario, SimTick, TestPurpose, extract_test, parse_purpose,
@@ -14,13 +11,10 @@ from avmodels.testgen import (
 )
 from avmodels.values import Sym
 
-CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
-
 
 @pytest.fixture(scope="module")
-def reference():
-    scn = load_scenario(str(CONFIGS / "grid.json"))
-    return scn, explore(build_grid_composition(scn))
+def reference(grid_reference):
+    return grid_reference.scn, grid_reference.lts
 
 
 def simple(gate):
