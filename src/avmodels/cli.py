@@ -196,8 +196,7 @@ def cmd_render(args) -> int:
                 raise CliError(f"{args.sim}: tick {i} puts {what} at ({x}, {y}), "
                                f"off the {scn.width}x{scn.height} grid")
 
-    print("tick 0 (initial)")
-    print(_frame(scn, anchors, car))
+    frames = [_frame(scn, anchors, car)]  # all ticks are checked before any prints
     for i, tick in enumerate(sim.ticks, start=1):
         for mv in tick.obstacles:
             if mv.kind not in anchors:
@@ -208,8 +207,10 @@ def cmd_render(args) -> int:
         if tick.car is not None:
             check_on_grid(i, "the car", tick.car)
             car = tick.car[1]
-        print(f"tick {i}")
-        print(_frame(scn, anchors, car))
+        frames.append(_frame(scn, anchors, car))
+    for i, frame in enumerate(frames):
+        print(f"tick {i}" if i else "tick 0 (initial)")
+        print(frame)
     if sim.terminal:
         print(f"terminal: {sim.terminal}")
     return 0

@@ -20,15 +20,19 @@ REQUEST_PATH also synchronizes with the map so a path request can only fire
 when the map is idle (post-move position/grid pushes delivered); otherwise
 DECISION could plan from a stale GPS position and produce a turn index that
 is invalid at the car's real street.
+
+The side that produces a value offers it; the side that only follows it
+receives it: RADAR the grid, GPS the street, DECISION the grid to plan
+against and the position to plan from (it computes the itinerary then),
+ACTION the current grid and the itinerary, and the map any path request.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Tuple, Union
 
-from .kernel import Action, Component, Composition, bfs, trace_to
-from .values import Nat, Rec, Seq, Sym, Value, sort_key
+from .kernel import Action, Component, Composition, Receive, bfs, trace_to
+from .values import Nat, Rec, Seq, Sym, Value, ValueError_
 
 BRAKES = "brakes"
 LEAVE = "leave"
@@ -157,6 +161,18 @@ def grid_value(occupied) -> Value:
     return Rec("Radar", (Seq(tuple(Sym(s) for s in sorted(occupied))),))
 
 
+def decode_grid(v: Value) -> Tuple[str, ...]:
+    """Inverse of grid_value: the sorted occupied streets. Raises
+    ValueError_ on any other value."""
+    try:
+        streets = tuple(s.name for s in v.fields[0].items)
+    except (AttributeError, IndexError, TypeError):
+        streets = None
+    if streets is None or grid_value(streets) != v:
+        raise ValueError_(f"not a Radar value: {v!r}")
+    return streets
+
+
 def itinerary_value(it: Itinerary) -> Value:
     return Seq(tuple(control_value(c) for c in it.controls))
 
@@ -193,61 +209,15 @@ class ControlScenario:
                     raise MapError(f"obstacle {i}: bad op {m!r}")
 
 
-def _obstacle_reach(gmap: GraphMap, script: ObstacleScript):
-    """All streets (or None once gone) the obstacle can ever occupy.
-
-    Over-approximates: blocked moves keep the obstacle in place, which the
-    prefix union already covers.
-    """
-    cur = {script.street}
-    reach = {script.street}
-    for m in script.moves:
-        nxt = set()
-        for s in cur:
-            if s is None:
-                continue
-            ops = expand_random(gmap, s) if m == RANDOM else (m,)
-            for op in ops:
-                if op == LEAVE:
-                    nxt.add(None)
-                elif isinstance(op, Turn):
-                    succ = successors(gmap, s)
-                    nxt.add(succ[op.n] if op.n < len(succ) else s)
-        cur = nxt
-        reach |= nxt
-    return reach
-
-
-def radar_grid_universe(scn: ControlScenario) -> List[tuple]:
-    """Every radar grid (sorted street tuple) the map could ever push."""
-    reaches = [sorted(_obstacle_reach(scn.gmap, ob), key=lambda s: (s is None, s))
-               for ob in scn.obstacles]
-    grids = set()
-    for combo in itertools.product(*reaches) if reaches else [()]:
-        grids.add(tuple(sorted({s for s in combo if s is not None})))
-    return sorted(grids)
-
-
 def build_control_composition(scn: ControlScenario) -> Composition:
     gmap = scn.gmap
-    streets = gmap.streets()
-    grids = radar_grid_universe(scn)
-    grid_values = {g: grid_value(g) for g in grids}
 
-    itinerary_values = {}
-    for s in streets:
-        for g in grids:
-            it = compute_itinerary(gmap, s, scn.destination, frozenset(g))
-            itinerary_values[(s, g)] = itinerary_value(it)
-    itinerary_universe = sorted({v for v in itinerary_values.values()},
-                                key=sort_key)
-
-    # --- RADAR: mirrors the map's grid, reports changes to ACTION
+    # --- RADAR: tracks the map's grid, reports changes to ACTION
     def radar_step(st):
         known, last_sent = st
-        out = [(Action("UPDATE_GRID", (grid_values[g],)), (g, last_sent)) for g in grids]
+        out = [(Receive("UPDATE_GRID"), lambda offers: (decode_grid(offers[0]), last_sent))]
         if known is not None and known != last_sent:
-            out.append((Action("CURRENT_GRID", (grid_values[known],)), (known, known)))
+            out.append((Action("CURRENT_GRID", (grid_value(known),)), (known, known)))
         return out
 
     radar = Component("RADAR", frozenset({"UPDATE_GRID", "CURRENT_GRID"}),
@@ -258,9 +228,8 @@ def build_control_composition(scn: ControlScenario) -> Composition:
         street, answering = st
         if answering:
             return [(Action("CURRENT_POSITION", (Sym(street),)), (street, False))]
-        out = [(Action("UPDATE_POSITION", (Sym(s),)), (s, False)) for s in streets]
-        out.append((Action("REQUEST_POSITION"), (street, True)))
-        return out
+        return [(Receive("UPDATE_POSITION"), lambda offers: (offers[0].name, False)),
+                (Action("REQUEST_POSITION"), (street, True))]
 
     gps = Component("GPS",
                     frozenset({"UPDATE_POSITION", "REQUEST_POSITION", "CURRENT_POSITION"}),
@@ -270,19 +239,17 @@ def build_control_composition(scn: ControlScenario) -> Composition:
     def decision_step(st):
         tag = st[0]
         if tag == "idle":
-            return [(Action("REQUEST_PATH", (grid_values[g],)), ("asked", g)) for g in grids]
+            return [(Receive("REQUEST_PATH"), lambda offers: ("asked", decode_grid(offers[0])))]
         if tag == "asked":
             return [(Action("REQUEST_POSITION"), ("awaiting", st[1]))]
         if tag == "awaiting":
-            g = st[1]
-            out = []
-            for s in streets:
-                if s == scn.destination:
-                    nxt = ("arrival",)
-                else:
-                    nxt = ("reply", itinerary_values[(s, g)])
-                out.append((Action("CURRENT_POSITION", (Sym(s),)), nxt))
-            return out
+            def plan(offers):
+                street = offers[0].name
+                if street == scn.destination:
+                    return ("arrival",)
+                it = compute_itinerary(gmap, street, scn.destination, frozenset(st[1]))
+                return ("reply", itinerary_value(it))
+            return [(Receive("CURRENT_POSITION"), plan)]
         if tag == "arrival":
             return [(Action("ARRIVAL"), ("done",))]
         if tag == "reply":
@@ -301,27 +268,26 @@ def build_control_composition(scn: ControlScenario) -> Composition:
         if tag != "halted":
             out.append((Action("COLLISION"), ("halted",)))
         if tag == "wait":
-            g = st[1]
-            for g2 in grids:
-                if g2 != g:
-                    out.append((Action("CURRENT_GRID", (grid_values[g2],)), ("request", g2)))
+            def changed(offers):
+                g2 = decode_grid(offers[0])
+                return None if g2 == st[1] else ("request", g2)
+            out.append((Receive("CURRENT_GRID"), changed))
         elif tag == "request":
-            g = st[1]
-            for g2 in grids:
-                out.append((Action("CURRENT_GRID", (grid_values[g2],)), ("request", g2)))
-            out.append((Action("REQUEST_PATH", (grid_values[g],)), ("awaiting", g, g)))
+            out.append((Receive("CURRENT_GRID"), lambda offers: ("request", decode_grid(offers[0]))))
+            out.append((Action("REQUEST_PATH", (grid_value(st[1]),)), ("awaiting", st[1], st[1])))
         elif tag == "awaiting":
             _, g_sent, g_now = st
-            for g2 in grids:
-                out.append((Action("CURRENT_GRID", (grid_values[g2],)), ("awaiting", g_sent, g2)))
-            for itin in itinerary_universe:
-                if not itin.items:
-                    nxt = ("wait", g_now)
-                elif g_now != g_sent:
-                    nxt = ("brake", g_now)
-                else:
-                    nxt = ("move", itin.items[0], g_now)
-                out.append((Action("CURRENT_PATH", (itin,)), nxt))
+
+            def follow(offers):
+                steps = offers[0].items
+                if not steps:
+                    return ("wait", g_now)
+                if g_now != g_sent:
+                    return ("brake", g_now)
+                return ("move", steps[0], g_now)
+            out.append((Receive("CURRENT_GRID"),
+                        lambda offers: ("awaiting", g_sent, decode_grid(offers[0]))))
+            out.append((Receive("CURRENT_PATH"), follow))
         elif tag == "brake":
             out.append((Action("CAR_MOVE", (Sym(BRAKES),)), ("request", st[1])))
         elif tag == "move":
@@ -372,7 +338,7 @@ def build_control_composition(scn: ControlScenario) -> Composition:
         phase, car, obst, live = st
         out = []
         if phase == "init":
-            out.append((Action("UPDATE_GRID", (grid_values[grid_of(obst)],)),
+            out.append((Action("UPDATE_GRID", (grid_value(grid_of(obst)),)),
                         ("idle", car, obst, live)))
         elif phase == "idle":
             occupied = set(obst) - {None}
@@ -398,13 +364,12 @@ def build_control_composition(scn: ControlScenario) -> Composition:
                 nxt = "collision" if target in occupied else "push_pos"
                 out.append((Action("CAR_MOVE", (control_value(Turn(k)),)),
                             (nxt, target, obst, live)))
-            for g in grids:
-                out.append((Action("REQUEST_PATH", (grid_values[g],)), st))
+            out.append((Receive("REQUEST_PATH"), lambda offers: st))
             out.append((Action("ARRIVAL"), ("halted", car, obst, live)))
         elif phase == "push_pos":
             out.append((Action("UPDATE_POSITION", (Sym(car),)), ("push_grid", car, obst, live)))
         elif phase == "push_grid":
-            out.append((Action("UPDATE_GRID", (grid_values[grid_of(obst)],)),
+            out.append((Action("UPDATE_GRID", (grid_value(grid_of(obst)),)),
                         ("idle", car, obst, live)))
         elif phase == "collision":
             out.append((Action("COLLISION"), ("halted", car, obst, live)))

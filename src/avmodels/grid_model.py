@@ -8,25 +8,23 @@ perception (LIDAR_MAP) and the round closes with TICK. A crash right after a
 car move raises COLLISION !kind instead of the lidar handshake; an obstacle
 out of moves emits END_OBSTACLE !kind in place of its slot, once.
 
-OBSTACLE_POSITION and CAR_POSITION are wide rendezvous: everyone who needs
-actor positions synchronizes on them and keeps a mirror of the world (car
-cell, obstacle anchors and directions). Offers must match bit for bit, so
-all participants derive candidate moves from the same helper over the same
-mirror; each then applies only its own filter: the manager follows the
-script, the scheduler enforces round order, the restraint prunes random
-moves that stray from the car, the map and lidar just track.
+Only the actor that decides a move offers it: the manager offers each
+obstacle's scripted move (every resolution of a random one) and MOVE_CAR
+the car's. Everyone else receives the move that fires and keeps what it
+needs of it: the manager the car cell, the map and the lidar every actor's
+cells, the scheduler nothing but the round order, and the restraint the car
+cell, against which it refuses random moves that stray from the car.
 """
 from __future__ import annotations
 
-from typing import Dict, Optional
-
-from .kernel import Action, Component, Composition
+from .kernel import Action, Component, Composition, Receive
 from .perception import (
     DIRECTIONS,
     GridError,
     GridScenario,
     build_grid_map,
     compute_perception,
+    decode_obstacle,
     initiate_map,
     move_allowed,
     obstacle_value,
@@ -47,41 +45,34 @@ def build_grid_composition(scn: GridScenario, expose_grid: bool = False) -> Comp
     mobiles = scn.mobile
     n = len(mobiles)
     kinds = tuple(ob.kind for ob in mobiles)
+    index = {k: i for i, k in enumerate(kinds)}
     for ob in mobiles:
         if ob.cyclic and not ob.moves:
             raise GridError(f"{ob.kind}: cyclic without moves")
     if scn.car.cyclic and not scn.car.moves:
         raise GridError("car: cyclic without moves")
 
-    static_cells = {}
-    for ob in scn.static:
-        for c in rect_cells(ob.anchor(), ob.w, ob.h):
-            static_cells[c] = ob
-    all_kinds = sorted({ob.kind for ob in scn.static} | set(kinds))
-
-    # a view is (car cell, obstacle anchors, obstacle directions); every
-    # component embeds one and they stay in lockstep by construction
-    initial_view = ((scn.car.x, scn.car.y),
-                    tuple(ob.anchor() for ob in mobiles),
-                    tuple(ob.direction for ob in mobiles))
+    static_cells = {c: ob.kind for ob in scn.static for c in rect_cells(ob.anchor(), ob.w, ob.h)}
+    car0 = (scn.car.x, scn.car.y)
+    anchors0 = tuple(ob.anchor() for ob in mobiles)
 
     def rec_value(i: int, anchor, direction):
         ob = mobiles[i]
         return obstacle_value(ob.kind, anchor, ob.w, ob.h, ob.speed,
                               direction, ob.transparent)
 
-    _cand: Dict[tuple, tuple] = {}
+    def with_anchor(anchors, i, anchor):
+        return anchors[:i] + (anchor,) + anchors[i + 1:]
 
-    def obstacle_candidates(view, i):
-        """(scripted, action, resolved, new_anchor) for every move obstacle i
-        could announce from this view. Blocked non-random moves stay in
-        place but still resolve their direction; random resolves to any
-        in-bounds free direction, or to none.
+    def cell_of(pos):
+        return (pos.x, pos.y)
+
+    def obstacle_moves(view, i, scripted):
+        """(action, resolved, new anchor) for each way obstacle i can carry
+        out its scripted move. Blocked moves stay in place but still resolve
+        their direction; random resolves to any in-bounds free direction, or
+        to none.
         """
-        key = (view, i)
-        hit = _cand.get(key)
-        if hit is not None:
-            return hit
         car, anchors, dirs = view
         ob = mobiles[i]
         blocked = set(static_cells)
@@ -90,83 +81,56 @@ def build_grid_composition(scn: GridScenario, expose_grid: bool = False) -> Comp
             if j != i:
                 blocked.update(rect_cells(anchors[j], mobiles[j].w, mobiles[j].h))
 
-        def lands_ok(anchor):
-            if anchor is None:
-                return False
-            return all(0 <= x < width and 0 <= y < height and (x, y) not in blocked
-                       for x, y in rect_cells(anchor, ob.w, ob.h))
+        def target(d):
+            anchor = step_position(anchors[i], d, ob.speed, width, height)
+            if anchor is not None and all(0 <= x < width and 0 <= y < height and (x, y) not in blocked
+                                          for x, y in rect_cells(anchor, ob.w, ob.h)):
+                return anchor
+            return None
 
-        prev_val = rec_value(i, anchors[i], dirs[i])
-        out = []
+        if scripted == RANDOM_DIR:
+            options = [(d, anchor) for d, anchor in ((d, target(d)) for d in STEP_DIRS)
+                       if anchor is not None]
+            options.append(("none", anchors[i]))
+        else:
+            options = [(scripted, target(scripted) or anchors[i])]
+        prev = rec_value(i, anchors[i], dirs[i])
+        return [(Action("OBSTACLE_POSITION", (rec_value(i, anchor, d), prev, Sym(scripted))), d, anchor)
+                for d, anchor in options]
 
-        def emit(scripted, resolved, anchor):
-            act = Action("OBSTACLE_POSITION",
-                         (rec_value(i, anchor, resolved), prev_val, Sym(scripted)))
-            out.append((scripted, act, resolved, anchor))
-
-        for d in DIRECTIONS:
-            target = step_position(anchors[i], d, ob.speed, width, height)
-            emit(d, d, target if lands_ok(target) else anchors[i])
-        for d in STEP_DIRS:
-            target = step_position(anchors[i], d, ob.speed, width, height)
-            if lands_ok(target):
-                emit(RANDOM_DIR, d, target)
-        emit(RANDOM_DIR, "none", anchors[i])
-        entry = tuple(out)
-        _cand[key] = entry
-        return entry
-
-    _car_cand: Dict[tuple, tuple] = {}
-
-    def car_candidates(car):
-        """(scripted, action, new cell). Bounds are the only constraint;
+    def car_targets(car, scripted):
+        """Cells the car's scripted move can reach, in DIRECTIONS order for
+        random. Bounds are the only constraint (an off-map move stays put);
         driving onto an occupied cell is what triggers COLLISION."""
-        hit = _car_cand.get(car)
-        if hit is not None:
-            return hit
-        prev = position_value(car)
-        out = []
+        cells = []
+        for d in DIRECTIONS if scripted == RANDOM_DIR else (scripted,):
+            cell = step_position(car, d, scn.car.speed, width, height) or car
+            if cell not in cells:
+                cells.append(cell)
+        return cells
 
-        def emit(scripted, cell):
-            out.append((scripted, Action("CAR_POSITION", (prev, position_value(cell))), cell))
-
-        for d in DIRECTIONS:
-            target = step_position(car, d, scn.car.speed, width, height)
-            emit(d, target if target is not None else car)
-        for d in STEP_DIRS:
-            target = step_position(car, d, scn.car.speed, width, height)
-            if target is not None:
-                emit(RANDOM_DIR, target)
-        emit(RANDOM_DIR, car)
-        entry = tuple(out)
-        _car_cand[car] = entry
-        return entry
-
-    def view_after_obstacle(view, i, resolved, anchor):
-        car, anchors, dirs = view
-        return (car,
-                anchors[:i] + (anchor,) + anchors[i + 1:],
-                dirs[:i] + (resolved,) + dirs[i + 1:])
-
-    def view_after_car(view, cell):
-        return (cell, view[1], view[2])
-
-    def occupant_kind(view, cell) -> Optional[str]:
+    def occupant_kind(anchors, cell):
         if cell in static_cells:
-            return static_cells[cell].kind
-        _, anchors, _ = view
+            return static_cells[cell]
         for j in range(n):
             if cell in rect_cells(anchors[j], mobiles[j].w, mobiles[j].h):
-                return mobiles[j].kind
+                return kinds[j]
         return None
+
+    def receive_move_of(i, after):
+        """Receiver of obstacle i's moves; after(new anchor) is the next state."""
+        def accept(offers):
+            kind, anchor = decode_obstacle(offers[0])[:2]
+            return after(anchor) if kind == kinds[i] else None
+        return (Receive("OBSTACLE_POSITION"), accept)
 
     grid_update = {k: Action("GRID_UPDATE", (Sym(k),)) for k in kinds}
     end_obstacle = {k: Action("END_OBSTACLE", (Sym(k),)) for k in kinds}
-    collisions = {k: Action("COLLISION", (Sym(k),)) for k in all_kinds}
     ARRIVAL = Action("ARRIVAL")
     TICK = Action("TICK")
 
-    # --- OBSTACLES_MANAGER: owns the scripts, walks its own slot order
+    # --- OBSTACLES_MANAGER: owns the scripts, walks its own slot order; its
+    # view is (car cell, obstacle anchors, obstacle directions)
     def mgr_norm(idx, scripts):
         for k in range(n):
             j = (idx + k) % n
@@ -176,12 +140,11 @@ def build_grid_composition(scn: GridScenario, expose_grid: bool = False) -> Comp
 
     def mgr_step(st):
         view, scripts, idx, stage = st
-        out = []
-        for _, act, cell in car_candidates(view[0]):
-            out.append((act, (view_after_car(view, cell), scripts, idx, stage)))
+        out = [(Receive("CAR_POSITION"),
+                lambda offers: ((cell_of(offers[1]),) + view[1:], scripts, idx, stage))]
         if idx is None:
             return out
-        remaining, ended = scripts[idx]
+        remaining = scripts[idx][0]
         kind = kinds[idx]
         if stage == "say":
             if not remaining:
@@ -191,23 +154,22 @@ def build_grid_composition(scn: GridScenario, expose_grid: bool = False) -> Comp
             else:
                 out.append((grid_update[kind], (view, scripts, idx, "move")))
         else:
-            scripted = remaining[0]
-            for s, act, resolved, anchor in obstacle_candidates(view, idx):
-                if s != scripted:
-                    continue
-                rest = remaining[1:]
-                if not rest and mobiles[idx].cyclic:
-                    rest = tuple(mobiles[idx].moves)
-                scripts2 = scripts[:idx] + ((rest, False),) + scripts[idx + 1:]
-                out.append((act, (view_after_obstacle(view, idx, resolved, anchor),
-                                  scripts2, mgr_norm(idx + 1, scripts2), "say")))
+            rest = remaining[1:]
+            if not rest and mobiles[idx].cyclic:
+                rest = tuple(mobiles[idx].moves)
+            scripts2 = scripts[:idx] + ((rest, False),) + scripts[idx + 1:]
+            car, anchors, dirs = view
+            for act, resolved, anchor in obstacle_moves(view, idx, remaining[0]):
+                view2 = (car, with_anchor(anchors, idx, anchor), with_anchor(dirs, idx, resolved))
+                out.append((act, (view2, scripts2, mgr_norm(idx + 1, scripts2), "say")))
         return out
 
     mgr_scripts = tuple((tuple(ob.moves), False) for ob in mobiles)
     manager = Component(
         "OBSTACLES_MANAGER",
         frozenset({"GRID_UPDATE", "OBSTACLE_POSITION", "END_OBSTACLE", "CAR_POSITION"}),
-        (initial_view, mgr_scripts, mgr_norm(0, mgr_scripts), "say"),
+        ((car0, anchors0, tuple(ob.direction for ob in mobiles)),
+         mgr_scripts, mgr_norm(0, mgr_scripts), "say"),
         mgr_step)
 
     # --- round slot order, walked by MAP_MANAGER and SCHEDULER alike
@@ -224,14 +186,16 @@ def build_grid_composition(scn: GridScenario, expose_grid: bool = False) -> Comp
             return ("tick",)
         return ("halted",)
 
-    # --- MAP_MANAGER: ground truth and round phasing; an obstacle's slot
-    # opens with its "say" stage (GRID_UPDATE or END_OBSTACLE)
+    # --- MAP_MANAGER: ground truth (car cell, obstacle anchors) and round
+    # phasing; an obstacle's slot opens with its "say" stage (GRID_UPDATE or
+    # END_OBSTACLE)
     def map_norm(live, car_dead, j):
         slot = next_slot(live, car_dead, j)
         return slot + ("say",) if slot[0] == "obs" else slot
 
     def map_step(st):
         view, live, car_dead, phase = st
+        car, anchors = view
         out = []
         tag = phase[0]
         if tag == "obs":
@@ -242,20 +206,20 @@ def build_grid_composition(scn: GridScenario, expose_grid: bool = False) -> Comp
                 out.append((end_obstacle[kinds[i]],
                             (view, live2, car_dead, map_norm(live2, car_dead, i + 1))))
             else:
-                for _, act, resolved, anchor in obstacle_candidates(view, i):
-                    v2 = view_after_obstacle(view, i, resolved, anchor)
-                    out.append((act, (v2, live, car_dead, map_norm(live, car_dead, i + 1))))
+                out.append(receive_move_of(i, lambda anchor: (
+                    (car, with_anchor(anchors, i, anchor)), live, car_dead,
+                    map_norm(live, car_dead, i + 1))))
         elif tag == "car":
-            for _, act, cell in car_candidates(view[0]):
-                v2 = view_after_car(view, cell)
-                hit = occupant_kind(view, cell)
-                nxt = ("coll", hit) if hit else ("grid_car",)
-                out.append((act, (v2, live, car_dead, nxt)))
+            def car_moved(offers):
+                cell = cell_of(offers[1])
+                hit = occupant_kind(anchors, cell)
+                return ((cell, anchors), live, car_dead, ("coll", hit) if hit else ("grid_car",))
+            out.append((Receive("CAR_POSITION"), car_moved))
             out.append((ARRIVAL, (view, live, True, ("tick",))))
         elif tag == "coll":
-            out.append((collisions[phase[1]], (view, live, True, ("tick",))))
+            out.append((Action("COLLISION", (Sym(phase[1]),)), (view, live, True, ("tick",))))
         elif tag == "grid_car":
-            out.append((Action("GRID_CAR", (position_value(view[0]),)),
+            out.append((Action("GRID_CAR", (position_value(car),)),
                         (view, live, car_dead, ("tick",))))
         elif tag == "tick":
             out.append((TICK, (view, live, car_dead, map_norm(live, car_dead, 0))))
@@ -266,7 +230,7 @@ def build_grid_composition(scn: GridScenario, expose_grid: bool = False) -> Comp
         "MAP_MANAGER",
         frozenset({"GRID_UPDATE", "OBSTACLE_POSITION", "END_OBSTACLE", "CAR_POSITION",
                    "ARRIVAL", "COLLISION", "GRID_CAR", "TICK"}),
-        (initial_view, map_init_live, False, map_norm(map_init_live, False, 0)),
+        ((car0, anchors0), map_init_live, False, map_norm(map_init_live, False, 0)),
         map_step)
 
     # --- MOVE_CAR: the car's own script
@@ -274,16 +238,14 @@ def build_grid_composition(scn: GridScenario, expose_grid: bool = False) -> Comp
         pos, remaining, dead = st
         if dead:
             return []
-        out = [(collisions[k], (pos, remaining, True)) for k in all_kinds]
+        out = [(Receive("COLLISION"), lambda offers: (pos, remaining, True))]
         if remaining:
-            scripted = remaining[0]
-            for s, act, cell in car_candidates(pos):
-                if s != scripted:
-                    continue
-                rest = remaining[1:]
-                if not rest and scn.car.cyclic:
-                    rest = tuple(scn.car.moves)
-                out.append((act, (cell, rest, False)))
+            rest = remaining[1:]
+            if not rest and scn.car.cyclic:
+                rest = tuple(scn.car.moves)
+            for cell in car_targets(pos, remaining[0]):
+                out.append((Action("CAR_POSITION", (position_value(pos), position_value(cell))),
+                            (cell, rest, False)))
         else:
             out.append((ARRIVAL, (pos, remaining, True)))
         return out
@@ -291,12 +253,11 @@ def build_grid_composition(scn: GridScenario, expose_grid: bool = False) -> Comp
     move_car = Component(
         "MOVE_CAR",
         frozenset({"CAR_POSITION", "ARRIVAL", "COLLISION"}),
-        ((scn.car.x, scn.car.y), tuple(scn.car.moves), False),
+        (car0, tuple(scn.car.moves), False),
         car_step)
 
-    # --- LIDAR_MANAGER: mirrors the world, publishes the 5x5 perception
-    def make_map(view):
-        car, anchors, _ = view
+    # --- LIDAR_MANAGER: tracks the actors' cells, publishes the 5x5 perception
+    def make_map(car, anchors):
         placed = [(ob.kind, ob.transparent, ob.anchor(), ob.w, ob.h) for ob in scn.static]
         placed.extend((mobiles[j].kind, mobiles[j].transparent, anchors[j],
                        mobiles[j].w, mobiles[j].h) for j in range(n))
@@ -304,77 +265,73 @@ def build_grid_composition(scn: GridScenario, expose_grid: bool = False) -> Comp
 
     def lidar_step(st):
         view, prev, prev_car, duty = st
-        out = []
+        car, anchors = view
         if duty:
-            grid = compute_perception(make_map(view), prev, prev_car)
+            grid = compute_perception(make_map(car, anchors), prev, prev_car)
             offers = (perception_value(grid),) if expose_grid else ()
-            out.append((Action("LIDAR_MAP", offers), (view, grid, view[0], False)))
-            return out
-        for i in range(n):
-            for _, act, resolved, anchor in obstacle_candidates(view, i):
-                out.append((act, (view_after_obstacle(view, i, resolved, anchor),
-                                  prev, prev_car, False)))
-        for _, act, cell in car_candidates(view[0]):
-            out.append((act, (view_after_car(view, cell), prev, prev_car, False)))
-        out.append((Action("GRID_CAR", (position_value(view[0]),)), (view, prev, prev_car, True)))
-        out.append((TICK, st))
-        return out
+            return [(Action("LIDAR_MAP", offers), (view, grid, car, False))]
+
+        def obstacle_moved(offers):
+            kind, anchor = decode_obstacle(offers[0])[:2]
+            return ((car, with_anchor(anchors, index[kind], anchor)), prev, prev_car, False)
+
+        return [(Receive("OBSTACLE_POSITION"), obstacle_moved),
+                (Receive("CAR_POSITION"),
+                 lambda offers: ((cell_of(offers[1]), anchors), prev, prev_car, False)),
+                (Action("GRID_CAR", (position_value(car),)), (view, prev, prev_car, True)),
+                (TICK, st)]
 
     lidar = Component(
         "LIDAR_MANAGER",
         frozenset({"OBSTACLE_POSITION", "CAR_POSITION", "GRID_CAR", "TICK"}),
-        (initial_view, None, None, False),
+        ((car0, anchors0), None, None, False),
         lidar_step)
 
     # --- SCHEDULER: slot order, without the map's say/move granularity
     def sched_step(st):
-        view, live, car_dead, phase = st
+        live, car_dead, phase = st
         out = []
         tag = phase[0]
         if tag == "obs":
             i = phase[1]
-            for _, act, resolved, anchor in obstacle_candidates(view, i):
-                out.append((act, (view_after_obstacle(view, i, resolved, anchor),
-                                  live, car_dead, next_slot(live, car_dead, i + 1))))
+            out.append(receive_move_of(i, lambda anchor: (
+                live, car_dead, next_slot(live, car_dead, i + 1))))
             live2 = live[:i] + (False,) + live[i + 1:]
             out.append((end_obstacle[kinds[i]],
-                        (view, live2, car_dead, next_slot(live2, car_dead, i + 1))))
+                        (live2, car_dead, next_slot(live2, car_dead, i + 1))))
         elif tag == "car":
-            for _, act, cell in car_candidates(view[0]):
-                out.append((act, (view_after_car(view, cell), live, car_dead, ("tick",))))
-            out.append((ARRIVAL, (view, live, True, ("tick",))))
+            out.append((Receive("CAR_POSITION"), lambda offers: (live, car_dead, ("tick",))))
+            out.append((ARRIVAL, (live, True, ("tick",))))
         elif tag == "tick":
-            for k in all_kinds:
-                out.append((collisions[k], (view, live, True, ("tick",))))
-            out.append((TICK, (view, live, car_dead, next_slot(live, car_dead, 0))))
+            out.append((Receive("COLLISION"), lambda offers: (live, True, ("tick",))))
+            out.append((TICK, (live, car_dead, next_slot(live, car_dead, 0))))
         return out
 
     scheduler = Component(
         "SCHEDULER",
         frozenset({"OBSTACLE_POSITION", "CAR_POSITION", "END_OBSTACLE",
                    "ARRIVAL", "COLLISION", "TICK"}),
-        (initial_view, map_init_live, False, next_slot(map_init_live, False, 0)),
+        (map_init_live, False, next_slot(map_init_live, False, 0)),
         sched_step)
 
-    # --- RESTRAND: vetoes random moves that wander away from the car
-    def restrand_step(view):
-        out = []
-        for i in range(n):
-            for scripted, act, resolved, anchor in obstacle_candidates(view, i):
-                if scripted == RANDOM_DIR:
-                    _, anchors, _ = view
-                    if not move_allowed(view[0], anchors[i], mobiles[i].speed,
-                                        resolved, scn.dist_min):
-                        continue
-                out.append((act, view_after_obstacle(view, i, resolved, anchor)))
-        for _, act, cell in car_candidates(view[0]):
-            out.append((act, view_after_car(view, cell)))
-        return out
+    # --- RESTRAND: tracks the car cell, refuses random moves that wander
+    # away from it
+    def restrand_step(car):
+        def obstacle_moved(offers):
+            new, prev, scripted = offers
+            speed, direction = decode_obstacle(new)[4:6]
+            if scripted == Sym(RANDOM_DIR) and not move_allowed(
+                    car, decode_obstacle(prev)[1], speed, direction, scn.dist_min):
+                return None
+            return car
+
+        return [(Receive("OBSTACLE_POSITION"), obstacle_moved),
+                (Receive("CAR_POSITION"), lambda offers: cell_of(offers[1]))]
 
     restrand = Component(
         "RESTRAND",
         frozenset({"OBSTACLE_POSITION", "CAR_POSITION"}),
-        initial_view,
+        car0,
         restrand_step)
 
     return Composition([manager, map_manager, move_car, lidar, scheduler, restrand])

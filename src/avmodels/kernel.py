@@ -1,10 +1,19 @@
 """Multiway-rendezvous composition kernel and explicit-state exploration.
 
-Components are state machines whose step function lists (action, next-state)
-pairs. An action on gate g is enabled in the composition iff every component
-that lists g in its sync set offers g with identical offer values; all of them
-advance together. Actions on gates outside every sync set move only their
-owner, as does the internal action.
+A component's step function lists its moves from a local state. A move is
+either (action, next-state), which offers the action's values concretely,
+or (Receive(gate), accept), which takes whatever values fire on the gate:
+accept(offers) returns the next local state, or None to refuse them, like
+LNT's `G (?x) where guard`.
+
+Offers o fire on a synchronized gate g iff at least one component that lists
+g in its sync set offers (g, o) concretely, and every such component either
+offers (g, o) or has a receiver on g that accepts o; all of them advance
+together, each to any of its concrete successors for o or its accepting
+receivers' results. A gate nobody offers concretely never fires. Actions on
+gates outside every sync set move only their owner, as does the internal
+action; receiving on a gate outside the component's own sync set is an
+error.
 
 Global states are tuples of component states. Component states must be
 hashable and should be built from tuples/strings/ints so exploration order is
@@ -14,7 +23,7 @@ from __future__ import annotations
 
 import collections
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Hashable, Iterable, List, Optional, Set, Tuple, Union
 
 from . import values
 from .values import Value
@@ -62,7 +71,14 @@ def parse_action(label: str) -> Action:
     return Action(gate, tuple(offers))
 
 
-StepFn = Callable[[Hashable], List[Tuple[Action, Hashable]]]
+@dataclass(frozen=True)
+class Receive:
+    """A step output (Receive(gate), accept) takes the offers that fire on
+    gate: accept(offers) returns the next local state, or None to refuse."""
+    gate: str
+
+
+StepFn = Callable[[Hashable], List[Tuple[Union[Action, Receive], object]]]
 
 
 @dataclass(frozen=True)
@@ -81,6 +97,9 @@ class CompositionError(ValueError):
     pass
 
 
+_NO_OFFERS: Dict = {}
+
+
 class Composition:
     """A closed system of components with per-gate synchronization sets."""
 
@@ -96,7 +115,9 @@ class Composition:
             for g in sorted(c.sync_set):
                 sync_map.setdefault(g, []).append(i)
         self.sync_map: Dict[str, Tuple[int, ...]] = {g: tuple(m) for g, m in sync_map.items()}
-        # step cache: (component index, local state) -> (solo list, gate -> offers -> successor list)
+        # step cache: (component index, local state) -> (solo list,
+        # gate -> offers -> (action, successors), gate -> (accepts, offers ->
+        # accepted successors))
         self._steps: Dict[Tuple[int, Hashable], tuple] = {}
 
     @property
@@ -109,57 +130,82 @@ class Composition:
         if hit is not None:
             return hit
         solo: List[Tuple[Action, Hashable]] = []
-        synced: Dict[str, Dict[Tuple[Value, ...], List[Tuple[Action, Hashable]]]] = {}
+        synced: Dict[str, Dict[Tuple[Value, ...], Tuple[Action, list]]] = {}
+        receivers: Dict[str, Tuple[list, dict]] = {}
         comp = self.components[i]
         seen = set()
         for act, nxt in comp.step(local):
             if (act, nxt) in seen:
                 continue
             seen.add((act, nxt))
-            if act.gate in self.sync_map:
+            receive = type(act) is Receive
+            if receive or act.gate in self.sync_map:
                 if act.gate not in comp.sync_set:
                     raise CompositionError(
-                        f"component {comp.id} emits synchronized gate {act.gate} "
-                        f"without listing it in its sync set"
+                        f"component {comp.id} {'receives' if receive else 'emits'} "
+                        f"synchronized gate {act.gate} without listing it in its sync set"
                     )
-                synced.setdefault(act.gate, {}).setdefault(act.offers, []).append((act, nxt))
+                if receive:
+                    receivers.setdefault(act.gate, ([], {}))[0].append(nxt)
+                else:
+                    synced.setdefault(act.gate, {}).setdefault(act.offers, (act, []))[1].append(nxt)
             else:
                 solo.append((act, nxt))
-        entry = (solo, synced)
+        entry = (solo, synced, receivers)
         self._steps[key] = entry
         return entry
 
     def enabled_actions(self, state: tuple) -> List[Tuple[Action, tuple]]:
-        """All enabled (action, successor) pairs, in deterministic order."""
+        """All enabled (action, successor) pairs, in deterministic order.
+
+        A gate's offers are tried in the order of the smallest offer map
+        among members with no receiver on it (the lowest index on ties), or
+        when every member receives, in member order over all concrete offers.
+        """
         out: List[Tuple[Action, tuple]] = []
         per_comp = [self._component_steps(i, s) for i, s in enumerate(state)]
-        for i, (solo, _) in enumerate(per_comp):
+        for i, (solo, _, _) in enumerate(per_comp):
             for act, nxt in solo:
                 succ = list(state)
                 succ[i] = nxt
                 out.append((act, tuple(succ)))
         for gate, members in self.sync_map.items():
-            offer_maps = []
-            ok = True
+            parts = []
+            source = None
             for i in members:
-                m = per_comp[i][1].get(gate)
-                if not m:
-                    ok = False
-                    break
-                offer_maps.append((i, m))
-            if not ok:
-                continue
-            smallest = min(offer_maps, key=lambda im: len(im[1]))
-            for offers in smallest[1]:
-                choices = []
-                for i, m in offer_maps:
-                    alts = m.get(offers)
-                    if alts is None:
+                _, synced, receivers = per_comp[i]
+                offered = synced.get(gate, _NO_OFFERS)
+                recv = receivers.get(gate)
+                if recv is None:
+                    if not offered:
                         break
-                    choices.append((i, alts))
-                else:
-                    act = choices[0][1][0][0]
-                    _emit_combos(out, state, act, choices)
+                    if source is None or len(offered) < len(source):
+                        source = offered
+                parts.append((i, offered, recv))
+            else:
+                if source is None:
+                    source = {}
+                    for _, offered, _ in parts:
+                        for offers, hit in offered.items():
+                            source.setdefault(offers, hit)
+                for offers, (act, _) in source.items():
+                    choices = []
+                    for i, offered, recv in parts:
+                        hit = offered.get(offers)
+                        alts = hit[1] if hit else []
+                        if recv is not None:
+                            accepts, accepted = recv
+                            got = accepted.get(offers)
+                            if got is None:
+                                got = accepted[offers] = [
+                                    nxt for nxt in (accept(offers) for accept in accepts)
+                                    if nxt is not None]
+                            alts = alts + got
+                        if not alts:
+                            break
+                        choices.append((i, alts))
+                    else:
+                        _emit_combos(out, state, act, choices)
         return out
 
 
@@ -173,7 +219,7 @@ def _emit_combos(out, state, act, choices):
             continue
         i, alts = choices[k]
         # reversed keeps emission in declaration order for the depth-first walk
-        for _, nxt in reversed(alts):
+        for nxt in reversed(alts):
             s2 = succ if len(alts) == 1 else list(succ)
             s2[i] = nxt
             stack.append((k + 1, s2))

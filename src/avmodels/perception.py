@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .values import Bool, Nat, Pos, Rec, Seq, Sym, Value
+from .values import Bool, Nat, Pos, Rec, Seq, Sym, Value, ValueError_
 
 DIR_DELTAS = {
     "up": (0, -1),
@@ -311,6 +311,20 @@ def obstacle_value(kind: str, anchor: Cell, w: int, h: int, speed: int,
         Sym(direction),
         Bool(transparent),
     ))
+
+
+def decode_obstacle(v: Value) -> tuple:
+    """Inverse of obstacle_value: (kind, anchor, w, h, speed, direction,
+    transparent). Raises ValueError_ on any other value."""
+    try:
+        kind, rect, speed, direction, transparent = v.fields
+        x, y, w, h = (f.n for f in rect.fields)
+        fields = (kind.name, (x, y), w, h, speed.n, direction.name, transparent.b)
+    except (AttributeError, TypeError, ValueError):
+        fields = None
+    if fields is None or obstacle_value(*fields) != v:
+        raise ValueError_(f"not an Obstacle value: {v!r}")
+    return fields
 
 
 def position_value(cell: Cell) -> Value:

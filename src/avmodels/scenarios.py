@@ -62,6 +62,12 @@ def _req(data: dict, key: str, where: str):
     return data[key]
 
 
+def _list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ScenarioError(f"{where}: expected a list, got {value!r}")
+    return value
+
+
 def _nat(value, where: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool) or value < 0:
         raise ScenarioError(f"{where}: expected a non-negative integer, got {value!r}")
@@ -70,7 +76,7 @@ def _nat(value, where: str) -> int:
 
 def _graph_scenario(data) -> ControlScenario:
     vertices = _req(data, "vertices", "scenario")
-    raw_edges = _req(data, "edges", "scenario")
+    raw_edges = _list(_req(data, "edges", "scenario"), "edges")
     if not isinstance(vertices, list) or not all(
             isinstance(v, (str, int)) and not isinstance(v, bool) for v in vertices):
         raise ScenarioError("vertices: expected a list of names or numbers")
@@ -91,13 +97,13 @@ def _graph_scenario(data) -> ControlScenario:
     position = _req(car, "position", "car")
     destination = _req(car, "destination", "car")
     obstacles = []
-    for i, ob in enumerate(data.get("obstacles", [])):
+    for i, ob in enumerate(_list(data.get("obstacles", []), "obstacles")):
         where = f"obstacles[{i}]"
         if not isinstance(ob, dict):
             raise ScenarioError(f"{where}: expected an object")
         street = _req(ob, "position", where)
         moves = []
-        for j, mv in enumerate(ob.get("moves", [])):
+        for j, mv in enumerate(_list(ob.get("moves", []), f"{where}.moves")):
             if mv in (RANDOM, LEAVE):
                 moves.append(mv)
             elif isinstance(mv, dict) and set(mv) == {"turn"}:
@@ -116,9 +122,7 @@ _MOVE_WORDS = set(DIRECTIONS) | {RANDOM_DIR}
 
 
 def _moves(raw, where: str):
-    if not isinstance(raw, list):
-        raise ScenarioError(f"{where}: expected a list")
-    for j, mv in enumerate(raw):
+    for j, mv in enumerate(_list(raw, where)):
         if mv not in _MOVE_WORDS:
             raise ScenarioError(f"{where}[{j}]: expected one of "
                                 f"{sorted(_MOVE_WORDS)}, got {mv!r}")
@@ -129,7 +133,7 @@ def _grid_scenario(data) -> GridScenario:
     width = _nat(_req(data, "width", "scenario"), "width")
     height = _nat(_req(data, "height", "scenario"), "height")
     static = []
-    for i, ob in enumerate(data.get("static", [])):
+    for i, ob in enumerate(_list(data.get("static", []), "static")):
         where = f"static[{i}]"
         if not isinstance(ob, dict):
             raise ScenarioError(f"{where}: expected an object")
@@ -145,7 +149,7 @@ def _grid_scenario(data) -> GridScenario:
         except ValueError as e:
             raise ScenarioError(f"{where}: {e}")
     mobile = []
-    for i, ob in enumerate(data.get("mobile", [])):
+    for i, ob in enumerate(_list(data.get("mobile", []), "mobile")):
         where = f"mobile[{i}]"
         if not isinstance(ob, dict):
             raise ScenarioError(f"{where}: expected an object")

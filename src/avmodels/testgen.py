@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import values
 from .kernel import Action, Composition, Lts, bfs, trace_to
-from .perception import GridScenario
+from .perception import GridScenario, decode_obstacle
 from .grid_model import build_grid_composition
 
 WILDCARD = "*"
@@ -212,16 +212,11 @@ def _cell(raw) -> Tuple[int, int]:
 
 def _decode_obstacle_move(act: Action) -> ObstacleMove:
     try:
-        new, prev = act.offers[0], act.offers[1]
-        kind = new.fields[0].name
-        nrect, prect = new.fields[1], prev.fields[1]
-        direction = new.fields[3].name
-        return ObstacleMove(kind,
-                            (prect.fields[0].n, prect.fields[1].n),
-                            (nrect.fields[0].n, nrect.fields[1].n),
-                            direction)
-    except (AttributeError, IndexError) as e:
+        kind, target, _, _, _, direction, _ = decode_obstacle(act.offers[0])
+        source = decode_obstacle(act.offers[1])[1]
+    except (IndexError, values.ValueError_) as e:
         raise FoldError(f"bad OBSTACLE_POSITION offers in {act.text()!r}: {e}")
+    return ObstacleMove(kind, source, target, direction)
 
 
 def trace_to_scenario(trace: Sequence[Action]) -> SimScenario:

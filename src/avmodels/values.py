@@ -121,7 +121,10 @@ def text(v: Value) -> str:
 
 def parse_value(s: str) -> Value:
     """Parse canonical value text back into a value. Inverse of text()."""
-    v, pos = _parse(s, 0)
+    try:
+        v, pos = _parse(s, 0)
+    except RecursionError:
+        raise ValueError_(f"value text nested too deeply: {s[:40]!r}...")
     if pos != len(s):
         raise ValueError_(f"trailing junk at {pos} in {s!r}")
     return v

@@ -27,14 +27,25 @@ class GridReference(NamedTuple):
     explore_s: float  # what exploring cost, for tests whose time budget covers it
 
 
+def _explore_grid(expose_grid: bool) -> GridReference:
+    t0 = time.monotonic()
+    scn = load_scenario(str(CONFIGS / "grid.json"))
+    lts = explore(build_grid_composition(scn, expose_grid=expose_grid))
+    return GridReference(scn, lts, time.monotonic() - t0)
+
+
 @pytest.fixture(scope="session")
 def grid_reference() -> GridReference:
     """configs/grid.json and its LTS without exposed grids, explored once for
-    every test that reads it (about 8 s per exploration)."""
-    t0 = time.monotonic()
-    scn = load_scenario(str(CONFIGS / "grid.json"))
-    lts = explore(build_grid_composition(scn))
-    return GridReference(scn, lts, time.monotonic() - t0)
+    every test that reads it."""
+    return _explore_grid(False)
+
+
+@pytest.fixture(scope="session")
+def grid_reference_exposed() -> GridReference:
+    """configs/grid.json and its LTS with the perception grids on LIDAR_MAP
+    labels, explored once for every test that reads it."""
+    return _explore_grid(True)
 
 
 @contextlib.contextmanager

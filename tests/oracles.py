@@ -1,18 +1,19 @@
 """Independent reference implementations the tests compare against.
 
 Everything here is deliberately written with different algorithms and data
-layouts than the package: set-comprehension rendezvous semantics, a naive
-greatest-fixpoint bisimulation, a solved attacker/defender game, exact
-rational geometry for line-of-sight, and level-by-level shortest distances.
+layouts than the package: rendezvous by trying every concretely offered
+value list on every participant, a naive greatest-fixpoint bisimulation, a
+solved attacker/defender game, exact rational geometry for line-of-sight,
+and level-by-level shortest distances.
 """
 from __future__ import annotations
 
 import itertools
 import random
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-from avmodels.kernel import Action, Component, Composition, Lts
+from avmodels.kernel import Action, Component, Composition, Lts, Receive
 from avmodels.values import Bool, Nat, Pos, Sym
 
 
@@ -21,9 +22,10 @@ from avmodels.values import Bool, Nat, Pos, Sym
 
 def brute_force_edges(comp: Composition):
     """All reachable global transitions as a set of (state, action, state),
-    computed by direct application of the composition rule: an action with a
-    synchronized gate needs every component listing that gate to take part
-    with identical offers; everything else moves one component alone.
+    computed by direct application of the composition rule: for every value
+    list some participant of a synchronized gate offers concretely, each
+    participant must take part, by offering exactly that list or by a
+    receiver accepting it; everything else moves one component alone.
     """
     comps = comp.components
     participants: Dict[str, Tuple[int, ...]] = {}
@@ -38,25 +40,22 @@ def brute_force_edges(comp: Composition):
         # independent moves: internal actions and unsynchronized gates
         for i, steps in enumerate(per):
             for act, nxt in steps:
-                if act.gate in participants and not act.is_internal:
+                if isinstance(act, Receive) or act.gate in participants:
                     continue
                 ns = list(state)
                 ns[i] = nxt
                 found.add((act, tuple(ns)))
-        # rendezvous: every participant of the gate, identical offers
+        # rendezvous: every participant of the gate, on one value list
         for gate, members in participants.items():
-            options = []
-            for i in members:
-                options.append([(act, nxt) for act, nxt in per[i]
-                                if act.gate == gate])
-            for pick in itertools.product(*options):
-                offers = {act.offers for act, _ in pick}
-                if len(offers) != 1:
-                    continue
-                ns = list(state)
-                for i, (_, nxt) in zip(members, pick):
-                    ns[i] = nxt
-                found.add((pick[0][0], tuple(ns)))
+            emitted = {act.offers for i in members for act, _ in per[i]
+                       if not isinstance(act, Receive) and act.gate == gate}
+            for offers in emitted:
+                options = [takers(per[i], gate, offers) for i in members]
+                for pick in itertools.product(*options):
+                    ns = list(state)
+                    for i, nxt in zip(members, pick):
+                        ns[i] = nxt
+                    found.add((Action(gate, offers), tuple(ns)))
         return found
 
     init = tuple(c.initial for c in comps)
@@ -73,6 +72,53 @@ def brute_force_edges(comp: Composition):
                     nxt_frontier.append(ns)
         frontier = nxt_frontier
     return init, seen, edges
+
+
+def takers(steps, gate, offers) -> List:
+    """A component's next states when offers fire on gate: its concrete
+    offers of exactly these values and its receivers that accept them."""
+    out = []
+    for act, nxt in steps:
+        if act.gate != gate:
+            continue
+        if isinstance(act, Receive):
+            nxt = nxt(offers)
+            if nxt is not None:
+                out.append(nxt)
+        elif act.offers == offers:
+            out.append(nxt)
+    return out
+
+
+def receiver_cases(comp: Composition, edges) -> Set[str]:
+    """Which receiver situations a composition's reachable edges exercise:
+    a rendezvous where every participant has a receiver on the gate, one
+    where a participant both offers and receives on it, and a concretely
+    offered value list that a participant cannot take because its receivers
+    refuse it."""
+    members: Dict[str, List[int]] = {}
+    for i, c in enumerate(comp.components):
+        for g in c.sync_set:
+            members.setdefault(g, []).append(i)
+    cases = set()
+    for st in {src for src, _, _ in edges}:
+        per = [c.step(s) for c, s in zip(comp.components, st)]
+        for gate, ms in members.items():
+            receives = [any(isinstance(a, Receive) and a.gate == gate for a, _ in per[i])
+                        for i in ms]
+            emits = [any(not isinstance(a, Receive) and a.gate == gate for a, _ in per[i])
+                     for i in ms]
+            fired = any(a.gate == gate for src, a, _ in edges if src == st)
+            if fired and all(receives):
+                cases.add("every participant receives")
+            if fired and any(r and e for r, e in zip(receives, emits)):
+                cases.add("one participant offers and receives")
+            offered = {a.offers for i in ms for a, _ in per[i]
+                       if not isinstance(a, Receive) and a.gate == gate}
+            if any(r and not takers(per[i], gate, o)
+                   for o in offered for i, r in zip(ms, receives)):
+                cases.add("a receiver refuses an offer")
+    return cases
 
 
 def lts_edge_set(lts: Lts):
@@ -333,19 +379,24 @@ _POOL = (Nat(0), Nat(1), Nat(2), Bool(True), Bool(False),
 
 def random_composition(rng: random.Random, max_components=3, max_states=4,
                        gates=("a", "b", "c")) -> Composition:
+    """Up to max_components table-driven components. About a third of the
+    moves on synchronized gates are receivers (see _random_accept)."""
     ncomp = rng.randint(1, max_components)
     comps = []
     for ci in range(ncomp):
         nstates = rng.randint(1, max_states)
-        sync = frozenset(g for g in gates if rng.random() < 0.5)
-        table: Dict[int, List[Tuple[Action, int]]] = {}
+        sync = sorted(g for g in gates if rng.random() < 0.5)
+        table: Dict[int, list] = {}
         for s in range(nstates):
             steps = []
             for _ in range(rng.randint(0, 3)):
+                if sync and rng.random() < 0.3:
+                    steps.append((Receive(rng.choice(sync)), _random_accept(rng, nstates)))
+                    continue
                 if rng.random() < 0.2:
                     act = Action("i")
                 else:
-                    gate = rng.choice(list(sync)) if sync and rng.random() < 0.8 \
+                    gate = rng.choice(sync) if sync and rng.random() < 0.8 \
                         else rng.choice(gates)
                     if gate not in sync:
                         gate = gate + "_loc"  # unsynchronized, interleaves
@@ -354,9 +405,28 @@ def random_composition(rng: random.Random, max_components=3, max_states=4,
                     act = Action(gate, offers)
                 steps.append((act, rng.randrange(nstates)))
             table[s] = steps
-        comps.append(Component(f"P{ci}", sync, 0,
+        comps.append(Component(f"P{ci}", frozenset(sync), 0,
                                lambda s, t=table: t[s]))
     return Composition(tuple(comps))
+
+
+def _random_accept(rng: random.Random, nstates: int):
+    """A receiver's accept: refuse everything, take everything to one state,
+    take one arity to a state picked by the first value, or take a random
+    table of value lists."""
+    kind = rng.randrange(4)
+    target = rng.randrange(nstates)
+    if kind == 0:
+        return lambda offers: None
+    if kind == 1:
+        return lambda offers: target
+    if kind == 2:
+        arity = rng.randint(0, 2)
+        return lambda offers: None if len(offers) != arity else \
+            (_POOL.index(offers[0]) + target) % nstates if offers else target
+    table = {tuple(rng.choice(_POOL) for _ in range(rng.randint(0, 2))): rng.randrange(nstates)
+             for _ in range(rng.randint(1, 6))}
+    return table.get
 
 
 def random_lts(rng: random.Random, max_states=200, labels=("a", "b", "c", "d")) -> Lts:

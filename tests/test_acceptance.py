@@ -192,12 +192,13 @@ def test_criterion_5_lidar_scenes_vs_exact_geometry_oracle():
 # criterion 6: the scenario corpus runs to its documented outcomes
 
 
-def test_criterion_6_scenario_corpus_outcomes(grid_reference):
+def test_criterion_6_scenario_corpus_outcomes(grid_reference, grid_reference_exposed):
     with criterion("criterion 6  scenario corpus runs to its documented outcomes"):
         t0 = time.monotonic()
         manifest = json.loads((CONFIGS / "manifest.json").read_text())
         assert len(manifest) == 10
-        cache = {("grid.json", False): grid_reference.lts}
+        cache = {("grid.json", False): grid_reference.lts,
+                 ("grid.json", True): grid_reference_exposed.lts}
         for entry in manifest:
             scn = load_scenario(CONFIGS / entry["scenario"])
             expose = bool(entry.get("expose_grid"))
@@ -223,7 +224,8 @@ def test_criterion_6_scenario_corpus_outcomes(grid_reference):
                 assert trace[-1].gate == "COLLISION"
                 assert trace[-1].offers == (Sym("Pedestrian"),)
                 assert taken[-1].gate == "COLLISION"
-        assert time.monotonic() - t0 + grid_reference.explore_s < 120.0
+        assert (time.monotonic() - t0 + grid_reference.explore_s
+                + grid_reference_exposed.explore_s < 120.0)
 
 
 # --------------------------------------------------------------------------
@@ -255,7 +257,7 @@ def test_criterion_7_aut_roundtrip_and_goldens():
             lts = random_lts(rng, max_states=200)
             _roundtrip(lts)
             _roundtrip(minimize(lts))
-        for name in ("control_tiny", "grid_tiny"):
+        for name in ("control_tiny", "grid_tiny", "grid_random_car"):
             lts = _golden_lts(name)
             _roundtrip(lts)
             want = (GOLDEN / f"{name}.aut").read_bytes()

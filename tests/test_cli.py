@@ -178,9 +178,44 @@ def test_render_rejects_bad_cells_with_exit_2(tmp_path, capsys, car_from, car_to
     }], "terminal": None}
     sim_path = write_json(tmp_path / "sim.json", sim)
     code = main(["render", "--scenario", str(CONFIGS / "grid.json"), "--sim", sim_path])
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert code == 2
+    assert out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+DEEP = "[" * 3000 + "]" * 3000  # deeper than the interpreter's recursion limit
+
+
+@pytest.mark.parametrize("command, inputs, code", [
+    ("explore", {"scenario.json": dict(TINY_GRAPH, edges=5)}, 2),
+    ("explore", {"scenario.json": dict(TINY_GRAPH, obstacles=5)}, 2),
+    ("explore", {"scenario.json": dict(
+        TINY_GRAPH, obstacles=[{"position": "A_bis", "moves": 5}])}, 2),
+    ("explore", {"scenario.json": dict(TINY_GRID, static=5)}, 2),
+    ("explore", {"scenario.json": dict(TINY_GRID, mobile=5)}, 2),
+    ("testgen", {"scenario.json": TINY_GRID,
+                 "purpose.json": [{"gate": "TICK", "offers": [DEEP]}]}, 2),
+    # a label that is not canonical value text stays an opaque label
+    ("minimize", {"in.aut": f'des (0, 1, 1)\n(0, "G !{DEEP}", 0)\n'}, 0),
+], ids=["edges-not-a-list", "obstacles-not-a-list", "moves-not-a-list",
+        "static-not-a-list", "mobile-not-a-list", "deep-purpose-offer", "deep-aut-label"])
+def test_malformed_inputs_exit_with_a_documented_code(tmp_path, capsys, command, inputs, code):
+    for name, data in inputs.items():
+        path = tmp_path / name
+        path.write_text(data if isinstance(data, str) else json.dumps(data))
+    argv = {
+        "explore": ["explore", "--scenario", "scenario.json", "--out", "out.aut"],
+        "testgen": ["testgen", "--scenario", "scenario.json", "--purpose", "purpose.json",
+                    "--out", "sim.json"],
+        "minimize": ["minimize", "in.aut", "out.aut"],
+    }[command]
+    assert main([a if a.startswith("-") or a == command else str(tmp_path / a)
+                 for a in argv]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.startswith("error:")
 
 
 def test_missing_files_exit_2(tmp_path, capsys):

@@ -3,15 +3,15 @@ import pytest
 from avmodels.control_model import (
     BRAKES, LEAVE, RANDOM, ControlScenario, GraphMap, Itinerary, MapError,
     ObstacleScript, Turn, build_control_composition, compute_itinerary,
-    consistent_move, expand_random, grid_value, itinerary_value,
-    radar_grid_universe, successors,
+    consistent_move, decode_grid, expand_random, grid_value, itinerary_value,
+    successors,
 )
 from avmodels.kernel import ExplorationLimits, explore
 from avmodels.properties import (
     check_consistent_updates, check_deadlock_freedom,
     check_inevitable_termination,
 )
-from avmodels.values import text
+from avmodels.values import Nat, Rec, Seq, Sym, ValueError_, text
 
 # the nine-crossroad city used throughout: 11 two-way streets, each
 # direction its own edge, declared clockwise from the northwest corner
@@ -93,15 +93,6 @@ def test_scenario_validation():
         city_scenario([ObstacleScript("Deansgate", (BRAKES,))])   # bad op
 
 
-def test_radar_grid_universe_covers_reachable_grids():
-    scn = city_scenario([ObstacleScript("Peter_Street", (RANDOM,))])
-    grids = radar_grid_universe(scn)
-    assert ("Peter_Street",) in grids      # initial
-    assert () in grids                     # after leave
-    assert ("Quay_Street",) in grids       # after turning
-    assert text(grid_value(("Peter_Street",))) == "Radar([Peter_Street])"
-
-
 def test_zero_obstacle_run_arrives_and_terminates():
     lts = explore(build_control_composition(city_scenario()))
     assert "ARRIVAL" in lts.alphabet()
@@ -166,3 +157,14 @@ def test_itinerary_value_encoding():
     it = Itinerary((Turn(2), Turn(0)), True)
     assert text(itinerary_value(it)) == "[turned_n(2),turned_n(0)]"
     assert text(itinerary_value(Itinerary((), False))) == "[]"
+    assert text(grid_value(("Peter_Street",))) == "Radar([Peter_Street])"
+
+
+def test_decode_grid_inverts_grid_value():
+    assert decode_grid(grid_value({"Quay_Street", "Deansgate"})) == ("Deansgate", "Quay_Street")
+    assert decode_grid(grid_value(())) == ()
+    for bad in (Sym("Radar"), Rec("Radar", ()), Rec("Radar", (Seq((Nat(1),)),)),
+                Rec("Radar", (Seq((Sym("b"), Sym("a"))),)),
+                Rec("Grid", (Seq((Sym("a"),)),))):
+        with pytest.raises(ValueError_):
+            decode_grid(bad)

@@ -5,8 +5,6 @@ bookkeeping: a round-structure monitor validates the protocol ordering on
 every reachable trace, and a perception replay recomputes each published
 lidar frame from scratch out of the actions seen on the way there.
 """
-import pathlib
-
 import pytest
 
 from avmodels.grid_model import build_grid_composition
@@ -20,9 +18,6 @@ from avmodels.properties import (
     VIOLATION, Monitor, check_deadlock_freedom, check_inevitable_termination,
     product_with_monitor, trace_exists,
 )
-from avmodels.scenarios import load_scenario
-
-CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
 
 @pytest.fixture(scope="module")
@@ -31,9 +26,8 @@ def reference(grid_reference):
 
 
 @pytest.fixture(scope="module")
-def reference_exposed():
-    scn = load_scenario(str(CONFIGS / "grid.json"))
-    return scn, explore(build_grid_composition(scn, expose_grid=True))
+def reference_exposed(grid_reference_exposed):
+    return grid_reference_exposed.scn, grid_reference_exposed.lts
 
 
 # ---------------------------------------------------------------------------

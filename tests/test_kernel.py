@@ -4,11 +4,12 @@ import pytest
 
 from avmodels.kernel import (
     Action, Component, Composition, CompositionError, ExplorationLimitError,
-    ExplorationLimits, INTERNAL, Lts, detect_deadlocks, explore, parse_action,
+    ExplorationLimits, INTERNAL, Lts, Receive, detect_deadlocks, explore,
+    parse_action,
 )
 from avmodels.values import Nat, Sym
 
-from oracles import brute_force_edges, lts_edge_set, random_composition
+from oracles import brute_force_edges, lts_edge_set, random_composition, receiver_cases
 
 
 def table_component(cid, sync, table, initial=0):
@@ -120,10 +121,53 @@ def test_explore_deduplicates_identical_transitions():
 
 def test_random_compositions_match_brute_force_oracle():
     rng = random.Random(20240817)
+    cases = set()
     for _ in range(60):
         comp = random_composition(rng)
         lts = explore(comp, ExplorationLimits(max_states=100_000))
-        assert lts_edge_set(lts) == brute_force_edges(comp)
+        want = brute_force_edges(comp)
+        assert lts_edge_set(lts) == want
+        cases |= receiver_cases(comp, want[2])
+    assert cases == {"every participant receives", "one participant offers and receives",
+                     "a receiver refuses an offer"}
+
+
+def test_receivers_take_the_offered_value():
+    sender = table_component("S", {"g"}, {0: [(Action("g", (Nat(1),)), 1),
+                                              (Action("g", (Nat(2),)), 2),
+                                              (Action("g", (Nat(3),)), 3)]})
+    # takes odd values to the value itself, refuses even ones
+    odd = Component("R", frozenset({"g"}), 0, lambda s: [
+        (Receive("g"), lambda offers: offers[0].n if offers[0].n % 2 else None)])
+    comp = Composition((sender, odd))
+    acts = comp.enabled_actions(comp.initial_state)
+    assert [(a.text(), s) for a, s in acts] == [("g !1", (1, 1)), ("g !3", (3, 3))]
+
+
+def test_gate_fires_only_on_concrete_offers():
+    def receiver(cid):
+        return Component(cid, frozenset({"g"}), 0,
+                         lambda s: [(Receive("g"), lambda offers: 1)] if s == 0 else [])
+    comp = Composition((receiver("A"), receiver("B")))
+    assert comp.enabled_actions(comp.initial_state) == []
+    # when everyone receives, the concrete offers are tried in member order
+    both = Component("C", frozenset({"g"}), 0, lambda s: [
+        (Action("g", (Nat(2),)), 2), (Receive("g"), lambda offers: 3)] if s == 0 else [])
+    other = table_component("D", {"g"}, {0: [(Action("g", (Nat(1),)), 1),
+                                             (Receive("g"), lambda offers: 4)]})
+    comp = Composition((receiver("A"), both, other))
+    acts = comp.enabled_actions(comp.initial_state)
+    assert [(a.text(), s) for a, s in acts] == [
+        ("g !2", (1, 2, 4)), ("g !2", (1, 3, 4)),
+        ("g !1", (1, 3, 1)), ("g !1", (1, 3, 4))]
+
+
+def test_receiving_unlisted_gate_is_an_error():
+    p = table_component("P", {"g"}, {0: [(Action("g"), 1)]})
+    rogue = Component("R", frozenset({"h"}), 0, lambda s: [(Receive("g"), lambda offers: 1)])
+    comp = Composition((p, rogue))
+    with pytest.raises(CompositionError):
+        comp.enabled_actions(comp.initial_state)
 
 
 def test_alphabet_and_outgoing():

@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from avmodels.perception import (
     CarSpec, GridError, GridScenario, ObstacleRec, build_grid_map,
-    compute_perception, initiate_map, move_allowed, obstacle_value, occluded,
-    perception_value, position_value, rect_cells, step_position, supercover,
+    compute_perception, decode_obstacle, move_allowed, obstacle_value,
+    occluded, perception_value, position_value, step_position, supercover,
     valid_move,
 )
 
@@ -219,3 +219,19 @@ def test_value_encoders_round_trip_text():
     assert text(position_value((4, 5))) == "Position(4,5)"
     g = compute_perception(build(3, 3, [], (1, 1)))
     assert parse_value(text(perception_value(g))) == perception_value(g)
+
+
+def test_decode_obstacle_inverts_obstacle_value():
+    from avmodels.values import Bool, Nat, Rec, Sym, ValueError_, parse_value
+    fields = ("Car2", (1, 2), 2, 1, 3, "left", True)
+    assert decode_obstacle(obstacle_value(*fields)) == fields
+    good = "Obstacle(Car2,Rect(1,2,2,1),3,left,true)"
+    for bad in (good.replace("Obstacle", "Obstacles"), good.replace("Rect", "Box"),
+                good.replace(",true", ""), good.replace("Car2", "Rect(1)"),
+                good.replace("left", "7"), good.replace("true", "1"),
+                "Obstacle(Car2,Rect(1,2,2),3,left,true)"):
+        with pytest.raises(ValueError_):
+            decode_obstacle(parse_value(bad))
+    for bad in (Sym("Obstacle"), Nat(3), Bool(True), Rec("Obstacle", ())):
+        with pytest.raises(ValueError_):
+            decode_obstacle(bad)

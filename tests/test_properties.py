@@ -6,8 +6,7 @@ from avmodels.kernel import Action, Lts
 from avmodels.properties import (
     VIOLATION, Monitor, PropertySchemaError, Verdict,
     check_consistent_updates, check_deadlock_freedom,
-    check_inevitable_termination, consistent_updates_monitor,
-    product_with_monitor, trace_exists,
+    check_inevitable_termination, product_with_monitor, trace_exists,
 )
 from avmodels.values import Nat, Rec, Sym
 

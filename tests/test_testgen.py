@@ -188,6 +188,9 @@ def test_fold_rejects_protocol_violations():
         trace_to_scenario((end_of("W"), end_of("W")))
     with pytest.raises(FoldError):
         trace_to_scenario((Action("REQUEST_PATH"),))
+    for offers in ((Sym("W"),), (Sym("W"), Sym("W"), Sym("down"))):
+        with pytest.raises(FoldError):
+            trace_to_scenario((Action("OBSTACLE_POSITION", offers),))
 
 
 def test_sim_scenario_json_round_trip():
