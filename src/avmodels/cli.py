@@ -5,7 +5,7 @@
     avmodels minimize IN.aut OUT.aut
     avmodels check    --lts L.aut --property NAME [--scenario S.json]
     avmodels testgen  --scenario S.json --purpose P.json --out SIM.json
-                      [--max-states N] [--expose-grid]
+                      [--max-states N] [--max-depth N] [--expose-grid]
     avmodels render   --scenario S.json --sim SIM.json
 
 Exit codes: 0 success / property holds, 1 property violated or purpose
@@ -49,12 +49,6 @@ def _build(scn, expose_grid: bool):
     return build_grid_composition(scn, expose_grid=expose_grid)
 
 
-def _explore(scn, args) -> Lts:
-    comp = _build(scn, getattr(args, "expose_grid", False))
-    limits = ExplorationLimits(max_states=args.max_states, max_depth=args.max_depth)
-    return explore(comp, limits)
-
-
 def _write_aut(lts: Lts, path: str) -> None:
     try:
         with open(path, "w", encoding="ascii") as fh:
@@ -76,7 +70,8 @@ def _read_aut(path: str) -> Lts:
 def cmd_explore(args) -> int:
     scn = load_scenario(args.scenario)
     try:
-        lts = _explore(scn, args)
+        lts = explore(_build(scn, args.expose_grid),
+                      ExplorationLimits(max_states=args.max_states, max_depth=args.max_depth))
     except ExplorationLimitError as e:
         _write_aut(e.partial, args.out)
         print(f"truncated: {e.reason}", file=sys.stderr)
@@ -134,11 +129,12 @@ def cmd_testgen(args) -> int:
     except json.JSONDecodeError as e:
         raise CliError(f"{args.purpose} is not valid JSON: {e}")
     try:
-        lts = _explore(scn, args)
+        product, warnings = testgen.product_with_purpose(
+            _build(scn, args.expose_grid), purpose,
+            ExplorationLimits(max_states=args.max_states, max_depth=args.max_depth))
     except ExplorationLimitError as e:
         print(f"truncated: {e.reason}", file=sys.stderr)
         return EXIT_LIMIT
-    product, warnings = testgen.product_with_purpose(lts, purpose)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     witness = testgen.extract_test(product)
@@ -247,7 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", required=True)
     p.add_argument("--purpose", required=True, help="JSON action-pattern list")
     p.add_argument("--out", required=True, help="output simulation JSON")
-    p.add_argument("--max-states", type=int, default=1_000_000)
+    p.add_argument("--max-states", type=int, default=1_000_000,
+                   help="bound on the purpose-product states searched")
     p.add_argument("--max-depth", type=int, default=0)
     p.add_argument("--expose-grid", action="store_true")
     p.set_defaults(func=cmd_testgen)

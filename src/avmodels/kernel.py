@@ -243,13 +243,21 @@ class Lts:
 
     States are 0..num_states-1 with indices assigned in breadth-first
     discovery order. state_payload, when present, maps indices back to the
-    composition states they came from.
+    states of the system they were explored from. An Lts is itself a system
+    that explore accepts.
     """
     num_states: int
     initial: int
     transitions: Tuple[Tuple[int, Action, int], ...]
     state_payload: Optional[tuple] = None
     _out: Optional[list] = field(default=None, repr=False, compare=False)
+
+    @property
+    def initial_state(self) -> int:
+        return self.initial
+
+    def enabled_actions(self, state: int) -> List[Tuple[Action, int]]:
+        return self.outgoing()[state]
 
     def outgoing(self) -> List[List[Tuple[Action, int]]]:
         if self._out is None:
@@ -273,44 +281,51 @@ class ExplorationLimitError(Exception):
         self.reason = reason
 
 
-def explore(comp: Composition, limits: ExplorationLimits = ExplorationLimits()) -> Lts:
-    """Breadth-first reachable-state enumeration with duplicate detection."""
-    init = comp.initial_state
-    index: Dict[tuple, int] = {init: 0}
-    payload: List[tuple] = [init]
+def explore(system, limits: ExplorationLimits = ExplorationLimits(),
+            goal: Optional[Callable[[Hashable], bool]] = None) -> Lts:
+    """Breadth-first reachable-state enumeration with duplicate detection of
+    any system with an initial_state and enabled_actions(state): a
+    Composition, an Lts or a product over one. The payload keeps the states
+    in discovery order. With a goal, the part explored so far is returned
+    right after the edge that discovers the first state meeting it (the
+    start included), which is then the last state, without outgoing edges.
+    Raises ExplorationLimitError when a limit cuts exploration short.
+    """
+    init = system.initial_state
+    index: Dict[Hashable, int] = {init: 0}
+    payload: List[Hashable] = [init]
     depth = [0]
     transitions: List[Tuple[int, Action, int]] = []
-    queue = collections.deque([0])
-    truncated: Optional[str] = None
+    queue = collections.deque([] if goal is not None and goal(init) else [0])
+
+    def explored() -> Lts:
+        return Lts(len(payload), 0, tuple(transitions), tuple(payload))
+
     while queue:
         si = queue.popleft()
         if limits.max_depth and depth[si] >= limits.max_depth:
-            if comp.enabled_actions(payload[si]):
-                truncated = "max_depth"
-                break
+            if system.enabled_actions(payload[si]):
+                raise ExplorationLimitError(explored(), len(payload), "max_depth")
             continue
         emitted = set()
-        for act, succ in comp.enabled_actions(payload[si]):
+        for act, succ in system.enabled_actions(payload[si]):
             if (act, succ) in emitted:
                 continue
             emitted.add((act, succ))
             ti = index.get(succ)
             if ti is None:
                 if len(payload) >= limits.max_states:
-                    truncated = "max_states"
-                    break
+                    raise ExplorationLimitError(explored(), len(payload), "max_states")
                 ti = len(payload)
                 index[succ] = ti
                 payload.append(succ)
                 depth.append(depth[si] + 1)
+                if goal is not None and goal(succ):
+                    transitions.append((si, act, ti))
+                    return explored()
                 queue.append(ti)
             transitions.append((si, act, ti))
-        if truncated:
-            break
-    lts = Lts(len(payload), 0, tuple(transitions), tuple(payload))
-    if truncated:
-        raise ExplorationLimitError(lts, len(payload), truncated)
-    return lts
+    return explored()
 
 
 def bfs(start: Hashable,

@@ -173,22 +173,6 @@ def initiate_map(scn: GridScenario) -> GridMap:
     return build_grid_map(scn.width, scn.height, placed, (scn.car.x, scn.car.y))
 
 
-def valid_move(m: GridMap, oid: int, anchor: Cell, w: int, h: int) -> bool:
-    """May obstacle oid relocate its rectangle to anchor? The destination
-    must be on the map and every cell free or already owned by oid; the car
-    cell is never enterable.
-    """
-    for cell in rect_cells(anchor, w, h):
-        if not m.in_bounds(cell):
-            return False
-        if m.car == cell:
-            return False
-        occ = m.occupant(cell)
-        if occ is not None and occ != oid:
-            return False
-    return True
-
-
 def supercover(a: Cell, b: Cell) -> List[Cell]:
     """Cells whose closed unit square the segment between the centers of a
     and b crosses, walked from a to b. Corner grazings contribute both side

@@ -1,21 +1,20 @@
 """Test-purpose guided scenario generation.
 
 A test purpose is an ordered list of action patterns. The purpose product
-walks the LTS with a cursor into that list: a transition matching the next
+walks the model with a cursor into that list: a transition matching the next
 pattern advances the cursor, anything else self-loops the cursor in place.
-States where the cursor has consumed every pattern are accepting; a shortest
-witness trace into them is the generated test. For grid-model witnesses the
-trace folds into a concrete tick-by-tick scenario that can be replayed
-against the composition.
+States where the cursor has consumed every pattern are accepting. The product
+is explored on the fly and breadth first up to the first accepting state; a
+shortest trace into it is the generated test. For grid-model witnesses the
+trace folds into a tick-by-tick scenario that replays against the model.
 """
 from __future__ import annotations
 
-import collections
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from . import values
-from .kernel import Action, Composition, Lts, bfs, trace_to
+from .kernel import Action, Composition, ExplorationLimits, Lts, bfs, explore, trace_to
 from .perception import GridScenario, decode_obstacle
 from .grid_model import build_grid_composition
 
@@ -99,39 +98,40 @@ def parse_purpose(data) -> TestPurpose:
     return TestPurpose(tuple(patterns))
 
 
-def product_with_purpose(lts: Lts, purpose: TestPurpose) -> Tuple[Lts, List[str]]:
-    """Purpose product with payload (original state, cursor, accepting).
-    Unknown gates in the purpose produce warnings: they can never match, so
-    the purpose is unreachable by construction.
+@dataclass(frozen=True)
+class _PurposeProduct:
+    """The system whose states are (model state, cursor, accepting)."""
+    system: object
+    patterns: Tuple[ActionPattern, ...]
+
+    @property
+    def initial_state(self) -> tuple:
+        return self.system.initial_state, 0, False
+
+    def enabled_actions(self, node: tuple) -> List[Tuple[Action, tuple]]:
+        state, k, accepting = node
+        moves = []
+        for act, succ in self.system.enabled_actions(state):
+            k2 = k if accepting or not self.patterns[k].matches(act) else k + 1
+            moves.append((act, (succ, k2, k2 == len(self.patterns))))
+        return moves
+
+
+def product_with_purpose(system, purpose: TestPurpose,
+                         limits: ExplorationLimits = ExplorationLimits()
+                         ) -> Tuple[Lts, List[str]]:
+    """Explore the product of system (a Composition or an Lts) with the
+    purpose on the fly, up to its first accepting state. The payload is
+    (system state, cursor, accepting) and the limits count product states.
+    A purpose gate that the explored part never fires gets a warning: the
+    search ran dry without it. Raises ExplorationLimitError on a limit.
     """
-    alphabet = lts.alphabet()
+    product = explore(_PurposeProduct(system, purpose.patterns), limits,
+                      goal=lambda node: node[2])
+    alphabet = product.alphabet()
     warnings = [f"purpose step {i}: gate {p.gate} never occurs in the model"
                 for i, p in enumerate(purpose.patterns) if p.gate not in alphabet]
-    k_accept = len(purpose.patterns)
-    out = lts.outgoing()
-    start = (lts.initial, 0)
-    index: Dict[tuple, int] = {start: 0}
-    payload: List[tuple] = [start]
-    transitions: List[Tuple[int, Action, int]] = []
-    queue = collections.deque([start])
-    while queue:
-        node = queue.popleft()
-        si = index[node]
-        s, k = node
-        for act, dst in out[s]:
-            k2 = k
-            if k < k_accept and purpose.patterns[k].matches(act):
-                k2 = k + 1
-            nxt = (dst, k2)
-            ti = index.get(nxt)
-            if ti is None:
-                ti = len(payload)
-                index[nxt] = ti
-                payload.append(nxt)
-                queue.append(nxt)
-            transitions.append((si, act, ti))
-    marked = tuple((s, k, k == k_accept) for s, k in payload)
-    return Lts(len(payload), 0, tuple(transitions), marked), warnings
+    return product, warnings
 
 
 def extract_test(product: Lts) -> Optional[Tuple[Action, ...]]:

@@ -207,9 +207,16 @@ def test_criterion_6_scenario_corpus_outcomes(grid_reference, grid_reference_exp
                 cache[key] = explore(build_grid_composition(scn, expose_grid=expose))
             purpose = parse_purpose(
                 json.loads((CONFIGS / entry["purpose"]).read_text()))
-            prod, warnings = product_with_purpose(cache[key], purpose)
+            prod, warnings = product_with_purpose(
+                build_grid_composition(scn, expose_grid=expose), purpose)
             assert not warnings, entry["name"]
             trace = extract_test(prod)
+            # on the fly finds what the search over the whole explored LTS
+            # finds, and visits no more states than that LTS has
+            explored, explored_warnings = product_with_purpose(cache[key], purpose)
+            assert not explored_warnings, entry["name"]
+            assert extract_test(explored) == trace, entry["name"]
+            assert prod.num_states <= cache[key].num_states, entry["name"]
             if entry["outcome"] == "inconclusive":
                 assert trace is None, entry["name"]
                 continue
@@ -221,6 +228,7 @@ def test_criterion_6_scenario_corpus_outcomes(grid_reference, grid_reference_exp
             taken = tuple(replay(scn, sim))
             assert trace_to_scenario(taken) == sim, entry["name"]
             if entry["purpose"] == "purpose_collision_pedestrian.json":
+                assert prod.num_states <= 2_000  # of the model's 22,983
                 assert trace[-1].gate == "COLLISION"
                 assert trace[-1].offers == (Sym("Pedestrian"),)
                 assert taken[-1].gate == "COLLISION"

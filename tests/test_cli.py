@@ -1,13 +1,17 @@
 """End-to-end runs of the command line front end via main(argv)."""
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from avmodels.aut import import_aut
 from avmodels.cli import main
 
-CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "configs"
 
 TINY_GRAPH = {
     "vertices": [0, 1],
@@ -127,6 +131,30 @@ def test_testgen_inconclusive_exits_1(tmp_path, tiny_grid, capsys):
     assert "inconclusive" in capsys.readouterr().out
 
 
+def test_testgen_limits_bound_the_product_it_searches(tmp_path, capsys):
+    # the swerve witness lies 19 product states in, far below the 22,983
+    # states of the whole grid.json model
+    sim_path = tmp_path / "sim.json"
+    code = main(["testgen", "--scenario", str(CONFIGS / "grid.json"),
+                 "--purpose", str(CONFIGS / "purpose_random_swerve.json"),
+                 "--out", str(sim_path), "--max-states", "100"])
+    assert code == 0
+    assert "witness length=18 " in capsys.readouterr().out
+    assert sim_path.exists()
+
+
+def test_testgen_truncation_exits_3_without_a_sim(tmp_path, tiny_grid, capsys):
+    purpose = write_json(tmp_path / "p.json",
+                         [{"gate": "COLLISION", "offers": ["Rock"]}])
+    sim_path = tmp_path / "sim.json"
+    code = main(["testgen", "--scenario", tiny_grid, "--purpose", purpose,
+                 "--out", str(sim_path), "--max-states", "5"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "truncated" in captured.err
+    assert not sim_path.exists()
+
+
 def test_testgen_warns_about_unknown_gates(tmp_path, tiny_grid, capsys):
     purpose = write_json(tmp_path / "p.json", [{"gate": "TELEPORT"}])
     code = main(["testgen", "--scenario", tiny_grid, "--purpose", purpose,
@@ -243,3 +271,47 @@ def test_reference_configs_parse(capsys, tmp_path):
     code = main(["explore", "--scenario", str(CONFIGS / "crossroad.json"),
                  "--out", str(tmp_path / "c.aut"), "--max-states", "3000"])
     assert code == 3  # the full graph model is larger than this cap
+
+
+# explores every bundled scenario and generates every manifest witness into
+# the directory named by argv[2]
+EVERY_OUTPUT = """
+import contextlib, io, json, sys
+from avmodels.cli import main
+configs, out = sys.argv[1], sys.argv[2]
+runs = [["explore", "--scenario", f"{configs}/{name}.json", "--out", f"{out}/{name}.aut"]
+        for name in ("free", "highway", "tcross", "crossroad", "grid")]
+for i, entry in enumerate(json.load(open(f"{configs}/manifest.json"))):
+    if entry["outcome"] == "witness":
+        runs.append(["testgen", "--scenario", f"{configs}/{entry['scenario']}",
+                     "--purpose", f"{configs}/{entry['purpose']}", "--out", f"{out}/{i}.sim.json"]
+                    + (["--expose-grid"] if entry.get("expose_grid") else []))
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+"""
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    runs = []
+    for seed in ("1", "2"):
+        out = tmp_path / seed
+        out.mkdir()
+        path = [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(path))
+        runs.append((out, subprocess.Popen(
+            [sys.executable, "-c", EVERY_OUTPUT, str(CONFIGS), str(out)], env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)))
+    try:
+        for _, proc in runs:
+            log, _ = proc.communicate(timeout=300)
+            assert proc.returncode == 0, log
+    finally:
+        for _, proc in runs:
+            proc.kill()
+    (one, _), (two, _) = runs
+    names = sorted(p.name for p in one.iterdir())
+    assert len(names) == 5 + 9
+    assert names == sorted(p.name for p in two.iterdir())
+    for name in names:
+        assert (one / name).read_bytes() == (two / name).read_bytes(), name

@@ -112,6 +112,29 @@ def test_explore_max_depth_only_flags_real_cutoffs():
     assert exc.value.reason == "max_depth"
 
 
+def test_explore_stops_right_after_discovering_the_goal():
+    table = {0: [(Action("a"), 1), (Action("b"), 2), (Action("c"), 3)],
+             1: [(Action("d"), 4)], 2: [], 3: [], 4: []}
+    comp = Composition((table_component("P", set(), table),))
+    lts = explore(comp, goal=lambda state: state == (2,))
+    assert lts.state_payload == ((0,), (1,), (2,))
+    assert [(s, a.text(), d) for s, a, d in lts.transitions] == [(0, "a", 1), (0, "b", 2)]
+    # a goal met by the start is reached without a step, and a limit that
+    # is not hit before the goal is no error
+    assert explore(comp, goal=lambda state: True).num_states == 1
+    assert explore(comp, ExplorationLimits(max_states=3),
+                   goal=lambda state: state == (2,)).num_states == 3
+    with pytest.raises(ExplorationLimitError):
+        explore(comp, ExplorationLimits(max_states=2), goal=lambda state: state == (2,))
+
+
+def test_explore_accepts_an_lts():
+    lts = Lts(3, 2, ((2, Action("a"), 0), (0, Action("b"), 2), (1, Action("c"), 0)))
+    again = explore(lts)
+    assert again.state_payload == (2, 0)  # renumbered from the initial state
+    assert [(s, a.text(), d) for s, a, d in again.transitions] == [(0, "a", 1), (1, "b", 0)]
+
+
 def test_explore_deduplicates_identical_transitions():
     table = {0: [(Action("a"), 1), (Action("a"), 1)], 1: []}
     comp = Composition((table_component("P", set(), table),))

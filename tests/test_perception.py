@@ -7,7 +7,6 @@ from avmodels.perception import (
     CarSpec, GridError, GridScenario, ObstacleRec, build_grid_map,
     compute_perception, decode_obstacle, move_allowed, obstacle_value,
     occluded, perception_value, position_value, step_position, supercover,
-    valid_move,
 )
 
 from oracles import exact_occluded, exact_supercover
@@ -161,16 +160,6 @@ def test_step_position_bounds_and_speed():
     assert step_position((2, 2), "none", 3, 5, 5) == (2, 2)
     assert step_position((0, 2), "left", 1, 5, 5) is None
     assert step_position((2, 2), "right", 3, 5, 5) is None
-
-
-def test_valid_move_rules():
-    m = build(5, 5, [("Rock", False, (0, 0), 1, 1),
-                     ("Crate", False, (3, 3), 2, 2)], (2, 2))
-    assert valid_move(m, 1, (3, 2), 2, 2)          # slides over itself
-    assert not valid_move(m, 1, (2, 2), 2, 2)      # would cover the car
-    assert not valid_move(m, 1, (0, 0), 2, 2)      # would cover the rock
-    assert not valid_move(m, 1, (4, 3), 2, 2)      # out of the map
-    assert valid_move(m, 0, (1, 0), 1, 1)
 
 
 def test_move_allowed_distance_rule():

@@ -2,7 +2,7 @@
 import pytest
 
 from avmodels.grid_model import build_grid_composition
-from avmodels.kernel import Action, Lts, explore
+from avmodels.kernel import Action, Lts
 from avmodels.perception import obstacle_value, position_value
 from avmodels.testgen import (
     ActionPattern, FoldError, ObstacleMove, PurposeError, ReplayError,
@@ -87,12 +87,17 @@ def test_product_warns_on_gates_missing_from_the_model():
     assert extract_test(product) is None
 
 
-def test_product_keeps_running_past_acceptance():
-    lts = Lts(2, 0, ((0, simple("a"), 1), (1, simple("b"), 0)))
-    product, _ = product_with_purpose(lts, TestPurpose((ActionPattern("a"),)))
-    accepting = [i for i, p in enumerate(product.state_payload) if p[2]]
-    out = product.outgoing()
-    assert accepting and all(out[i] for i in accepting)
+def test_product_stops_at_the_first_accepting_state():
+    lts = Lts(5, 0, (
+        (0, simple("a"), 1), (1, simple("b"), 2), (1, simple("c"), 3),
+        (2, simple("a"), 4),
+    ))
+    product, warnings = product_with_purpose(lts, TestPurpose((ActionPattern("b"),)))
+    assert warnings == []
+    # c and everything behind the accepting state stay unexplored
+    assert product.state_payload == ((0, 0, False), (1, 0, False), (2, 1, True))
+    assert product.outgoing()[-1] == []
+    assert extract_test(product) == (simple("a"), simple("b"))
 
 
 def test_extract_test_needs_a_product():
@@ -264,10 +269,10 @@ def test_end_terminal_replay_waits_for_every_end():
                                ObstacleRec("W2", 0, 5, speed=1,
                                            moves=("right", "right", "right")),),
                        car=CarSpec(5, 0, moves=("none", "none", "none", "none")))
-    lts = explore(build_grid_composition(scn))
     product, warnings = product_with_purpose(
-        lts, parse_purpose([{"gate": "END_OBSTACLE", "offers": ["W1"]},
-                            {"gate": "END_OBSTACLE", "offers": ["W2"]}]))
+        build_grid_composition(scn),
+        parse_purpose([{"gate": "END_OBSTACLE", "offers": ["W1"]},
+                       {"gate": "END_OBSTACLE", "offers": ["W2"]}]))
     assert warnings == []
     witness = extract_test(product)
     sim = trace_to_scenario(witness)
