@@ -6,12 +6,14 @@
 One transition per line, sorted ascending by (source, label text, target) on
 export so equal LTSs serialize to identical bytes. Labels are written in the
 canonical action text form and parsed back into structured actions when they
-are canonical; anything else round-trips as an opaque label.
+are canonical; anything else round-trips as an opaque label. Import parses
+each distinct label text once, and transitions with equal text share one
+action.
 """
 from __future__ import annotations
 
 import re
-from typing import IO, List, Tuple
+from typing import IO, Dict, List, Tuple
 
 from . import values
 from .kernel import Action, Lts, parse_action
@@ -51,14 +53,18 @@ def import_aut(source: IO) -> Lts:
 
     Canonical labels become structured actions; other labels stay opaque
     (gate = full label text, no offers). Raises AutFormatError with the
-    offending line number on malformed input or count mismatches.
+    offending line number on malformed input, non-ASCII bytes or count
+    mismatches.
     """
     data = source.read()
     if isinstance(data, bytes):
         try:
             data = data.decode("ascii")
         except UnicodeDecodeError as e:
-            raise AutFormatError(f"not ascii: {e}", 1)
+            # the text before the first bad byte is ASCII; with a stand-in
+            # for the byte appended, its last line is the byte's line
+            line = len((data[:e.start].decode("ascii") + "?").splitlines())
+            raise AutFormatError(f"not ascii: {e}", line)
     lines = data.splitlines()
     if not lines:
         raise AutFormatError("empty file", 1)
@@ -67,6 +73,7 @@ def import_aut(source: IO) -> Lts:
         raise AutFormatError(f"bad header {lines[0]!r}", 1)
     initial, ntrans, nstates = (int(g) for g in m.groups())
     transitions = []
+    actions: Dict[str, Action] = {}  # label text -> its action
     for ln, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
             continue
@@ -76,7 +83,10 @@ def import_aut(source: IO) -> Lts:
         src, label, dst = int(m.group(1)), m.group(2), int(m.group(3))
         if src >= nstates or dst >= nstates:
             raise AutFormatError(f"state out of range in {raw!r}", ln)
-        transitions.append((src, _parse_label(label), dst))
+        act = actions.get(label)
+        if act is None:
+            act = actions[label] = _parse_label(label)
+        transitions.append((src, act, dst))
     if len(transitions) != ntrans:
         raise AutFormatError(
             f"header promises {ntrans} transitions, file has {len(transitions)}",

@@ -59,7 +59,7 @@ def _write_aut(lts: Lts, path: str) -> None:
 
 def _read_aut(path: str) -> Lts:
     try:
-        with open(path, "r", encoding="ascii") as fh:
+        with open(path, "rb") as fh:  # import_aut checks the bytes are ASCII
             return import_aut(fh)
     except OSError as e:
         raise CliError(f"cannot read {path}: {e}")

@@ -104,12 +104,16 @@ def consistent_updates_monitor(gmap: GraphMap, consistent=None) -> Monitor:
     """Tracks the set of streets the car could be on. UPDATE_POSITION must
     name one of them (and pins the set down); CAR_MOVE evolves the set
     through the consistency relation. The initial position is unknown, so
-    the first update anchors the monitor.
+    the first update anchors the monitor. A CAR_MOVE step depends only on
+    the street set and the control, so the monitor computes it once per
+    distinct pair and keeps it for its own lifetime; consistent must be a
+    pure function.
     """
     if consistent is None:
         consistent = control_model.consistent_move
     streets = gmap.streets()
     every = frozenset(streets)
+    moves = {}  # (street set, control) -> next street set
 
     def step(state, act):
         if act.gate == "UPDATE_POSITION":
@@ -119,8 +123,11 @@ def consistent_updates_monitor(gmap: GraphMap, consistent=None) -> Monitor:
             return frozenset({s})
         if act.gate == "CAR_MOVE":
             c = _control_offer(act)
-            return frozenset(t for t in streets
-                             for s in state if consistent(gmap, s, c, t))
+            nxt = moves.get((state, c))
+            if nxt is None:
+                nxt = moves[state, c] = frozenset(
+                    t for t in streets for s in state if consistent(gmap, s, c, t))
+            return nxt
         return state
 
     return Monitor(every, step)

@@ -1,10 +1,16 @@
 import io
+import pathlib
+import random
 
 import pytest
 
-from avmodels.aut import AutFormatError, export_aut, import_aut
+from avmodels.aut import AutFormatError, _parse_label, export_aut, import_aut
 from avmodels.kernel import Action, Lts
 from avmodels.values import Nat, Pos, Sym
+
+from oracles import random_lts
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 
 def roundtrip(lts):
@@ -96,3 +102,61 @@ def test_empty_lts_roundtrip():
     back = roundtrip(lts)
     assert back.num_states == 1
     assert back.transitions == ()
+
+
+def test_import_reports_the_line_of_the_first_non_ascii_byte():
+    src = 'des (0, 2, 2)\n(0, "a", 1)\n(1, "caf\u00e9", 0)\n'.encode("utf-8")
+    with pytest.raises(AutFormatError) as exc:
+        import_aut(io.BytesIO(src))
+    assert exc.value.line == 3
+    assert "not ascii" in str(exc.value)
+    with pytest.raises(AutFormatError) as exc:
+        import_aut(io.BytesIO(b"des (0, 0, 1)\n\xd9"))
+    assert exc.value.line == 2
+
+
+def test_equal_label_texts_share_one_action():
+    src = ('des (0, 4, 3)\n(0, "CAR_MOVE !brakes", 1)\n(1, "CAR_MOVE !brakes", 2)\n'
+           '(2, "opaque text", 0)\n(0, "opaque text", 2)\n')
+    (_, a, _), (_, b, _), (_, c, _), (_, d, _) = import_aut(io.StringIO(src)).transitions
+    assert a is b and c is d
+    assert a == Action("CAR_MOVE", (Sym("brakes"),))
+
+
+def test_only_the_canonical_spelling_is_structured():
+    src = 'des (0, 2, 2)\n(0, "G !7", 1)\n(1, "G !007", 0)\n'
+    (_, canonical, _), (_, other, _) = import_aut(io.StringIO(src)).transitions
+    assert canonical == Action("G", (Nat(7),))
+    assert other == Action("G !007")  # opaque: the whole text is the gate
+
+
+def reference_import(text: str) -> Lts:
+    """import_aut without the shared-label table: one _parse_label per line."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    initial, ntrans, nstates = (int(x) for x in lines[0][5:-1].split(","))
+    transitions = []
+    for line in lines[1:]:
+        first, last = line.index('"'), line.rindex('"')
+        transitions.append((int(line[1:first].rstrip(" ,")), _parse_label(line[first + 1:last]),
+                            int(line[last + 1:].strip(" ,)"))))
+    assert len(transitions) == ntrans
+    return Lts(nstates, initial, tuple(transitions))
+
+
+LABELS = ("a", "G !7", "G !007", "G !7 !7", "CAR_MOVE !brakes", "CAR_MOVE !turned_n(1)",
+          "UPDATE_POSITION !A_bis", "UPDATE_POSITION !Position(1,2)", "not !a value", "i")
+
+
+@pytest.mark.parametrize("name", ["control_tiny", "grid_tiny", "grid_random_car"])
+def test_import_matches_a_per_line_parse_on_the_goldens(name):
+    text = (GOLDEN / f"{name}.aut").read_text(encoding="ascii")
+    assert import_aut(io.StringIO(text)) == reference_import(text)
+
+
+def test_import_matches_a_per_line_parse_on_random_ltss():
+    rng = random.Random(11)
+    for _ in range(60):
+        buf = io.StringIO()
+        export_aut(random_lts(rng, max_states=40, labels=LABELS), buf)
+        text = buf.getvalue()
+        assert import_aut(io.StringIO(text)) == reference_import(text)

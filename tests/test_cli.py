@@ -1,4 +1,6 @@
 """End-to-end runs of the command line front end via main(argv)."""
+import contextlib
+import io
 import json
 import os
 import pathlib
@@ -6,6 +8,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from avmodels.aut import import_aut
 from avmodels.cli import main
@@ -244,6 +247,68 @@ def test_malformed_inputs_exit_with_a_documented_code(tmp_path, capsys, command,
     assert "Traceback" not in err
     if code == 2:
         assert err.startswith("error:")
+
+
+def test_non_ascii_aut_names_the_file_and_the_line(tmp_path, capsys):
+    aut = tmp_path / "bad.aut"
+    aut.write_bytes(b'des (0, 1, 2)\n(0, "caf\xd9", 1)\n')
+    for argv in (["minimize", str(aut), str(tmp_path / "out.aut")],
+                 ["check", "--lts", str(aut), "--property", "deadlock"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert str(aut) in err and "line 2" in err
+
+
+AUT_LABELS = (
+    # canonical
+    "TICK", "ARRIVAL", "END_OBSTACLE", "G !7", "CAR_MOVE !brakes", "CAR_MOVE !turned_n(0)",
+    "CAR_MOVE !turned_n(9)", "UPDATE_POSITION !A", "UPDATE_POSITION !A_bis",
+    "UPDATE_POSITION !Nowhere",
+    # opaque
+    "G !007", "CAR_MOVE !007", "UPDATE_POSITION A", "not !a value",
+    # offers the consistent-moves monitor cannot read
+    "CAR_MOVE", "CAR_MOVE !3", "CAR_MOVE !turned_n(true)", "CAR_MOVE !brakes !brakes",
+    "UPDATE_POSITION", "UPDATE_POSITION !3", "UPDATE_POSITION !Position(1,2)",
+)
+AUT_JUNK = ('(0 "a" 1)', "", "   ", "des (0, 1, 1)", '(0, "a"b", 0)', '(x, "a", 0)',
+            '(0, "caf\u00e9", 0)', '(0, "a", 99)')
+
+
+@st.composite
+def aut_files(draw):
+    """.aut text, mostly well formed: a header that may lie about its counts or
+    be malformed, transitions over canonical, opaque and unreadable labels, and
+    now and then one junk line."""
+    nstates = draw(st.integers(1, 5))
+    state = st.integers(0, nstates - 1)
+    lines = draw(st.lists(st.builds('({}, "{}", {})'.format, state,
+                                    st.sampled_from(AUT_LABELS), state), max_size=10))
+    if draw(st.integers(0, 4)) == 0:
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(AUT_JUNK)))
+    initial, ntrans = draw(st.sampled_from([(0, len(lines))] * 9 + [
+        (0, len(lines) + 1), (0, max(0, len(lines) - 1)), (nstates, len(lines))]))
+    header = draw(st.sampled_from([f"des ({initial}, {ntrans}, {nstates})"] * 9 + [
+        f"des ({initial}, {ntrans})", f"res ({initial}, {ntrans}, {nstates})", ""]))
+    return "\n".join([header] + lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=aut_files())
+def test_generated_aut_files_exit_with_a_documented_code(tmp_path_factory, text):
+    work = tmp_path_factory.mktemp("fuzz")
+    aut, scenario = work / "in.aut", write_json(work / "graph.json", TINY_GRAPH)
+    aut.write_bytes(text.encode("utf-8"))
+    runs = [["minimize", str(aut), str(work / "out.aut")]] + [
+        ["check", "--lts", str(aut), "--property", prop, "--scenario", scenario]
+        for prop in ("consistent-moves", "inevitable-termination", "deadlock")]
+    for argv in runs:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2, 3), argv
+        if code == 2:
+            assert err.getvalue().startswith("error:"), argv
 
 
 def test_missing_files_exit_2(tmp_path, capsys):

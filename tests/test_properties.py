@@ -1,12 +1,13 @@
 """Monitor products, trace replay and the terminal-pruned liveness checks."""
 import pytest
 
-from avmodels.control_model import BRAKES, GraphMap, Turn
+from avmodels.control_model import BRAKES, GraphMap, Turn, consistent_move
 from avmodels.kernel import Action, Lts
 from avmodels.properties import (
     VIOLATION, Monitor, PropertySchemaError, Verdict,
     check_consistent_updates, check_deadlock_freedom,
-    check_inevitable_termination, product_with_monitor, trace_exists,
+    check_inevitable_termination, consistent_updates_monitor,
+    product_with_monitor, trace_exists,
 )
 from avmodels.values import Nat, Rec, Sym
 
@@ -132,6 +133,37 @@ def test_unreadable_offers_raise_schema_errors():
             path_lts(upd("A"), Action("CAR_MOVE", (Nat(1),))), GMAP)
     with pytest.raises(PropertySchemaError):
         check_consistent_updates(path_lts(Action("CAR_MOVE")), GMAP)
+
+
+def test_each_street_set_and_control_is_computed_once():
+    # 40 branches take the same two moves from the same street sets
+    calls = []
+
+    def counting(gmap, s, c, t):
+        calls.append((s, c, t))
+        return consistent_move(gmap, s, c, t)
+
+    branches = 40
+    transitions = []
+    for b in range(branches):
+        mid, end = 1 + 2 * b, 2 + 2 * b
+        transitions += [(0, mov(Turn(0)), mid), (mid, mov(BRAKES), end)]
+    lts = Lts(1 + 2 * branches, 0, tuple(transitions))
+    assert check_consistent_updates(lts, GMAP, consistent=counting).passed
+    streets = GMAP.streets()
+    turned = {t for s in streets for t in streets if consistent_move(GMAP, s, Turn(0), t)}
+    # one pass over streets x set for (every street, Turn(0)), one for (turned, BRAKES)
+    assert 0 < len(calls) <= len(streets) * len(streets) + len(streets) * len(turned)
+
+
+def test_bad_car_move_raises_after_a_cached_step():
+    monitor = consistent_updates_monitor(GMAP)
+    good = monitor.step(monitor.initial, mov(Turn(0)))
+    assert monitor.step(monitor.initial, mov(Turn(0))) == good
+    with pytest.raises(PropertySchemaError):
+        monitor.step(monitor.initial, Action("CAR_MOVE", (Nat(1),)))
+    with pytest.raises(PropertySchemaError):
+        monitor.step(monitor.initial, Action("CAR_MOVE"))
 
 
 def test_unrelated_gates_pass_vacuously():
