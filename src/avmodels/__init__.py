@@ -13,7 +13,6 @@ from .kernel import (
     INTERNAL_GATE,
     Lts,
     Receive,
-    detect_deadlocks,
     explore,
     parse_action,
 )
@@ -66,7 +65,7 @@ from .scenarios import ScenarioError, load_scenario, scenario_from_json
 __all__ = [
     "Action", "Component", "Composition", "CompositionError",
     "ExplorationLimitError", "ExplorationLimits", "INTERNAL", "INTERNAL_GATE",
-    "Lts", "Receive", "detect_deadlocks", "explore", "parse_action",
+    "Lts", "Receive", "explore", "parse_action",
     "minimize", "partition",
     "AutFormatError", "export_aut", "import_aut",
     "ControlScenario", "GraphMap", "Itinerary", "ObstacleScript", "Turn",

@@ -128,13 +128,9 @@ def cmd_testgen(args) -> int:
         raise CliError(f"cannot read {args.purpose}: {e}")
     except json.JSONDecodeError as e:
         raise CliError(f"{args.purpose} is not valid JSON: {e}")
-    try:
-        product, warnings = testgen.product_with_purpose(
-            _build(scn, args.expose_grid), purpose,
-            ExplorationLimits(max_states=args.max_states, max_depth=args.max_depth))
-    except ExplorationLimitError as e:
-        print(f"truncated: {e.reason}", file=sys.stderr)
-        return EXIT_LIMIT
+    product, warnings = testgen.product_with_purpose(
+        _build(scn, args.expose_grid), purpose,
+        ExplorationLimits(max_states=args.max_states, max_depth=args.max_depth))
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     witness = testgen.extract_test(product)
@@ -264,6 +260,9 @@ def main(argv=None) -> int:
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
+    except ExplorationLimitError as e:  # a product of testgen or check; no output
+        print(f"truncated: {e.reason}", file=sys.stderr)
+        return EXIT_LIMIT
     except (ScenarioError, PurposeError, FoldError, ReplayError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -29,9 +29,10 @@ ACTION the current grid and the itinerary, and the map any path request.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Dict, FrozenSet, List, Tuple, Union
 
-from .kernel import Action, Component, Composition, Receive, bfs, trace_to
+from .kernel import Action, Component, Composition, Receive, explore, shortest_trace
 from .values import Nat, Rec, Seq, Sym, Value, ValueError_
 
 BRAKES = "brakes"
@@ -131,13 +132,14 @@ def compute_itinerary(gmap: GraphMap, origin: str, destination: str,
             raise MapError(f"unknown street {s}")
 
     def turns(street):
-        return ((Turn(i), nxt) for i, nxt in enumerate(successors(gmap, street))
-                if nxt not in blocked)
+        return [(Turn(i), nxt) for i, nxt in enumerate(successors(gmap, street))
+                if nxt not in blocked]
 
-    parents, found = bfs(origin, turns, lambda street: street == destination)
-    if found is None:
+    explored = explore(SimpleNamespace(initial_state=origin, enabled_actions=turns),
+                       goal=lambda street: street == destination)
+    if explored.state_payload[-1] != destination:
         return Itinerary((), False)
-    return Itinerary(trace_to(parents, found), True)
+    return Itinerary(shortest_trace(explored, explored.num_states - 1), True)
 
 
 # ---------------------------------------------------------------------------

@@ -18,12 +18,18 @@ error.
 Global states are tuples of component states. Component states must be
 hashable and should be built from tuples/strings/ints so exploration order is
 reproducible across processes.
+
+explore is the one breadth-first search of the package. It walks any system
+with an initial_state and enabled_actions(state): a composition, an Lts, or a
+product built over either (the testgen purpose product, the property
+products), optionally up to the first state meeting a goal; shortest_trace
+reads a shortest trace to any state back from the Lts it returns.
 """
 from __future__ import annotations
 
 import collections
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Set, Tuple, Union
+from typing import Callable, Dict, Hashable, List, Optional, Set, Tuple, Union
 
 from . import values
 from .values import Value
@@ -286,10 +292,13 @@ def explore(system, limits: ExplorationLimits = ExplorationLimits(),
     """Breadth-first reachable-state enumeration with duplicate detection of
     any system with an initial_state and enabled_actions(state): a
     Composition, an Lts or a product over one. The payload keeps the states
-    in discovery order. With a goal, the part explored so far is returned
-    right after the edge that discovers the first state meeting it (the
-    start included), which is then the last state, without outgoing edges.
-    Raises ExplorationLimitError when a limit cuts exploration short.
+    in discovery order. An enabled (action, successor) pair that a state
+    lists twice gives one transition: its actions are compared only among
+    the edges into the same successor index. With a goal, the part explored
+    so far is returned right after the edge that discovers the first state
+    meeting it (the start included), which is then the last state, without
+    outgoing edges. Raises ExplorationLimitError when a limit cuts
+    exploration short.
     """
     init = system.initial_state
     index: Dict[Hashable, int] = {init: 0}
@@ -307,11 +316,8 @@ def explore(system, limits: ExplorationLimits = ExplorationLimits(),
             if system.enabled_actions(payload[si]):
                 raise ExplorationLimitError(explored(), len(payload), "max_depth")
             continue
-        emitted = set()
+        into: Dict[int, List[Action]] = {}  # successor index -> actions emitted into it
         for act, succ in system.enabled_actions(payload[si]):
-            if (act, succ) in emitted:
-                continue
-            emitted.add((act, succ))
             ti = index.get(succ)
             if ti is None:
                 if len(payload) >= limits.max_states:
@@ -324,49 +330,28 @@ def explore(system, limits: ExplorationLimits = ExplorationLimits(),
                     transitions.append((si, act, ti))
                     return explored()
                 queue.append(ti)
+                into[ti] = [act]
+            else:
+                acts = into.setdefault(ti, [])
+                if act in acts:
+                    continue
+                acts.append(act)
             transitions.append((si, act, ti))
     return explored()
 
 
-def bfs(start: Hashable,
-        successors: Callable[[Hashable], Iterable[Tuple[object, Hashable]]],
-        goal: Optional[Callable[[Hashable], bool]] = None):
-    """Breadth-first search from start. successors(node) yields (label, next)
-    pairs in expansion order; the first edge to reach a node wins. Returns
-    (parents, found): parents maps each discovered node to (parent, label),
-    and start to None, with keys in discovery order; found is the first
-    discovered node satisfying goal (start included), else None. The goal is
-    tested as soon as a node is discovered, so the search stops on the edge
-    that reaches it and trace_to gives a shortest trace.
+def shortest_trace(lts: Lts, state: int) -> tuple:
+    """Labels of a shortest path from the initial state to state in an Lts
+    that explore returned. Its states are numbered in breadth-first
+    discovery order and the first transition into a state is the edge that
+    discovered it, so walking those edges back reaches the initial state.
     """
-    parents: Dict[Hashable, Optional[tuple]] = {start: None}
-    if goal is not None and goal(start):
-        return parents, start
-    queue = collections.deque([start])
-    while queue:
-        node = queue.popleft()
-        for label, nxt in successors(node):
-            if nxt in parents:
-                continue
-            parents[nxt] = (node, label)
-            if goal is not None and goal(nxt):
-                return parents, nxt
-            queue.append(nxt)
-    return parents, None
-
-
-def trace_to(parents, node) -> tuple:
-    """Labels along the BFS tree path from the start to node."""
+    via: List[Optional[tuple]] = [None] * lts.num_states
+    for src, act, dst in lts.transitions:
+        if via[dst] is None:
+            via[dst] = (src, act)
     trace = []
-    while parents[node] is not None:
-        node, label = parents[node]
-        trace.append(label)
+    while state != lts.initial:
+        state, act = via[state]
+        trace.append(act)
     return tuple(reversed(trace))
-
-
-def detect_deadlocks(lts: Lts) -> Set[int]:
-    """States with no outgoing transitions."""
-    has_out = [False] * lts.num_states
-    for src, _, _ in lts.transitions:
-        has_out[src] = True
-    return {s for s in range(lts.num_states) if not has_out[s]}

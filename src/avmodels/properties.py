@@ -1,18 +1,22 @@
-"""Temporal property checks over explored transition systems.
+"""Temporal property checks over transition systems.
 
-Checks run as observer products: a deterministic monitor walks every
-transition of the LTS alongside the state space. Verdicts carry the
-counterexample as a replayable label sequence (for lassos, a prefix plus the
-repeating cycle).
+Checks run as observer products: a deterministic monitor, or a count of the
+END_OBSTACLE actions taken, walks alongside the system. Each product is a
+system of its own that kernel.explore searches breadth first, on the fly up
+to the first violation, so the checked system may be an explored Lts or a
+Composition; a product past explore's default limits raises
+ExplorationLimitError. Verdicts carry the counterexample as a replayable
+label sequence (for lassos, a prefix plus the repeating cycle).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Set, Tuple
+from types import SimpleNamespace
+from typing import Callable, Hashable, List, Optional, Sequence, Tuple
 
 from . import control_model
 from .control_model import BRAKES, GraphMap, Turn
-from .kernel import Action, Lts, bfs, trace_to
+from .kernel import Action, Lts, explore, shortest_trace
 from .values import Nat, Rec, Sym
 
 VIOLATION = ("violation",)
@@ -53,31 +57,40 @@ class Verdict:
         return out
 
 
-def trace_exists(lts: Lts, labels: Sequence[Action]) -> bool:
-    """Is there a path from the initial state along exactly these labels?"""
-    cur = {lts.initial}
-    out = lts.outgoing()
-    for act in labels:
-        cur = {dst for s in cur for a, dst in out[s] if a == act}
-        if not cur:
-            return False
-    return True
+def _search(product, goal) -> Tuple[Lts, Optional[tuple]]:
+    """Explore product up to the first state meeting goal. Returns the
+    explored part and a shortest trace to that state, or None when no
+    reachable state meets the goal.
+    """
+    explored = explore(product, goal=goal)
+    last = explored.num_states - 1
+    if not goal(explored.state_payload[last]):
+        return explored, None
+    return explored, shortest_trace(explored, last)
 
 
-def product_with_monitor(lts: Lts, monitor: Monitor):
-    """Breadth-first product walk. Returns (None) on pass or the shortest
+@dataclass(frozen=True)
+class _MonitorProduct:
+    """The system whose states are (system state, monitor state)."""
+    system: object
+    monitor: Monitor
+
+    @property
+    def initial_state(self) -> tuple:
+        return self.system.initial_state, self.monitor.initial
+
+    def enabled_actions(self, node: tuple) -> List[Tuple[Action, tuple]]:
+        state, m = node
+        step = self.monitor.step
+        return [(act, (succ, step(m, act))) for act, succ in self.system.enabled_actions(state)]
+
+
+def product_with_monitor(system, monitor: Monitor):
+    """Breadth-first product of system (an Lts or a Composition) with the
+    monitor, up to the first VIOLATION. Returns None on pass or the shortest
     label trace reaching VIOLATION.
     """
-    out = lts.outgoing()
-
-    def successors(node):
-        s, m = node
-        for act, dst in out[s]:
-            yield act, (dst, monitor.step(m, act))
-
-    parents, found = bfs((lts.initial, monitor.initial), successors,
-                         lambda node: node[1] == VIOLATION)
-    return None if found is None else trace_to(parents, found)
+    return _search(_MonitorProduct(system, monitor), lambda node: node[1] == VIOLATION)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -133,8 +146,8 @@ def consistent_updates_monitor(gmap: GraphMap, consistent=None) -> Monitor:
     return Monitor(every, step)
 
 
-def check_consistent_updates(lts: Lts, gmap: GraphMap, consistent=None) -> Verdict:
-    trace = product_with_monitor(lts, consistent_updates_monitor(gmap, consistent))
+def check_consistent_updates(system, gmap: GraphMap, consistent=None) -> Verdict:
+    trace = product_with_monitor(system, consistent_updates_monitor(gmap, consistent))
     if trace is None:
         return Verdict("consistent-moves", "pass")
     return Verdict("consistent-moves", "fail", trace)
@@ -143,147 +156,133 @@ def check_consistent_updates(lts: Lts, gmap: GraphMap, consistent=None) -> Verdi
 # ---------------------------------------------------------------------------
 # inevitable termination / deadlock freedom
 
-def _pruned_product(lts: Lts, terminal_gates, end_obstacle_total):
-    """Reachable (state, end-count) product where traversal stops at terminal
-    actions. END_OBSTACLE is terminal only at its end_obstacle_total-th
-    occurrence (None behaves like 1). Returns adjacency over product nodes
-    and the BFS parent map, whose keys are in discovery order (for shortest
-    prefixes).
+@dataclass(frozen=True)
+class _PrunedProduct:
+    """The system whose states are (system state, END_OBSTACLE count), where
+    traversal stops at terminal actions. An END_OBSTACLE among the terminal
+    gates is terminal only at its need-th occurrence.
     """
-    need = 1 if end_obstacle_total is None else max(1, end_obstacle_total)
-    counted = "END_OBSTACLE" in terminal_gates
-    out = lts.outgoing()
-    adj: Dict[tuple, List[Tuple[Action, tuple]]] = {}
+    system: object
+    terminal_gates: frozenset
+    need: int
 
-    def successors(node):
+    @property
+    def initial_state(self) -> tuple:
+        return self.system.initial_state, 0
+
+    def enabled_actions(self, node: tuple) -> List[Tuple[Action, tuple]]:
         s, c = node
         edges = []
-        for act, dst in out[s]:
-            if act.gate == "END_OBSTACLE" and counted:
-                c2 = c + 1
-                if c2 >= need:
-                    continue  # terminal occurrence
-            elif act.gate in terminal_gates:
-                continue
-            else:
-                c2 = c
-            edges.append((act, (dst, c2)))
-        adj[node] = edges
+        for act, dst in self.system.enabled_actions(s):
+            if act.gate not in self.terminal_gates:
+                edges.append((act, (dst, c)))
+            elif act.gate == "END_OBSTACLE" and c + 1 < self.need:
+                edges.append((act, (dst, c + 1)))
         return edges
 
-    parents, _ = bfs((lts.initial, 0), successors)
-    return adj, parents
+    def stuck(self, node: tuple) -> bool:
+        """The system state has no way out, terminal or not."""
+        return not self.system.enabled_actions(node[0])
 
 
-def _find_cycle(adj, order) -> Optional[tuple]:
-    """Earliest-discovered node on some cycle of the pruned product
-    (iterative Tarjan for the SCCs), with a shortest cycle through it.
-    Returns (node, cycle labels) or None.
+def _escape(system, terminal_gates, end_obstacle_total):
+    """Explore the pruned product (an END_OBSTACLE total of None behaves
+    like 1) up to the first stuck state. Returns the explored part and a
+    shortest trace to that state, or None when none is reachable.
     """
-    index: Dict[tuple, int] = {}
-    low: Dict[tuple, int] = {}
-    on_stack: Set[tuple] = set()
-    stack: List[tuple] = []
-    sccs: List[List[tuple]] = []
-    counter = [0]
-    for root in adj:
-        if root in index:
+    need = 1 if end_obstacle_total is None else max(1, end_obstacle_total)
+    product = _PrunedProduct(system, frozenset(terminal_gates), need)
+    return _search(product, product.stuck)
+
+
+def _find_cycle(out) -> Optional[tuple]:
+    """The smallest state on some cycle of an explored product with
+    adjacency out (iterative Tarjan for the SCCs), with a shortest cycle
+    through it. Returns (state, cycle labels) or None.
+    """
+    n = len(out)
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack: List[int] = []
+    cyclic: List[List[int]] = []
+    counter = 0
+    for root in range(n):
+        if index[root] >= 0:
             continue
-        work = [(root, iter(adj[root]))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
+        work = [(root, iter(out[root]))]
+        index[root] = low[root] = counter
+        counter += 1
         stack.append(root)
-        on_stack.add(root)
+        on_stack[root] = True
         while work:
             node, it = work[-1]
-            advanced = False
             for _, nxt in it:
-                if nxt not in index:
-                    index[nxt] = low[nxt] = counter[0]
-                    counter[0] += 1
+                if index[nxt] < 0:
+                    index[nxt] = low[nxt] = counter
+                    counter += 1
                     stack.append(nxt)
-                    on_stack.add(nxt)
-                    work.append((nxt, iter(adj[nxt])))
-                    advanced = True
+                    on_stack[nxt] = True
+                    work.append((nxt, iter(out[nxt])))
                     break
-                if nxt in on_stack:
+                if on_stack[nxt]:
                     low[node] = min(low[node], index[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == node:
-                        break
-                sccs.append(comp)
-    scc_of: Dict[tuple, int] = {}
-    cyclic_ids = set()
-    for sid, comp in enumerate(sccs):
-        for node in comp:
-            scc_of[node] = sid
-        if len(comp) > 1 or any(nxt == comp[0] for _, nxt in adj[comp[0]]):
-            cyclic_ids.add(sid)
-    if not cyclic_ids:
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp.append(w)
+                        if w == node:
+                            break
+                    if len(comp) > 1 or any(nxt == node for _, nxt in out[node]):
+                        cyclic.append(comp)
+    if not cyclic:
         return None
-    entry = next(node for node in order if scc_of[node] in cyclic_ids)
-    members = set(sccs[scc_of[entry]])
-    return entry, _shortest_cycle(adj, members, entry)
+    members = set(min(cyclic, key=min))
+    entry = min(members)
+
+    # searching from a fresh start (-1) with entry's edges makes the return
+    # to entry a discovery, so the goal test finds it
+    def within(node):
+        return [(act, nxt) for act, nxt in out[entry if node < 0 else node] if nxt in members]
+
+    _, cycle = _search(SimpleNamespace(initial_state=-1, enabled_actions=within),
+                       lambda node: node == entry)
+    return entry, cycle
 
 
-def _shortest_cycle(adj, members, entry) -> Tuple[Action, ...]:
-    # searching from a fresh sentinel with entry's edges makes the return to
-    # entry a discovery, so the goal test finds it
-    sentinel = object()
-
-    def successors(node):
-        edges = adj[entry if node is sentinel else node]
-        return ((act, nxt) for act, nxt in edges if nxt in members)
-
-    parents, found = bfs(sentinel, successors, lambda node: node == entry)
-    if found is None:
-        raise AssertionError("entry was reported cyclic but no cycle found")
-    return trace_to(parents, found)
-
-
-def check_inevitable_termination(lts: Lts,
+def check_inevitable_termination(system,
                                  terminal_gates: Sequence[str] = TERMINAL_GATES,
                                  end_obstacle_total: Optional[int] = None) -> Verdict:
     """Every maximal run must reach a terminal action: arrival, collision,
     or the last expected END_OBSTACLE. Fails on a reachable terminal-free
     sink (finite escape) or cycle (infinite escape, reported as a lasso).
     """
-    gates = frozenset(terminal_gates)
-    adj, parents = _pruned_product(lts, gates, end_obstacle_total)
-    out = lts.outgoing()
-    for node in parents:  # BFS order: first hit is a shortest prefix
-        if not out[node[0]]:
-            return Verdict("inevitable-termination", "fail", trace_to(parents, node))
-    hit = _find_cycle(adj, parents)
+    product, trace = _escape(system, terminal_gates, end_obstacle_total)
+    if trace is not None:
+        return Verdict("inevitable-termination", "fail", trace)
+    hit = _find_cycle(product.outgoing())
     if hit is not None:
         entry, cycle = hit
         return Verdict("inevitable-termination", "fail_lasso",
-                       trace_to(parents, entry), cycle)
+                       shortest_trace(product, entry), cycle)
     return Verdict("inevitable-termination", "pass")
 
 
-def check_deadlock_freedom(lts: Lts,
+def check_deadlock_freedom(system,
                            terminal_gates: Sequence[str] = TERMINAL_GATES,
                            end_obstacle_total: Optional[int] = None) -> Verdict:
     """No sink state may be reachable without passing a terminal action.
     Winding-down states behind ARRIVAL/COLLISION/final END_OBSTACLE are
     legitimate; anything else with no way out is a deadlock.
     """
-    gates = frozenset(terminal_gates)
-    _, parents = _pruned_product(lts, gates, end_obstacle_total)
-    out = lts.outgoing()
-    for node in parents:
-        if not out[node[0]]:
-            return Verdict("deadlock", "fail", trace_to(parents, node))
-    return Verdict("deadlock", "pass")
+    _, trace = _escape(system, terminal_gates, end_obstacle_total)
+    if trace is None:
+        return Verdict("deadlock", "pass")
+    return Verdict("deadlock", "fail", trace)

@@ -123,7 +123,7 @@ _MOVE_WORDS = set(DIRECTIONS) | {RANDOM_DIR}
 
 def _moves(raw, where: str):
     for j, mv in enumerate(_list(raw, where)):
-        if mv not in _MOVE_WORDS:
+        if not isinstance(mv, str) or mv not in _MOVE_WORDS:
             raise ScenarioError(f"{where}[{j}]: expected one of "
                                 f"{sorted(_MOVE_WORDS)}, got {mv!r}")
     return tuple(raw)

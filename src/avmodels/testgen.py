@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
 from . import values
-from .kernel import Action, Composition, ExplorationLimits, Lts, bfs, explore, trace_to
+from .kernel import Action, Composition, ExplorationLimits, Lts, explore, shortest_trace
 from .perception import GridScenario, decode_obstacle
 from .grid_model import build_grid_composition
 
@@ -135,13 +135,14 @@ def product_with_purpose(system, purpose: TestPurpose,
 
 
 def extract_test(product: Lts) -> Optional[Tuple[Action, ...]]:
-    """Shortest trace to an accepting state, None when unreachable."""
+    """Shortest trace to the accepting state of a product from
+    product_with_purpose, which explored up to it and made it the last
+    state; None when there is none.
+    """
     if product.state_payload is None:
         raise PurposeError("not a purpose product: no payload")
-    payload = product.state_payload
-    out = product.outgoing()
-    parents, found = bfs(product.initial, lambda s: out[s], lambda s: payload[s][2])
-    return None if found is None else trace_to(parents, found)
+    last = product.num_states - 1
+    return shortest_trace(product, last) if product.state_payload[last][2] else None
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ Everything here is deliberately written with different algorithms and data
 layouts than the package: rendezvous by trying every concretely offered
 value list on every participant, a naive greatest-fixpoint bisimulation, a
 solved attacker/defender game, exact rational geometry for line-of-sight,
-and level-by-level shortest distances.
+subset replay of traces and level-by-level shortest distances.
 """
 from __future__ import annotations
 
@@ -342,6 +342,20 @@ def oracle_perception(m, prev=None, prev_car=None):
                 row.append("M" if fresh else "O")
         rows.append(tuple(row))
     return tuple(rows)
+
+
+# ---------------------------------------------------------------------------
+# traces, replayed on every branch at once
+
+def trace_exists(lts: Lts, labels) -> bool:
+    """Is there a path from the initial state along exactly these labels?"""
+    cur = {lts.initial}
+    out = lts.outgoing()
+    for act in labels:
+        cur = {dst for s in cur for a, dst in out[s] if a == act}
+        if not cur:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

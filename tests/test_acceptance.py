@@ -20,7 +20,7 @@ from avmodels.minimize import minimize, partition
 from avmodels.perception import build_grid_map, compute_perception
 from avmodels.properties import (
     check_consistent_updates, check_inevitable_termination,
-    product_with_monitor, trace_exists,
+    product_with_monitor,
 )
 from avmodels.scenarios import load_scenario, scenario_from_json
 from avmodels.testgen import (
@@ -33,6 +33,7 @@ from conftest import criterion
 from oracles import (
     bisimilar_by_game, brute_force_edges, lts_edge_set, naive_bisimulation,
     oracle_perception, partition_to_relation, random_composition, random_lts,
+    trace_exists,
 )
 from test_control_model import CITY, city_scenario
 from test_grid_model import round_monitor
@@ -282,7 +283,8 @@ def test_criterion_7_aut_roundtrip_and_goldens():
 
 def test_criterion_8_corrupted_consistency_relation_is_caught():
     with criterion("criterion 8  corrupted consistency relation is caught"):
-        lts = explore(build_control_composition(city_scenario()))
+        comp = build_control_composition(city_scenario())
+        lts = explore(comp)
 
         def corrupted(gmap, street, control, target):
             # claims no move may ever land on Corporation_Street
@@ -296,3 +298,5 @@ def test_criterion_8_corrupted_consistency_relation_is_caught():
         assert trace_exists(lts, verdict.trace)
         assert verdict.trace[-1].gate == "UPDATE_POSITION"
         assert verdict.trace[-1].offers == (Sym("Corporation_Street"),)
+        # checked on the fly, the composition gives the same counterexample
+        assert check_consistent_updates(comp, CITY, corrupted) == verdict

@@ -10,8 +10,10 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from avmodels import properties
 from avmodels.aut import import_aut
 from avmodels.cli import main
+from avmodels.kernel import ExplorationLimits, explore
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "configs"
@@ -101,6 +103,21 @@ def test_check_reports_violations_with_exit_1(tmp_path, capsys):
     assert code == 1
     assert verdict["verdict"] == "fail"
     assert verdict["counterexample"]  # a replayable trace, not just a flag
+
+
+def test_check_exits_3_when_its_product_passes_a_limit(tmp_path, tiny_graph, capsys,
+                                                      monkeypatch):
+    out = tmp_path / "g.aut"
+    main(["explore", "--scenario", tiny_graph, "--out", str(out)])
+    capsys.readouterr()
+    monkeypatch.setattr(properties, "explore", lambda system, goal=None: explore(
+        system, ExplorationLimits(max_states=5), goal))
+    for prop in ("consistent-moves", "inevitable-termination", "deadlock"):
+        code = main(["check", "--lts", str(out), "--property", prop,
+                     "--scenario", tiny_graph])
+        printed, err = capsys.readouterr()
+        assert code == 3 and printed == ""  # no verdict
+        assert err == "truncated: max_states\n"
 
 
 def test_consistent_moves_requires_a_graph_scenario(tmp_path, tiny_grid, capsys):
@@ -225,12 +242,16 @@ DEEP = "[" * 3000 + "]" * 3000  # deeper than the interpreter's recursion limit
         TINY_GRAPH, obstacles=[{"position": "A_bis", "moves": 5}])}, 2),
     ("explore", {"scenario.json": dict(TINY_GRID, static=5)}, 2),
     ("explore", {"scenario.json": dict(TINY_GRID, mobile=5)}, 2),
+    ("explore", {"scenario.json": dict(TINY_GRID, car=dict(TINY_GRID["car"], moves=[[1]]))}, 2),
+    ("explore", {"scenario.json": dict(
+        TINY_GRID, mobile=[dict(TINY_GRID["mobile"][0], moves=[{}])])}, 2),
     ("testgen", {"scenario.json": TINY_GRID,
                  "purpose.json": [{"gate": "TICK", "offers": [DEEP]}]}, 2),
     # a label that is not canonical value text stays an opaque label
     ("minimize", {"in.aut": f'des (0, 1, 1)\n(0, "G !{DEEP}", 0)\n'}, 0),
 ], ids=["edges-not-a-list", "obstacles-not-a-list", "moves-not-a-list",
-        "static-not-a-list", "mobile-not-a-list", "deep-purpose-offer", "deep-aut-label"])
+        "static-not-a-list", "mobile-not-a-list", "car-move-a-list", "obstacle-move-an-object",
+        "deep-purpose-offer", "deep-aut-label"])
 def test_malformed_inputs_exit_with_a_documented_code(tmp_path, capsys, command, inputs, code):
     for name, data in inputs.items():
         path = tmp_path / name

@@ -16,8 +16,10 @@ from avmodels.perception import (
 )
 from avmodels.properties import (
     VIOLATION, Monitor, check_deadlock_freedom, check_inevitable_termination,
-    product_with_monitor, trace_exists,
+    product_with_monitor,
 )
+
+from oracles import trace_exists
 
 
 @pytest.fixture(scope="module")

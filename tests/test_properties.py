@@ -1,15 +1,26 @@
 """Monitor products, trace replay and the terminal-pruned liveness checks."""
+import pathlib
+import random
+
 import pytest
 
-from avmodels.control_model import BRAKES, GraphMap, Turn, consistent_move
-from avmodels.kernel import Action, Lts
+from avmodels.control_model import (
+    BRAKES, ControlScenario, GraphMap, Turn, build_control_composition, consistent_move,
+)
+from avmodels.grid_model import build_grid_composition
+from avmodels.kernel import Action, Lts, explore
 from avmodels.properties import (
     VIOLATION, Monitor, PropertySchemaError, Verdict,
     check_consistent_updates, check_deadlock_freedom,
     check_inevitable_termination, consistent_updates_monitor,
-    product_with_monitor, trace_exists,
+    product_with_monitor,
 )
+from avmodels.scenarios import load_scenario
 from avmodels.values import Nat, Rec, Sym
+
+from oracles import random_composition, trace_exists
+
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
 
 def simple(gate):
@@ -245,3 +256,40 @@ def test_verdict_json_shape():
     assert as_json["counterexample"] == ["a", "b"]
     assert as_json["cycle"] == ["b"]
     assert not lasso.passed
+
+
+# ---------------------------------------------------------------------------
+# any system: a composition and the LTS explored from it
+
+def verdicts(system, gmap=None, end_total=None, gate_sets=((),)):
+    out = []
+    for extra in gate_sets:
+        gates = ("ARRIVAL", "COLLISION", "END_OBSTACLE") + extra
+        out.append(check_deadlock_freedom(system, gates, end_total).to_json())
+        out.append(check_inevitable_termination(system, gates, end_total).to_json())
+    if gmap is not None:
+        out.append(check_consistent_updates(system, gmap).to_json())
+    return out
+
+
+def test_a_composition_and_its_explored_lts_give_equal_verdicts(grid_reference):
+    kinds = set()
+    for seed in range(60):
+        comp = random_composition(random.Random(seed))
+        lts = explore(comp)
+        got = verdicts(comp, gate_sets=((), ("a",), ("b_loc", "i")))
+        assert got == verdicts(lts, gate_sets=((), ("a",), ("b_loc", "i"))), seed
+        assert product_with_monitor(comp, forbid("c")) == product_with_monitor(lts, forbid("c"))
+        kinds.update(v["verdict"] for v in got)
+    assert kinds == {"pass", "fail", "fail_lasso"}
+    for name in ("free", "highway", "tcross", "crossroad", "grid"):
+        scn = load_scenario(str(CONFIGS / f"{name}.json"))
+        if isinstance(scn, ControlScenario):
+            comp = build_control_composition(scn)
+            lts = explore(comp)
+            args = dict(gmap=scn.gmap, end_total=len(scn.obstacles))
+        else:
+            comp = build_grid_composition(scn)
+            lts = grid_reference.lts if name == "grid" else explore(comp)
+            args = dict(end_total=sum(1 for m in scn.mobile if not m.cyclic))
+        assert verdicts(comp, **args) == verdicts(lts, **args), name

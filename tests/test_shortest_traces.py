@@ -7,17 +7,19 @@ import random
 from avmodels.control_model import GraphMap, compute_itinerary, successors
 from avmodels.kernel import Action
 from avmodels.properties import (
-    VIOLATION, Monitor, check_deadlock_freedom, product_with_monitor, trace_exists,
+    VIOLATION, Monitor, check_deadlock_freedom, check_inevitable_termination,
+    product_with_monitor,
 )
 from avmodels.testgen import ActionPattern, TestPurpose, extract_test, product_with_purpose
 
-from oracles import random_lts, shortest_distance
+from oracles import random_lts, shortest_distance, trace_exists
 
 LABELS = ("a", "b", "c", "ARRIVAL")
 SEEDS = range(150)
 
 
 def test_counterexamples_and_witnesses_are_shortest():
+    kinds = set()
     for seed in SEEDS:
         rng = random.Random(seed)
         lts = random_lts(rng, max_states=60, labels=LABELS)
@@ -62,6 +64,26 @@ def test_counterexamples_and_witnesses_are_shortest():
             assert verdict.kind == "fail" and len(verdict.trace) == want, seed
             assert trace_exists(lts, verdict.trace), seed
             assert all(a.gate != "ARRIVAL" for a in verdict.trace), seed
+
+        # inevitable termination: that nearest sink (want) first, else a
+        # lasso to the nearest node on an ARRIVAL-free cycle, which is the
+        # earliest discovered one
+        verdict = check_inevitable_termination(lts, terminal_gates=("ARRIVAL",))
+        kinds.add(verdict.kind)
+        free = [[d for a, d in out[s] if a.gate != "ARRIVAL"] for s in range(lts.num_states)]
+        on_cycle = {s for s in range(lts.num_states)
+                    if any(shortest_distance(d, free.__getitem__, lambda t: t == s) is not None
+                           for d in free[s])}
+        to_cycle = shortest_distance(lts.initial, free.__getitem__, on_cycle.__contains__)
+        if want is not None:
+            assert verdict.kind == "fail" and len(verdict.trace) == want, seed
+        elif to_cycle is not None:
+            assert verdict.kind == "fail_lasso" and len(verdict.trace) == to_cycle, seed
+            assert verdict.cycle and trace_exists(lts, verdict.trace + verdict.cycle), seed
+            assert all(a.gate != "ARRIVAL" for a in verdict.trace + verdict.cycle), seed
+        else:
+            assert verdict.passed, seed
+    assert kinds == {"pass", "fail", "fail_lasso"}
 
 
 def test_itineraries_are_shortest():
