@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Dict, FrozenSet, List, Tuple, Union
 
-from .kernel import Action, Component, Composition, Receive, explore, shortest_trace
+from .kernel import Action, Component, Composition, Receive, search
 from .values import Nat, Rec, Seq, Sym, Value, ValueError_
 
 BRAKES = "brakes"
@@ -135,11 +135,9 @@ def compute_itinerary(gmap: GraphMap, origin: str, destination: str,
         return [(Turn(i), nxt) for i, nxt in enumerate(successors(gmap, street))
                 if nxt not in blocked]
 
-    explored = explore(SimpleNamespace(initial_state=origin, enabled_actions=turns),
-                       goal=lambda street: street == destination)
-    if explored.state_payload[-1] != destination:
-        return Itinerary((), False)
-    return Itinerary(shortest_trace(explored, explored.num_states - 1), True)
+    _, trace = search(SimpleNamespace(initial_state=origin, enabled_actions=turns),
+                      lambda street: street == destination)
+    return Itinerary((), False) if trace is None else Itinerary(trace, True)
 
 
 # ---------------------------------------------------------------------------

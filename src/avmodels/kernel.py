@@ -21,13 +21,17 @@ reproducible across processes.
 
 explore is the one breadth-first search of the package. It walks any system
 with an initial_state and enabled_actions(state): a composition, an Lts, or a
-product built over either (the testgen purpose product, the property
-products), optionally up to the first state meeting a goal; shortest_trace
-reads a shortest trace to any state back from the Lts it returns.
+Product of either with a Monitor, optionally up to the first state meeting a
+goal; shortest_trace reads a shortest trace to any state back from the Lts
+it returns. A Product's states are (system state, monitor state) pairs, and
+the monitor's step cuts an edge by returning None; the property observers,
+the END_OBSTACLE count of the liveness checks and the testgen purpose are
+all monitors. search explores up to a goal and returns the trace to it.
 """
 from __future__ import annotations
 
 import collections
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Hashable, List, Optional, Set, Tuple, Union
 
@@ -42,17 +46,10 @@ class Action:
     gate: str
     offers: Tuple[Value, ...] = ()
 
-    @property
-    def is_internal(self) -> bool:
-        return self.gate == INTERNAL_GATE
-
     def text(self) -> str:
         if not self.offers:
             return self.gate
         return self.gate + " " + " ".join("!" + values.text(v) for v in self.offers)
-
-    def sort_key(self):
-        return (self.gate, tuple(values.sort_key(v) for v in self.offers))
 
 
 INTERNAL = Action(INTERNAL_GATE)
@@ -217,18 +214,11 @@ class Composition:
 
 def _emit_combos(out, state, act, choices):
     # cartesian product over each member's alternative next states
-    stack = [(0, list(state))]
-    while stack:
-        k, succ = stack.pop()
-        if k == len(choices):
-            out.append((act, tuple(succ)))
-            continue
-        i, alts = choices[k]
-        # reversed keeps emission in declaration order for the depth-first walk
-        for nxt in reversed(alts):
-            s2 = succ if len(alts) == 1 else list(succ)
-            s2[i] = nxt
-            stack.append((k + 1, s2))
+    for combo in itertools.product(*[alts for _, alts in choices]):
+        succ = list(state)
+        for (i, _), nxt in zip(choices, combo):
+            succ[i] = nxt
+        out.append((act, tuple(succ)))
 
 
 @dataclass(frozen=True)
@@ -280,11 +270,14 @@ class Lts:
 class ExplorationLimitError(Exception):
     """Raised when exploration hits a limit; carries what was discovered."""
 
-    def __init__(self, partial: Lts, discovered: int, reason: str):
-        super().__init__(f"exploration truncated ({reason}) after {discovered} states")
+    def __init__(self, partial: Lts, reason: str):
+        super().__init__(f"exploration truncated ({reason}) after {partial.num_states} states")
         self.partial = partial
-        self.discovered = discovered
         self.reason = reason
+
+    @property
+    def discovered(self) -> int:
+        return self.partial.num_states
 
 
 def explore(system, limits: ExplorationLimits = ExplorationLimits(),
@@ -314,14 +307,14 @@ def explore(system, limits: ExplorationLimits = ExplorationLimits(),
         si = queue.popleft()
         if limits.max_depth and depth[si] >= limits.max_depth:
             if system.enabled_actions(payload[si]):
-                raise ExplorationLimitError(explored(), len(payload), "max_depth")
+                raise ExplorationLimitError(explored(), "max_depth")
             continue
         into: Dict[int, List[Action]] = {}  # successor index -> actions emitted into it
         for act, succ in system.enabled_actions(payload[si]):
             ti = index.get(succ)
             if ti is None:
                 if len(payload) >= limits.max_states:
-                    raise ExplorationLimitError(explored(), len(payload), "max_states")
+                    raise ExplorationLimitError(explored(), "max_states")
                 ti = len(payload)
                 index[succ] = ti
                 payload.append(succ)
@@ -355,3 +348,54 @@ def shortest_trace(lts: Lts, state: int) -> tuple:
         state, act = via[state]
         trace.append(act)
     return tuple(reversed(trace))
+
+
+def search(system, goal: Callable[[Hashable], bool],
+           limits: ExplorationLimits = ExplorationLimits()) -> Tuple[Lts, Optional[tuple]]:
+    """Explore system up to the first state meeting goal. Returns the
+    explored part and a shortest trace to that state, or None when no
+    reachable state meets the goal. Raises ExplorationLimitError on a limit.
+    """
+    explored = explore(system, limits, goal)
+    return explored, goal_trace(explored, goal)
+
+
+def goal_trace(lts: Lts, goal: Callable[[Hashable], bool]) -> Optional[tuple]:
+    """A shortest trace to the goal state of an Lts that explore returned
+    for that goal, or None when it holds none: explore stops at the first
+    state meeting the goal, which is then the last one.
+    """
+    last = lts.num_states - 1
+    return shortest_trace(lts, last) if goal(lts.state_payload[last]) else None
+
+
+@dataclass(frozen=True)
+class Monitor:
+    """Deterministic observer: step(state, action) returns the next monitor
+    state, or None to cut the edge."""
+    initial: Hashable
+    step: Callable[[Hashable, Action], Optional[Hashable]] = field(compare=False)
+
+
+@dataclass(frozen=True)
+class Product:
+    """The system whose states are (system state, monitor state). Each edge
+    of the system moves the monitor along; an edge the monitor's step
+    returns None for is left out.
+    """
+    system: object
+    monitor: Monitor
+
+    @property
+    def initial_state(self) -> tuple:
+        return self.system.initial_state, self.monitor.initial
+
+    def enabled_actions(self, node: tuple) -> List[Tuple[Action, tuple]]:
+        state, m = node
+        step = self.monitor.step
+        edges = []
+        for act, succ in self.system.enabled_actions(state):
+            m2 = step(m, act)
+            if m2 is not None:
+                edges.append((act, (succ, m2)))
+        return edges

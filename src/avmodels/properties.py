@@ -1,22 +1,24 @@
 """Temporal property checks over transition systems.
 
-Checks run as observer products: a deterministic monitor, or a count of the
-END_OBSTACLE actions taken, walks alongside the system. Each product is a
-system of its own that kernel.explore searches breadth first, on the fly up
-to the first violation, so the checked system may be an explored Lts or a
-Composition; a product past explore's default limits raises
-ExplorationLimitError. Verdicts carry the counterexample as a replayable
-label sequence (for lassos, a prefix plus the repeating cycle).
+Checks run as observer products: a kernel.Product of the system with a
+monitor, whose states are (system state, monitor state). A safety monitor
+steps to VIOLATION; the liveness checks' monitor counts the END_OBSTACLE
+actions taken and cuts the edges of terminal actions. kernel.search
+explores each product breadth first, on the fly up to the first violation,
+so the checked system may be an explored Lts or a Composition; a product
+past explore's default limits raises ExplorationLimitError. Verdicts carry
+the counterexample as a replayable label sequence (for lassos, a prefix
+plus the repeating cycle).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Callable, Hashable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from . import control_model
 from .control_model import BRAKES, GraphMap, Turn
-from .kernel import Action, Lts, explore, shortest_trace
+from .kernel import Action, Monitor, Product, search, shortest_trace
 from .values import Nat, Rec, Sym
 
 VIOLATION = ("violation",)
@@ -26,13 +28,6 @@ TERMINAL_GATES = ("ARRIVAL", "COLLISION", "END_OBSTACLE")
 
 class PropertySchemaError(ValueError):
     """A monitored gate carries offers the monitor cannot read."""
-
-
-@dataclass(frozen=True)
-class Monitor:
-    """Deterministic observer: step(state, action) -> state or VIOLATION."""
-    initial: Hashable
-    step: Callable[[Hashable, Action], Hashable] = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -57,40 +52,12 @@ class Verdict:
         return out
 
 
-def _search(product, goal) -> Tuple[Lts, Optional[tuple]]:
-    """Explore product up to the first state meeting goal. Returns the
-    explored part and a shortest trace to that state, or None when no
-    reachable state meets the goal.
-    """
-    explored = explore(product, goal=goal)
-    last = explored.num_states - 1
-    if not goal(explored.state_payload[last]):
-        return explored, None
-    return explored, shortest_trace(explored, last)
-
-
-@dataclass(frozen=True)
-class _MonitorProduct:
-    """The system whose states are (system state, monitor state)."""
-    system: object
-    monitor: Monitor
-
-    @property
-    def initial_state(self) -> tuple:
-        return self.system.initial_state, self.monitor.initial
-
-    def enabled_actions(self, node: tuple) -> List[Tuple[Action, tuple]]:
-        state, m = node
-        step = self.monitor.step
-        return [(act, (succ, step(m, act))) for act, succ in self.system.enabled_actions(state)]
-
-
 def product_with_monitor(system, monitor: Monitor):
     """Breadth-first product of system (an Lts or a Composition) with the
     monitor, up to the first VIOLATION. Returns None on pass or the shortest
     label trace reaching VIOLATION.
     """
-    return _search(_MonitorProduct(system, monitor), lambda node: node[1] == VIOLATION)[1]
+    return search(Product(system, monitor), lambda node: node[1] == VIOLATION)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -156,43 +123,24 @@ def check_consistent_updates(system, gmap: GraphMap, consistent=None) -> Verdict
 # ---------------------------------------------------------------------------
 # inevitable termination / deadlock freedom
 
-@dataclass(frozen=True)
-class _PrunedProduct:
-    """The system whose states are (system state, END_OBSTACLE count), where
-    traversal stops at terminal actions. An END_OBSTACLE among the terminal
-    gates is terminal only at its need-th occurrence.
-    """
-    system: object
-    terminal_gates: frozenset
-    need: int
-
-    @property
-    def initial_state(self) -> tuple:
-        return self.system.initial_state, 0
-
-    def enabled_actions(self, node: tuple) -> List[Tuple[Action, tuple]]:
-        s, c = node
-        edges = []
-        for act, dst in self.system.enabled_actions(s):
-            if act.gate not in self.terminal_gates:
-                edges.append((act, (dst, c)))
-            elif act.gate == "END_OBSTACLE" and c + 1 < self.need:
-                edges.append((act, (dst, c + 1)))
-        return edges
-
-    def stuck(self, node: tuple) -> bool:
-        """The system state has no way out, terminal or not."""
-        return not self.system.enabled_actions(node[0])
-
-
 def _escape(system, terminal_gates, end_obstacle_total):
-    """Explore the pruned product (an END_OBSTACLE total of None behaves
-    like 1) up to the first stuck state. Returns the explored part and a
-    shortest trace to that state, or None when none is reachable.
+    """Explore the product of system with its END_OBSTACLE count, pruned at
+    terminal actions, up to the first state whose system state has no way
+    out, terminal or not. An END_OBSTACLE among the terminal gates is
+    terminal only at its end_obstacle_total-th occurrence (None behaves like
+    1). Returns the explored part and a shortest trace to that state, or
+    None when none is reachable.
     """
     need = 1 if end_obstacle_total is None else max(1, end_obstacle_total)
-    product = _PrunedProduct(system, frozenset(terminal_gates), need)
-    return _search(product, product.stuck)
+    terminal = frozenset(terminal_gates)
+
+    def count(c, act):
+        if act.gate not in terminal:
+            return c
+        return c + 1 if act.gate == "END_OBSTACLE" and c + 1 < need else None
+
+    return search(Product(system, Monitor(0, count)),
+                  lambda node: not system.enabled_actions(node[0]))
 
 
 def _find_cycle(out) -> Optional[tuple]:
@@ -252,8 +200,8 @@ def _find_cycle(out) -> Optional[tuple]:
     def within(node):
         return [(act, nxt) for act, nxt in out[entry if node < 0 else node] if nxt in members]
 
-    _, cycle = _search(SimpleNamespace(initial_state=-1, enabled_actions=within),
-                       lambda node: node == entry)
+    _, cycle = search(SimpleNamespace(initial_state=-1, enabled_actions=within),
+                      lambda node: node == entry)
     return entry, cycle
 
 

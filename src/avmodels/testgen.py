@@ -1,12 +1,14 @@
 """Test-purpose guided scenario generation.
 
-A test purpose is an ordered list of action patterns. The purpose product
-walks the model with a cursor into that list: a transition matching the next
-pattern advances the cursor, anything else self-loops the cursor in place.
-States where the cursor has consumed every pattern are accepting. The product
-is explored on the fly and breadth first up to the first accepting state; a
-shortest trace into it is the generated test. For grid-model witnesses the
-trace folds into a tick-by-tick scenario that replays against the model.
+A test purpose is an ordered list of action patterns. Its monitor counts
+down the patterns still to match: a transition matching the next pattern
+takes one off, anything else leaves the count in place. The purpose product
+is the kernel.Product of the model with that monitor, so its states are
+(model state, patterns left), and the states with none left are accepting.
+The product is explored on the fly and breadth first up to the first
+accepting state; a shortest trace into it is the generated test. For
+grid-model witnesses the trace folds into a tick-by-tick scenario that
+replays against the model.
 """
 from __future__ import annotations
 
@@ -14,7 +16,9 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
 from . import values
-from .kernel import Action, Composition, ExplorationLimits, Lts, explore, shortest_trace
+from .kernel import (
+    Action, Composition, ExplorationLimits, Lts, Monitor, Product, explore, goal_trace,
+)
 from .perception import GridScenario, decode_obstacle
 from .grid_model import build_grid_composition
 
@@ -98,23 +102,17 @@ def parse_purpose(data) -> TestPurpose:
     return TestPurpose(tuple(patterns))
 
 
-@dataclass(frozen=True)
-class _PurposeProduct:
-    """The system whose states are (model state, cursor, accepting)."""
-    system: object
-    patterns: Tuple[ActionPattern, ...]
+def _purpose_monitor(patterns: Tuple[ActionPattern, ...]) -> Monitor:
+    n = len(patterns)
 
-    @property
-    def initial_state(self) -> tuple:
-        return self.system.initial_state, 0, False
+    def step(left, act):
+        return left - 1 if left and patterns[n - left].matches(act) else left
 
-    def enabled_actions(self, node: tuple) -> List[Tuple[Action, tuple]]:
-        state, k, accepting = node
-        moves = []
-        for act, succ in self.system.enabled_actions(state):
-            k2 = k if accepting or not self.patterns[k].matches(act) else k + 1
-            moves.append((act, (succ, k2, k2 == len(self.patterns))))
-        return moves
+    return Monitor(n, step)
+
+
+def _accepting(node: tuple) -> bool:
+    return node[1] == 0
 
 
 def product_with_purpose(system, purpose: TestPurpose,
@@ -122,12 +120,12 @@ def product_with_purpose(system, purpose: TestPurpose,
                          ) -> Tuple[Lts, List[str]]:
     """Explore the product of system (a Composition or an Lts) with the
     purpose on the fly, up to its first accepting state. The payload is
-    (system state, cursor, accepting) and the limits count product states.
+    (system state, patterns left) and the limits count product states.
     A purpose gate that the explored part never fires gets a warning: the
     search ran dry without it. Raises ExplorationLimitError on a limit.
     """
-    product = explore(_PurposeProduct(system, purpose.patterns), limits,
-                      goal=lambda node: node[2])
+    product = explore(Product(system, _purpose_monitor(purpose.patterns)), limits,
+                      goal=_accepting)
     alphabet = product.alphabet()
     warnings = [f"purpose step {i}: gate {p.gate} never occurs in the model"
                 for i, p in enumerate(purpose.patterns) if p.gate not in alphabet]
@@ -136,13 +134,11 @@ def product_with_purpose(system, purpose: TestPurpose,
 
 def extract_test(product: Lts) -> Optional[Tuple[Action, ...]]:
     """Shortest trace to the accepting state of a product from
-    product_with_purpose, which explored up to it and made it the last
-    state; None when there is none.
+    product_with_purpose; None when it holds none.
     """
     if product.state_payload is None:
         raise PurposeError("not a purpose product: no payload")
-    last = product.num_states - 1
-    return shortest_trace(product, last) if product.state_payload[last][2] else None
+    return goal_trace(product, _accepting)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,8 @@
 """Offer values exchanged on gates.
 
 A value is one of: natural number, boolean, symbol, grid position, named
-record, or list of values. Values are immutable and totally ordered so that
-offer sets and labels come out deterministic. The canonical text form is the
-one used in transition labels:
+record, or list of values. Values are immutable and hashable. The canonical
+text form is the one used in transition labels:
 
     naturals    decimal digits
     booleans    true / false
@@ -81,26 +80,6 @@ class Seq:
 
 
 Value = Union[Nat, Bool, Sym, Pos, Rec, Seq]
-
-_RANK = {Nat: 0, Bool: 1, Sym: 2, Pos: 3, Rec: 4, Seq: 5}
-
-
-def sort_key(v: Value):
-    """Total order over values: by variant rank, then contents."""
-    t = type(v)
-    r = _RANK[t]
-    if t is Nat:
-        return (r, v.n)
-    if t is Bool:
-        return (r, int(v.b))
-    if t is Sym:
-        return (r, v.name)
-    if t is Pos:
-        return (r, v.x, v.y)
-    if t is Rec:
-        return (r, v.name, tuple(sort_key(f) for f in v.fields))
-    return (r, tuple(sort_key(i) for i in v.items))
-
 
 def text(v: Value) -> str:
     t = type(v)

@@ -198,6 +198,7 @@ def test_criterion_6_scenario_corpus_outcomes(grid_reference, grid_reference_exp
         t0 = time.monotonic()
         manifest = json.loads((CONFIGS / "manifest.json").read_text())
         assert len(manifest) == 10
+        witnesses = json.loads((GOLDEN / "witnesses.json").read_text())
         cache = {("grid.json", False): grid_reference.lts,
                  ("grid.json", True): grid_reference_exposed.lts}
         for entry in manifest:
@@ -218,6 +219,8 @@ def test_criterion_6_scenario_corpus_outcomes(grid_reference, grid_reference_exp
             assert not explored_warnings, entry["name"]
             assert extract_test(explored) == trace, entry["name"]
             assert prod.num_states <= cache[key].num_states, entry["name"]
+            want = witnesses[entry["name"]]  # the labels the goldens pin
+            assert (None if trace is None else [a.text() for a in trace]) == want, entry["name"]
             if entry["outcome"] == "inconclusive":
                 assert trace is None, entry["name"]
                 continue

@@ -10,7 +10,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from avmodels import properties
+from avmodels import kernel
 from avmodels.aut import import_aut
 from avmodels.cli import main
 from avmodels.kernel import ExplorationLimits, explore
@@ -110,7 +110,8 @@ def test_check_exits_3_when_its_product_passes_a_limit(tmp_path, tiny_graph, cap
     out = tmp_path / "g.aut"
     main(["explore", "--scenario", tiny_graph, "--out", str(out)])
     capsys.readouterr()
-    monkeypatch.setattr(properties, "explore", lambda system, goal=None: explore(
+    # every check searches its product through kernel.search
+    monkeypatch.setattr(kernel, "explore", lambda system, limits, goal: explore(
         system, ExplorationLimits(max_states=5), goal))
     for prop in ("consistent-moves", "inevitable-termination", "deadlock"):
         code = main(["check", "--lts", str(out), "--property", prop,

@@ -1,0 +1,113 @@
+"""Verdicts and witnesses pinned against files under tests/golden/.
+
+The product and search code may be refactored, but the verdicts it gives,
+their counterexamples (lasso cycles included) and the testgen witnesses must
+stay exactly what the goldens hold. `python tests/test_goldens.py` rewrites
+the goldens from the current code; do that only for an intended change of
+output.
+"""
+import json
+import pathlib
+import random
+
+from avmodels.aut import import_aut
+from avmodels.control_model import build_control_composition, consistent_move
+from avmodels.grid_model import build_grid_composition
+from avmodels.kernel import explore
+from avmodels.perception import GridScenario
+from avmodels.properties import (
+    TERMINAL_GATES, check_consistent_updates, check_deadlock_freedom,
+    check_inevitable_termination,
+)
+from avmodels.scenarios import load_scenario, scenario_from_json
+from avmodels.testgen import extract_test, parse_purpose, product_with_purpose
+
+from oracles import random_lts
+from test_control_model import CITY, city_scenario
+from test_shortest_traces import LABELS, SEEDS
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+CONFIGS = GOLDEN.parents[1] / "configs"
+
+GATE_SETS = {"default": TERMINAL_GATES, "ARRIVAL": ("ARRIVAL",),
+             "COLLISION": ("COLLISION",), "none": ()}
+
+
+def _end_total(scn):
+    if isinstance(scn, GridScenario):
+        return sum(1 for m in scn.mobile if not m.cyclic)
+    return len(scn.obstacles)
+
+
+def _systems():
+    """(name, LTS, scenario): three bundled grid scenarios explored, and the
+    three .aut goldens read back."""
+    for name in ("free", "highway", "tcross"):
+        scn = load_scenario(CONFIGS / f"{name}.json")
+        yield name, explore(build_grid_composition(scn)), scn
+    for name in ("control_tiny", "grid_tiny", "grid_random_car"):
+        scn = scenario_from_json(json.loads((GOLDEN / f"{name}.json").read_text()))
+        with open(GOLDEN / f"{name}.aut", "rb") as fh:
+            yield name, import_aut(fh), scn
+
+
+def _corrupted(gmap, street, control, target):
+    # criterion 8's relation: no move may ever land on Corporation_Street
+    return consistent_move(gmap, street, control, target) and target != "Corporation_Street"
+
+
+def verdicts() -> dict:
+    out = {}
+    for name, lts, scn in _systems():
+        total = _end_total(scn)
+        out[name] = {
+            key: [check(lts, gates, total).to_json()
+                  for check in (check_deadlock_freedom, check_inevitable_termination)]
+            for key, gates in GATE_SETS.items()}
+    city = explore(build_control_composition(city_scenario()))
+    out["consistent-moves"] = [check_consistent_updates(city, CITY).to_json(),
+                               check_consistent_updates(city, CITY, _corrupted).to_json()]
+    return out
+
+
+def random_verdicts() -> list:
+    """test_shortest_traces' random LTSs, under ARRIVAL as the one terminal."""
+    out = []
+    for seed in SEEDS:
+        lts = random_lts(random.Random(seed), max_states=60, labels=LABELS)
+        out.append([check(lts, ("ARRIVAL",)).to_json()
+                    for check in (check_deadlock_freedom, check_inevitable_termination)])
+    return out
+
+
+def manifest_witnesses() -> dict:
+    """Each manifest entry's witness labels, or None when inconclusive."""
+    out = {}
+    for entry in json.loads((CONFIGS / "manifest.json").read_text()):
+        scn = load_scenario(CONFIGS / entry["scenario"])
+        purpose = parse_purpose(json.loads((CONFIGS / entry["purpose"]).read_text()))
+        product, _ = product_with_purpose(
+            build_grid_composition(scn, expose_grid=bool(entry.get("expose_grid"))), purpose)
+        trace = extract_test(product)
+        out[entry["name"]] = None if trace is None else [a.text() for a in trace]
+    return out
+
+
+def golden(name: str):
+    return json.loads((GOLDEN / f"{name}.json").read_text())
+
+
+def test_verdicts_match_the_goldens():
+    assert verdicts() == golden("verdicts")
+
+
+def test_random_lts_verdicts_match_the_goldens():
+    want = golden("random_verdicts")
+    assert sum(v["verdict"] == "fail_lasso" for _, v in want) == 18
+    assert random_verdicts() == want
+
+
+if __name__ == "__main__":
+    for name, make in (("verdicts", verdicts), ("random_verdicts", random_verdicts),
+                       ("witnesses", manifest_witnesses)):
+        (GOLDEN / f"{name}.json").write_text(json.dumps(make(), indent=1) + "\n")

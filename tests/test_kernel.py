@@ -4,7 +4,8 @@ import pytest
 
 from avmodels.kernel import (
     Action, Component, Composition, CompositionError, ExplorationLimitError,
-    ExplorationLimits, INTERNAL, Lts, Receive, explore, parse_action,
+    ExplorationLimits, INTERNAL, Lts, Monitor, Product, Receive, explore, parse_action,
+    search,
 )
 from avmodels.values import Nat, Sym
 
@@ -20,7 +21,6 @@ def test_action_text_and_parse():
     assert a.text() == "GATE !3 !go"
     assert parse_action(a.text()) == a
     assert parse_action("TICK") == Action("TICK")
-    assert Action("i").is_internal
     with pytest.raises(ValueError):
         parse_action("BAD OFFER")  # offers must start with '!'
     with pytest.raises(ValueError):
@@ -97,7 +97,7 @@ def test_explore_max_states_truncates_with_partial():
     with pytest.raises(ExplorationLimitError) as exc:
         explore(comp, ExplorationLimits(max_states=4))
     assert exc.value.reason == "max_states"
-    assert exc.value.partial.num_states == 4
+    assert exc.value.partial.num_states == exc.value.discovered == 4
 
 
 def test_explore_max_depth_only_flags_real_cutoffs():
@@ -145,6 +145,36 @@ def test_explore_deduplicates_identical_transitions():
                      (0, Action("a"), 2), (1, Action("a"), 1), (1, Action("a"), 1)))
     assert [(s, a.text(), d) for s, a, d in explore(lts).transitions] == [
         (0, "a", 1), (0, "b", 1), (0, "a", 2), (1, "a", 1)]
+
+
+def test_product_runs_the_monitor_and_a_none_step_cuts_the_edge():
+    lts = Lts(4, 0, ((0, Action("a"), 1), (0, Action("b"), 2), (1, Action("b"), 3)))
+    # the monitor counts a's and refuses any b after an a
+    monitor = Monitor(0, lambda m, act: m + 1 if act.gate == "a" else (None if m else m))
+    product = explore(Product(lts, monitor))
+    assert product.state_payload == ((0, 0), (1, 1), (2, 0))  # 3 stays undiscovered
+    assert [(s, a.text(), d) for s, a, d in product.transitions] == [(0, "a", 1), (0, "b", 2)]
+
+
+def test_search_returns_a_shortest_trace_or_none():
+    lts = Lts(5, 0, ((0, Action("a"), 1), (1, Action("b"), 2), (2, Action("c"), 3),
+                     (0, Action("d"), 3), (4, Action("e"), 0)))
+    explored, trace = search(lts, lambda s: s == 3)
+    assert trace == (Action("d"),)
+    assert explored.state_payload[-1] == 3
+    explored, trace = search(lts, lambda s: s == 4)  # 4 is unreachable
+    assert trace is None and explored.num_states == 4
+    assert search(lts, lambda s: s == 0)[1] == ()
+
+
+def test_search_raises_on_a_limit():
+    line = Lts(4, 0, tuple((i, Action("a"), i + 1) for i in range(3)))
+    assert search(line, lambda s: s == 3, ExplorationLimits(max_states=4))[1] == (Action("a"),) * 3
+    for limits, reason in ((ExplorationLimits(max_states=3), "max_states"),
+                           (ExplorationLimits(max_depth=2), "max_depth")):
+        with pytest.raises(ExplorationLimitError) as exc:
+            search(line, lambda s: s == 3, limits)
+        assert exc.value.reason == reason
 
 
 def test_random_compositions_match_brute_force_oracle():

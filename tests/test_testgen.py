@@ -95,7 +95,7 @@ def test_product_stops_at_the_first_accepting_state():
     product, warnings = product_with_purpose(lts, TestPurpose((ActionPattern("b"),)))
     assert warnings == []
     # c and everything behind the accepting state stay unexplored
-    assert product.state_payload == ((0, 0, False), (1, 0, False), (2, 1, True))
+    assert product.state_payload == ((0, 1), (1, 1), (2, 0))  # (state, patterns left)
     assert product.outgoing()[-1] == []
     assert extract_test(product) == (simple("a"), simple("b"))
 

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from avmodels.values import (
-    Bool, Nat, Pos, Rec, Seq, Sym, ValueError_, parse_value, sort_key, text,
+    Bool, Nat, Pos, Rec, Seq, Sym, ValueError_, parse_value, text,
 )
 
 
@@ -43,15 +43,6 @@ def test_nat_and_pos_validate():
         Sym("not a name")
     with pytest.raises(ValueError):
         Sym("true")  # reserved word
-
-
-def test_sort_key_handles_mixed_ranks():
-    vals = [Sym("z"), Nat(3), Bool(False), Pos(0, 0), Seq((Nat(1),)),
-            Rec("R", ()), Nat(1), Bool(True)]
-    ordered = sorted(vals, key=sort_key)
-    assert ordered.index(Nat(1)) < ordered.index(Nat(3))
-    assert ordered.index(Nat(3)) < ordered.index(Bool(False))
-    assert ordered.index(Sym("z")) < ordered.index(Pos(0, 0))
 
 
 value_strategy = st.deferred(lambda: st.one_of(
