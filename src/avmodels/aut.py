@@ -6,9 +6,9 @@
 One transition per line, sorted ascending by (source, label text, target) on
 export so equal LTSs serialize to identical bytes. Labels are written in the
 canonical action text form and parsed back into structured actions when they
-are canonical; anything else round-trips as an opaque label. Import parses
-each distinct label text once, and transitions with equal text share one
-action.
+are canonical; anything else round-trips as an opaque label. Export writes
+each action object's text once; import parses each distinct label text once,
+and transitions with equal text share one action.
 """
 from __future__ import annotations
 
@@ -31,10 +31,15 @@ class AutFormatError(ValueError):
 def export_aut(lts: Lts, sink: IO) -> None:
     """Write lts to a binary or text stream. ASCII only."""
     rows: List[Tuple[int, str, int]] = []
+    # id(action) -> its checked label text; lts keeps every action alive,
+    # and an id costs no hashing of offer values
+    labels: Dict[int, str] = {}
     for src, act, dst in lts.transitions:
-        label = act.text()
-        if '"' in label or not label.isascii():
-            raise ValueError(f"label not representable in aut: {label!r}")
+        label = labels.get(id(act))
+        if label is None:
+            label = labels[id(act)] = act.text()
+            if '"' in label or not label.isascii():
+                raise ValueError(f"label not representable in aut: {label!r}")
         rows.append((src, label, dst))
     rows.sort()
     lines = [f"des ({lts.initial}, {len(rows)}, {lts.num_states})\n"]

@@ -56,10 +56,16 @@ def build_grid_composition(scn: GridScenario, expose_grid: bool = False) -> Comp
     car0 = (scn.car.x, scn.car.y)
     anchors0 = tuple(ob.anchor() for ob in mobiles)
 
+    records = {}  # (obstacle index, anchor, direction) -> its one shared value
+
     def rec_value(i: int, anchor, direction):
-        ob = mobiles[i]
-        return obstacle_value(ob.kind, anchor, ob.w, ob.h, ob.speed,
-                              direction, ob.transparent)
+        key = (i, anchor, direction)
+        v = records.get(key)
+        if v is None:
+            ob = mobiles[i]
+            v = records[key] = obstacle_value(ob.kind, anchor, ob.w, ob.h, ob.speed,
+                                              direction, ob.transparent)
+        return v
 
     def with_anchor(anchors, i, anchor):
         return anchors[:i] + (anchor,) + anchors[i + 1:]

@@ -19,6 +19,13 @@ Global states are tuples of component states. Component states must be
 hashable and should be built from tuples/strings/ints so exploration order is
 reproducible across processes.
 
+A composition numbers each distinct offers tuple once, as an offer id, when
+it first caches a component step that offers it concretely. The rendezvous
+matches offers by id, so it hashes ints instead of nested values, and
+receivers' results are memoized per (local state, offer id); accept still
+gets the offers tuple itself. Ids follow first appearance and offer maps
+keep their insertion order, so exploration order does not depend on them.
+
 explore is the one breadth-first search of the package. It walks any system
 with an initial_state and enabled_actions(state): a composition, an Lts, or a
 Product of either with a Monitor, optionally up to the first state meeting a
@@ -119,9 +126,12 @@ class Composition:
                 sync_map.setdefault(g, []).append(i)
         self.sync_map: Dict[str, Tuple[int, ...]] = {g: tuple(m) for g, m in sync_map.items()}
         # step cache: (component index, local state) -> (solo list,
-        # gate -> offers -> (action, successors), gate -> (accepts, offers ->
-        # accepted successors))
+        # gate -> offer id -> (action, successors), gate -> (accepts, offer
+        # id -> accepted successors)); an offer id numbers each distinct
+        # offers tuple once, so the rendezvous hashes ints, not values
         self._steps: Dict[Tuple[int, Hashable], tuple] = {}
+        self._offer_ids: Dict[Tuple[Value, ...], int] = {}
+        self._offers: List[Tuple[Value, ...]] = []  # offer id -> offers
 
     @property
     def initial_state(self) -> tuple:
@@ -133,7 +143,7 @@ class Composition:
         if hit is not None:
             return hit
         solo: List[Tuple[Action, Hashable]] = []
-        synced: Dict[str, Dict[Tuple[Value, ...], Tuple[Action, list]]] = {}
+        synced: Dict[str, Dict[int, Tuple[Action, list]]] = {}
         receivers: Dict[str, Tuple[list, dict]] = {}
         comp = self.components[i]
         seen = set()
@@ -151,7 +161,11 @@ class Composition:
                 if receive:
                     receivers.setdefault(act.gate, ([], {}))[0].append(nxt)
                 else:
-                    synced.setdefault(act.gate, {}).setdefault(act.offers, (act, []))[1].append(nxt)
+                    oid = self._offer_ids.get(act.offers)
+                    if oid is None:
+                        oid = self._offer_ids[act.offers] = len(self._offers)
+                        self._offers.append(act.offers)
+                    synced.setdefault(act.gate, {}).setdefault(oid, (act, []))[1].append(nxt)
             else:
                 solo.append((act, nxt))
         entry = (solo, synced, receivers)
@@ -189,18 +203,19 @@ class Composition:
                 if source is None:
                     source = {}
                     for _, offered, _ in parts:
-                        for offers, hit in offered.items():
-                            source.setdefault(offers, hit)
-                for offers, (act, _) in source.items():
+                        for oid, hit in offered.items():
+                            source.setdefault(oid, hit)
+                for oid, (act, _) in source.items():
                     choices = []
                     for i, offered, recv in parts:
-                        hit = offered.get(offers)
+                        hit = offered.get(oid)
                         alts = hit[1] if hit else []
                         if recv is not None:
                             accepts, accepted = recv
-                            got = accepted.get(offers)
+                            got = accepted.get(oid)
                             if got is None:
-                                got = accepted[offers] = [
+                                offers = self._offers[oid]
+                                got = accepted[oid] = [
                                     nxt for nxt in (accept(offers) for accept in accepts)
                                     if nxt is not None]
                             alts = alts + got
@@ -355,9 +370,18 @@ def search(system, goal: Callable[[Hashable], bool],
     """Explore system up to the first state meeting goal. Returns the
     explored part and a shortest trace to that state, or None when no
     reachable state meets the goal. Raises ExplorationLimitError on a limit.
+    The goal is tested once per discovered state.
     """
-    explored = explore(system, limits, goal)
-    return explored, goal_trace(explored, goal)
+    met = []
+
+    def reached(node) -> bool:
+        if goal(node):
+            met.append(node)
+            return True
+        return False
+
+    explored = explore(system, limits, reached)
+    return explored, goal_trace(explored, met.__contains__)
 
 
 def goal_trace(lts: Lts, goal: Callable[[Hashable], bool]) -> Optional[tuple]:

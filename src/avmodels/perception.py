@@ -299,16 +299,22 @@ def obstacle_value(kind: str, anchor: Cell, w: int, h: int, speed: int,
 
 def decode_obstacle(v: Value) -> tuple:
     """Inverse of obstacle_value: (kind, anchor, w, h, speed, direction,
-    transparent). Raises ValueError_ on any other value."""
-    try:
+    transparent). Checks the shape in place, without building a value: an
+    Obstacle record of a Sym, a Rect record of four Nats, a Nat, a Sym and a
+    Bool. Raises ValueError_ on any other value."""
+    if _is_rec(v, "Obstacle", (Sym, Rec, Nat, Sym, Bool)):
         kind, rect, speed, direction, transparent = v.fields
-        x, y, w, h = (f.n for f in rect.fields)
-        fields = (kind.name, (x, y), w, h, speed.n, direction.name, transparent.b)
-    except (AttributeError, TypeError, ValueError):
-        fields = None
-    if fields is None or obstacle_value(*fields) != v:
-        raise ValueError_(f"not an Obstacle value: {v!r}")
-    return fields
+        if _is_rec(rect, "Rect", (Nat, Nat, Nat, Nat)):
+            x, y, w, h = (f.n for f in rect.fields)
+            return kind.name, (x, y), w, h, speed.n, direction.name, transparent.b
+    raise ValueError_(f"not an Obstacle value: {v!r}")
+
+
+def _is_rec(v, name: str, types: tuple) -> bool:
+    """v is the record name(...) whose fields have exactly these types."""
+    return (type(v) is Rec and v.name == name and isinstance(v.fields, tuple)
+            and len(v.fields) == len(types)
+            and all(type(f) is t for f, t in zip(v.fields, types)))
 
 
 def position_value(cell: Cell) -> Value:

@@ -139,8 +139,22 @@ def _escape(system, terminal_gates, end_obstacle_total):
             return c
         return c + 1 if act.gate == "END_OBSTACLE" and c + 1 < need else None
 
-    return search(Product(system, Monitor(0, count)),
-                  lambda node: not system.enabled_actions(node[0]))
+    # the goal steps each discovered system state and its expansion takes
+    # those edges, so a system state is stepped once, not twice
+    pending = {}  # system state -> its edges, until expanded
+
+    def edges(state):
+        out = pending.pop(state, None)
+        return system.enabled_actions(state) if out is None else out
+
+    def stuck(node):
+        out = pending.get(node[0])
+        if out is None:
+            out = pending[node[0]] = system.enabled_actions(node[0])
+        return not out
+
+    stepped = SimpleNamespace(initial_state=system.initial_state, enabled_actions=edges)
+    return search(Product(stepped, Monitor(0, count)), stuck)
 
 
 def _find_cycle(out) -> Optional[tuple]:

@@ -188,6 +188,18 @@ def test_every_lidar_frame_matches_recomputed_perception(reference_exposed):
     assert frames > 100
 
 
+def test_equal_obstacle_records_are_one_object(reference_exposed):
+    _, lts = reference_exposed
+    shared = {}
+    records = 0
+    for _, act, _ in lts.transitions:
+        if act.gate == "OBSTACLE_POSITION":
+            for v in act.offers[:2]:  # the new and the previous Obstacle record
+                records += 1
+                assert shared.setdefault(v, v) is v
+    assert records > 2 * len(shared) > 0
+
+
 # ---------------------------------------------------------------------------
 # small scenarios with hand-checked behaviour
 

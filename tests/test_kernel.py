@@ -202,6 +202,31 @@ def test_receivers_take_the_offered_value():
     assert [(a.text(), s) for a, s in acts] == [("g !1", (1, 1)), ("g !3", (3, 3))]
 
 
+def test_receiver_memo_calls_accept_once_per_local_state_and_offers():
+    # A and B build fresh Nat objects on every step, so equal offers reach
+    # the rendezvous as distinct objects; their internal toggles put each of
+    # C's local states into four global states
+    def sender(cid):
+        return Component(cid, frozenset({"g"}), 0, lambda s: [
+            (Action("g", (Nat(1),)), s), (Action("g", (Nat(2),)), s), (INTERNAL, 1 - s)])
+
+    calls = []
+
+    def accept_from(s):
+        def accept(offers):
+            calls.append((s, offers))
+            return (s + offers[0].n) % 3
+        return accept
+
+    receiver = Component("C", frozenset({"g"}), 0, lambda s: [(Receive("g"), accept_from(s))])
+    comp = Composition((sender("A"), sender("B"), receiver))
+    lts = explore(comp)
+    assert sorted(calls, key=lambda c: (c[0], c[1][0].n)) == [
+        (s, (Nat(n),)) for s in range(3) for n in (1, 2)]
+    assert lts.num_states == 12
+    assert lts_edge_set(lts) == brute_force_edges(comp)
+
+
 def test_gate_fires_only_on_concrete_offers():
     def receiver(cid):
         return Component(cid, frozenset({"g"}), 0,

@@ -211,7 +211,7 @@ def test_value_encoders_round_trip_text():
 
 
 def test_decode_obstacle_inverts_obstacle_value():
-    from avmodels.values import Bool, Nat, Rec, Sym, ValueError_, parse_value
+    from avmodels.values import Bool, Nat, Pos, Rec, Seq, Sym, ValueError_, parse_value
     fields = ("Car2", (1, 2), 2, 1, 3, "left", True)
     assert decode_obstacle(obstacle_value(*fields)) == fields
     good = "Obstacle(Car2,Rect(1,2,2,1),3,left,true)"
@@ -224,3 +224,35 @@ def test_decode_obstacle_inverts_obstacle_value():
     for bad in (Sym("Obstacle"), Nat(3), Bool(True), Rec("Obstacle", ())):
         with pytest.raises(ValueError_):
             decode_obstacle(bad)
+    # near misses: each differs from a good value in one field's shape or type
+    v = obstacle_value(*fields)
+    rect = v.fields[1]
+
+    def with_field(rec, k, f):
+        return Rec(rec.name, rec.fields[:k] + (f,) + rec.fields[k + 1:])
+
+    for bad in (with_field(v, 1, Rec("Rect", rect.fields + (Nat(1),))),
+                with_field(v, 0, Nat(2)),
+                with_field(v, 2, Sym("fast")),
+                with_field(v, 4, Nat(1)),
+                with_field(v, 1, Pos(1, 2)),
+                Seq(v.fields),
+                with_field(v, 1, with_field(rect, 1, Bool(True))),
+                with_field(v, 3, Rec("left", ())),
+                Rec("Obstacle", list(v.fields)),
+                with_field(v, 1, Rec("Rect", list(rect.fields)))):
+        with pytest.raises(ValueError_):
+            decode_obstacle(bad)
+
+
+def test_decode_obstacle_round_trips_random_obstacles():
+    from avmodels.values import parse_value, text
+    rng = random.Random(2024)
+    for _ in range(300):
+        fields = (rng.choice(("Car", "Walker", "b_2", "x")),
+                  (rng.randrange(60), rng.randrange(60)), rng.randint(1, 5), rng.randint(1, 5),
+                  rng.randrange(4), rng.choice(("up", "down", "left", "right", "none", "random")),
+                  rng.random() < 0.5)
+        v = obstacle_value(*fields)
+        assert decode_obstacle(v) == fields
+        assert decode_obstacle(parse_value(text(v))) == fields

@@ -1,4 +1,5 @@
 """Monitor products, trace replay and the terminal-pruned liveness checks."""
+import collections
 import pathlib
 import random
 
@@ -238,6 +239,31 @@ def test_custom_terminal_gates():
     lts = path_lts(simple("DONE"))
     assert check_inevitable_termination(lts, terminal_gates=("DONE",)).passed
     assert check_inevitable_termination(lts).kind == "fail"
+
+
+class CountingSystem:
+    """A system that counts the enabled_actions calls per state."""
+
+    def __init__(self, system):
+        self.system = system
+        self.initial_state = system.initial_state
+        self.calls = collections.Counter()
+
+    def enabled_actions(self, state):
+        self.calls[state] += 1
+        return self.system.enabled_actions(state)
+
+
+def test_liveness_checks_step_each_system_state_once():
+    systems = [random_composition(random.Random(seed)) for seed in range(30)]
+    for name in ("free", "highway", "tcross"):
+        scn = load_scenario(str(CONFIGS / f"{name}.json"))
+        systems.append(build_grid_composition(scn))
+    for comp in systems:
+        for check in (check_deadlock_freedom, check_inevitable_termination):
+            counting = CountingSystem(comp)
+            assert check(counting) == check(comp)
+            assert max(counting.calls.values()) == 1
 
 
 # ---------------------------------------------------------------------------
