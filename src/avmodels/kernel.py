@@ -15,16 +15,19 @@ gates outside every sync set move only their owner, as does the internal
 action; receiving on a gate outside the component's own sync set is an
 error.
 
-Global states are tuples of component states. Component states must be
-hashable and should be built from tuples/strings/ints so exploration order is
-reproducible across processes.
-
-A composition numbers each distinct offers tuple once, as an offer id, when
-it first caches a component step that offers it concretely. The rendezvous
-matches offers by id, so it hashes ints instead of nested values, and
-receivers' results are memoized per (local state, offer id); accept still
-gets the offers tuple itself. Ids follow first appearance and offer maps
-keep their insertion order, so exploration order does not depend on them.
+A composition's states are tuples of local-state ids, one per component: it
+numbers each component's distinct local states once, in the order they first
+appear among the step outputs (the initial one is 0), and local_states
+decodes a state back to the tuple of local states. Component states must be
+hashable, since the numbering looks them up by equality. Each distinct
+offers tuple is numbered once too, as an offer id, and each (gate, offer id)
+has one canonical Action, so equal labels of an explored LTS are one object.
+The step cache is a list per component indexed by local id; step outputs are
+deduplicated by (gate, offer id, next id), the rendezvous matches offers by
+id, and receivers' results are memoized per (local id, offer id), so none of
+it hashes nested values; accept still gets the offers tuple itself. Ids
+follow first appearance and offer maps keep their insertion order, so
+exploration order does not depend on them.
 
 explore is the one breadth-first search of the package. It walks any system
 with an initial_state and enabled_actions(state): a composition, an Lts, or a
@@ -111,7 +114,12 @@ _NO_OFFERS: Dict = {}
 
 
 class Composition:
-    """A closed system of components with per-gate synchronization sets."""
+    """A closed system of components with per-gate synchronization sets.
+
+    Its states are tuples of local-state ids, one per component, numbered in
+    the order each local state first appears (the initial one is 0);
+    local_states decodes a state back to the tuple of local states.
+    """
 
     def __init__(self, components):
         self.components: Tuple[Component, ...] = tuple(components)
@@ -125,33 +133,56 @@ class Composition:
             for g in sorted(c.sync_set):
                 sync_map.setdefault(g, []).append(i)
         self.sync_map: Dict[str, Tuple[int, ...]] = {g: tuple(m) for g, m in sync_map.items()}
-        # step cache: (component index, local state) -> (solo list,
-        # gate -> offer id -> (action, successors), gate -> (accepts, offer
-        # id -> accepted successors)); an offer id numbers each distinct
-        # offers tuple once, so the rendezvous hashes ints, not values
-        self._steps: Dict[Tuple[int, Hashable], tuple] = {}
+        # per component: local id -> local state, local state -> local id,
+        # and the step cache, local id -> None or (solo list of (action,
+        # next id), gate -> offer id -> (action, next ids), gate -> (accepts,
+        # offer id -> accepted next ids)); an offer id numbers each distinct
+        # offers tuple once, and (gate, offer id) -> its canonical action
+        self._locals: List[List[Hashable]] = [[c.initial] for c in self.components]
+        self._local_ids: List[Dict[Hashable, int]] = [{c.initial: 0} for c in self.components]
+        self._steps: List[List[Optional[tuple]]] = [[None] for _ in self.components]
         self._offer_ids: Dict[Tuple[Value, ...], int] = {}
         self._offers: List[Tuple[Value, ...]] = []  # offer id -> offers
+        self._actions: Dict[Tuple[str, int], Action] = {}
 
     @property
     def initial_state(self) -> tuple:
-        return tuple(c.initial for c in self.components)
+        return (0,) * len(self.components)
 
-    def _component_steps(self, i: int, local: Hashable):
-        key = (i, local)
-        hit = self._steps.get(key)
-        if hit is not None:
-            return hit
-        solo: List[Tuple[Action, Hashable]] = []
+    def local_states(self, state: tuple) -> tuple:
+        """The tuple of local states that a state of ids stands for."""
+        return tuple(local[s] for local, s in zip(self._locals, state))
+
+    def _local_id(self, i: int, local: Hashable) -> int:
+        ids = self._local_ids[i]
+        lid = ids.get(local)
+        if lid is None:
+            lid = ids[local] = len(self._locals[i])
+            self._locals[i].append(local)
+            self._steps[i].append(None)
+        return lid
+
+    def _component_steps(self, i: int, lid: int):
+        solo: List[Tuple[Action, int]] = []
         synced: Dict[str, Dict[int, Tuple[Action, list]]] = {}
         receivers: Dict[str, Tuple[list, dict]] = {}
         comp = self.components[i]
         seen = set()
-        for act, nxt in comp.step(local):
-            if (act, nxt) in seen:
-                continue
-            seen.add((act, nxt))
+        for act, nxt in comp.step(self._locals[i][lid]):
             receive = type(act) is Receive
+            if receive:
+                key = (act.gate, nxt)
+            else:
+                oid = self._offer_ids.get(act.offers)
+                if oid is None:
+                    oid = self._offer_ids[act.offers] = len(self._offers)
+                    self._offers.append(act.offers)
+                act = self._actions.setdefault((act.gate, oid), act)
+                nxt = self._local_id(i, nxt)
+                key = (act.gate, oid, nxt)
+            if key in seen:
+                continue
+            seen.add(key)
             if receive or act.gate in self.sync_map:
                 if act.gate not in comp.sync_set:
                     raise CompositionError(
@@ -161,15 +192,10 @@ class Composition:
                 if receive:
                     receivers.setdefault(act.gate, ([], {}))[0].append(nxt)
                 else:
-                    oid = self._offer_ids.get(act.offers)
-                    if oid is None:
-                        oid = self._offer_ids[act.offers] = len(self._offers)
-                        self._offers.append(act.offers)
                     synced.setdefault(act.gate, {}).setdefault(oid, (act, []))[1].append(nxt)
             else:
                 solo.append((act, nxt))
-        entry = (solo, synced, receivers)
-        self._steps[key] = entry
+        entry = self._steps[i][lid] = (solo, synced, receivers)
         return entry
 
     def enabled_actions(self, state: tuple) -> List[Tuple[Action, tuple]]:
@@ -180,7 +206,8 @@ class Composition:
         when every member receives, in member order over all concrete offers.
         """
         out: List[Tuple[Action, tuple]] = []
-        per_comp = [self._component_steps(i, s) for i, s in enumerate(state)]
+        steps = self._steps
+        per_comp = [steps[i][s] or self._component_steps(i, s) for i, s in enumerate(state)]
         for i, (solo, _, _) in enumerate(per_comp):
             for act, nxt in solo:
                 succ = list(state)
@@ -216,7 +243,8 @@ class Composition:
                             if got is None:
                                 offers = self._offers[oid]
                                 got = accepted[oid] = [
-                                    nxt for nxt in (accept(offers) for accept in accepts)
+                                    self._local_id(i, nxt)
+                                    for nxt in (accept(offers) for accept in accepts)
                                     if nxt is not None]
                             alts = alts + got
                         if not alts:
@@ -254,8 +282,9 @@ class Lts:
 
     States are 0..num_states-1 with indices assigned in breadth-first
     discovery order. state_payload, when present, maps indices back to the
-    states of the system they were explored from. An Lts is itself a system
-    that explore accepts.
+    states of the system they were explored from (a Composition's id tuples
+    decode through its local_states). An Lts is itself a system that explore
+    accepts.
     """
     num_states: int
     initial: int

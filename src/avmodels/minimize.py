@@ -4,7 +4,8 @@ Starting from one block, states are repeatedly split by their signature: the
 set of (label, successor block) pairs. At the fixpoint two states share a
 block iff they are strongly bisimilar. The quotient keeps one transition per
 (block, label, block) triple and renumbers blocks by first occurrence in
-state order, so the result is deterministic.
+state order, so the result is deterministic. Labels are numbered once, so
+signatures and the quotient's triples hold ints, not actions.
 """
 from __future__ import annotations
 
@@ -14,18 +15,18 @@ from .kernel import Action, Lts
 
 
 def minimize(lts: Lts) -> Lts:
-    blocks = partition(lts)
-    nblocks = max(blocks) + 1 if blocks else 0
     if lts.num_states == 0:
         return Lts(0, 0, ())
+    label_ids = _label_ids(lts)
+    blocks = _refine(lts, label_ids)
     seen = set()
     quotient: List[Tuple[int, Action, int]] = []
     for src, act, dst in lts.transitions:
-        t = (blocks[src], act, blocks[dst])
+        t = (blocks[src], label_ids[id(act)], blocks[dst])
         if t not in seen:
             seen.add(t)
-            quotient.append(t)
-    return Lts(nblocks, blocks[lts.initial], tuple(quotient))
+            quotient.append((t[0], act, t[2]))
+    return Lts(max(blocks) + 1, blocks[lts.initial], tuple(quotient))
 
 
 def partition(lts: Lts) -> List[int]:
@@ -33,15 +34,26 @@ def partition(lts: Lts) -> List[int]:
 
     Blocks are numbered by first occurrence scanning states in index order.
     """
+    return _refine(lts, _label_ids(lts))
+
+
+def _label_ids(lts: Lts) -> Dict[int, int]:
+    """id(action) -> label id for the actions of lts, which keeps them alive.
+    Equal actions share a label id, and each action object is hashed once,
+    however many transitions carry it."""
+    ids: Dict[Action, int] = {}
+    by_object: Dict[int, int] = {}
+    for _, act, _ in lts.transitions:
+        if id(act) not in by_object:
+            by_object[id(act)] = ids.setdefault(act, len(ids))
+    return by_object
+
+
+def _refine(lts: Lts, label_ids: Dict[int, int]) -> List[int]:
     n = lts.num_states
-    if n == 0:
-        return []
-    # intern labels once; signature sets then hold small int pairs
-    label_ids: Dict[Action, int] = {}
     out: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
     for src, act, dst in lts.transitions:
-        lid = label_ids.setdefault(act, len(label_ids))
-        out[src].append((lid, dst))
+        out[src].append((label_ids[id(act)], dst))
     blocks = [0] * n
     nblocks = 1
     while True:

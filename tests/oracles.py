@@ -121,9 +121,10 @@ def receiver_cases(comp: Composition, edges) -> Set[str]:
     return cases
 
 
-def lts_edge_set(lts: Lts):
-    """The explored LTS as payload-keyed edges, for semantic comparison."""
-    pay = lts.state_payload
+def lts_edge_set(lts: Lts, comp: Composition):
+    """The LTS explored from comp as edges between the tuples of local
+    states its payload decodes to, for semantic comparison."""
+    pay = [comp.local_states(s) for s in lts.state_payload]
     return (pay[lts.initial],
             set(pay),
             {(pay[s], a, pay[d]) for s, a, d in lts.transitions})

@@ -48,7 +48,7 @@ def test_criterion_1_rendezvous_semantics_match_brute_force():
         rng = random.Random(2024)
         for _ in range(200):
             comp = random_composition(rng)  # <=3 components, <=4 local states
-            assert lts_edge_set(explore(comp)) == brute_force_edges(comp)
+            assert lts_edge_set(explore(comp), comp) == brute_force_edges(comp)
         assert time.monotonic() - t0 < 10.0
 
 

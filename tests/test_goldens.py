@@ -1,19 +1,23 @@
-"""Verdicts and witnesses pinned against files under tests/golden/.
+"""Verdicts, witnesses and full-size .aut bytes pinned against files under
+tests/golden/.
 
-The product and search code may be refactored, but the verdicts it gives,
-their counterexamples (lasso cycles included) and the testgen witnesses must
-stay exactly what the goldens hold. `python tests/test_goldens.py` rewrites
-the goldens from the current code; do that only for an intended change of
-output.
+The kernel, product and search code may be refactored, but the verdicts it
+gives, their counterexamples (lasso cycles included), the testgen witnesses
+and the sha256 of the .aut that explore writes for crossroad.json and for
+grid.json with --expose-grid must stay exactly what the goldens hold.
+`python tests/test_goldens.py` rewrites the goldens from the current code; do
+that only for an intended change of output.
 """
+import hashlib
+import io
 import json
 import pathlib
 import random
 
-from avmodels.aut import import_aut
+from avmodels.aut import export_aut, import_aut
 from avmodels.control_model import build_control_composition, consistent_move
 from avmodels.grid_model import build_grid_composition
-from avmodels.kernel import explore
+from avmodels.kernel import Lts, explore
 from avmodels.perception import GridScenario
 from avmodels.properties import (
     TERMINAL_GATES, check_consistent_updates, check_deadlock_freedom,
@@ -93,6 +97,18 @@ def manifest_witnesses() -> dict:
     return out
 
 
+def aut_sha256(grid_exposed: Lts) -> dict:
+    """sha256 of the .aut that explore writes for crossroad.json and, given
+    its LTS, for grid.json with --expose-grid."""
+    crossroad = explore(build_control_composition(load_scenario(CONFIGS / "crossroad.json")))
+    out = {}
+    for name, lts in (("crossroad.json", crossroad), ("grid.json --expose-grid", grid_exposed)):
+        buf = io.BytesIO()
+        export_aut(lts, buf)
+        out[name] = hashlib.sha256(buf.getvalue()).hexdigest()
+    return out
+
+
 def golden(name: str):
     return json.loads((GOLDEN / f"{name}.json").read_text())
 
@@ -107,7 +123,13 @@ def test_random_lts_verdicts_match_the_goldens():
     assert random_verdicts() == want
 
 
+def test_full_size_aut_bytes_match_the_goldens(grid_reference_exposed):
+    assert aut_sha256(grid_reference_exposed.lts) == golden("aut_sha256")
+
+
 if __name__ == "__main__":
+    from conftest import _explore_grid
     for name, make in (("verdicts", verdicts), ("random_verdicts", random_verdicts),
-                       ("witnesses", manifest_witnesses)):
+                       ("witnesses", manifest_witnesses),
+                       ("aut_sha256", lambda: aut_sha256(_explore_grid(True).lts))):
         (GOLDEN / f"{name}.json").write_text(json.dumps(make(), indent=1) + "\n")

@@ -1,15 +1,22 @@
+import collections
+import dataclasses
+import pathlib
 import random
 
 import pytest
 
+from avmodels.control_model import build_control_composition
 from avmodels.kernel import (
     Action, Component, Composition, CompositionError, ExplorationLimitError,
     ExplorationLimits, INTERNAL, Lts, Monitor, Product, Receive, explore, parse_action,
     search,
 )
+from avmodels.scenarios import load_scenario
 from avmodels.values import Nat, Sym
 
 from oracles import brute_force_edges, lts_edge_set, random_composition, receiver_cases
+
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
 
 def table_component(cid, sync, table, initial=0):
@@ -33,14 +40,14 @@ def test_two_way_rendezvous_requires_equal_offers():
     q = table_component("Q", {"g"}, {0: [(Action("g", (Nat(2),)), 1)]})
     comp = Composition((p, q))
     acts = comp.enabled_actions(comp.initial_state)
-    assert [(a.text(), s) for a, s in acts] == [("g !2", (2, 1))]
+    assert [(a.text(), comp.local_states(s)) for a, s in acts] == [("g !2", (2, 1))]
 
 
 def test_three_way_rendezvous():
     mk = lambda cid: table_component(cid, {"g"}, {0: [(Action("g"), 1)]})
     comp = Composition((mk("A"), mk("B"), mk("C")))
     acts = comp.enabled_actions(comp.initial_state)
-    assert [(a.text(), s) for a, s in acts] == [("g", (1, 1, 1))]
+    assert [(a.text(), comp.local_states(s)) for a, s in acts] == [("g", (1, 1, 1))]
     # remove one participant's offer and nothing fires
     silent = table_component("C", {"g"}, {0: []})
     comp2 = Composition((mk("A"), mk("B"), silent))
@@ -52,7 +59,8 @@ def test_internal_and_unsynced_gates_interleave():
                                          (Action("solo"), 1)]})
     q = table_component("Q", {"g"}, {0: [(Action("solo"), 1)]})
     comp = Composition((p, q))
-    acts = {(a.text(), s) for a, s in comp.enabled_actions(comp.initial_state)}
+    acts = {(a.text(), comp.local_states(s))
+            for a, s in comp.enabled_actions(comp.initial_state)}
     # "solo" is in no sync set: each owner moves alone, no rendezvous
     assert acts == {("i", (1, 0)), ("solo", (1, 0)), ("solo", (0, 1))}
 
@@ -84,7 +92,7 @@ def test_explore_numbers_states_in_discovery_order():
     lts = explore(comp)
     assert lts.num_states == 3
     assert lts.initial == 0
-    assert lts.state_payload == ((0,), (1,), (2,))
+    assert tuple(map(comp.local_states, lts.state_payload)) == ((0,), (1,), (2,))
     assert [(s, a.text(), d) for s, a, d in lts.transitions] == [
         (0, "a", 1), (0, "b", 2), (1, "c", 2)]
     assert lts.outgoing()[2] == []
@@ -115,16 +123,17 @@ def test_explore_stops_right_after_discovering_the_goal():
     table = {0: [(Action("a"), 1), (Action("b"), 2), (Action("c"), 3)],
              1: [(Action("d"), 4)], 2: [], 3: [], 4: []}
     comp = Composition((table_component("P", set(), table),))
-    lts = explore(comp, goal=lambda state: state == (2,))
-    assert lts.state_payload == ((0,), (1,), (2,))
+    is_2 = lambda state: comp.local_states(state) == (2,)
+    lts = explore(comp, goal=is_2)
+    assert tuple(map(comp.local_states, lts.state_payload)) == ((0,), (1,), (2,))
     assert [(s, a.text(), d) for s, a, d in lts.transitions] == [(0, "a", 1), (0, "b", 2)]
     # a goal met by the start is reached without a step, and a limit that
     # is not hit before the goal is no error
     assert explore(comp, goal=lambda state: True).num_states == 1
     assert explore(comp, ExplorationLimits(max_states=3),
-                   goal=lambda state: state == (2,)).num_states == 3
+                   goal=is_2).num_states == 3
     with pytest.raises(ExplorationLimitError):
-        explore(comp, ExplorationLimits(max_states=2), goal=lambda state: state == (2,))
+        explore(comp, ExplorationLimits(max_states=2), goal=is_2)
 
 
 def test_explore_accepts_an_lts():
@@ -139,6 +148,12 @@ def test_explore_deduplicates_identical_transitions():
     comp = Composition((table_component("P", set(), table),))
     lts = explore(comp)
     assert len(lts.transitions) == 1
+    # a component listing an equal move twice makes it once, synchronized too
+    assert len(comp.enabled_actions(comp.initial_state)) == 1
+    twice = table_component("P", {"g"}, {0: [(Action("g", (Nat(1),)), 1)] * 2})
+    once = table_component("Q", {"g"}, {0: [(Action("g", (Nat(1),)), 1)]})
+    comp = Composition((twice, once))
+    assert len(comp.enabled_actions(comp.initial_state)) == 1
     # an Lts may list a transition twice, into a new state or a known one;
     # different actions into one state all stay
     lts = Lts(3, 0, ((0, Action("a"), 1), (0, Action("b"), 1), (0, Action("a"), 1),
@@ -184,10 +199,44 @@ def test_random_compositions_match_brute_force_oracle():
         comp = random_composition(rng)
         lts = explore(comp, ExplorationLimits(max_states=100_000))
         want = brute_force_edges(comp)
-        assert lts_edge_set(lts) == want
+        assert lts_edge_set(lts, comp) == want
         cases |= receiver_cases(comp, want[2])
     assert cases == {"every participant receives", "one participant offers and receives",
                      "a receiver refuses an offer"}
+
+
+def test_step_runs_once_per_distinct_reachable_local_state():
+    rng = random.Random(20261018)
+    for _ in range(60):
+        plain = random_composition(rng)
+        calls = collections.Counter()
+
+        def counted(i, step):
+            def stepped(local):
+                calls[i, local] += 1
+                return step(local)
+            return stepped
+
+        comp = Composition(dataclasses.replace(c, step=counted(i, c.step))
+                           for i, c in enumerate(plain.components))
+        lts = explore(comp)
+        _, reachable, _ = brute_force_edges(plain)
+        decoded = [comp.local_states(state) for state in lts.state_payload]
+        assert len(decoded) == len(reachable) and set(decoded) == reachable
+        assert calls == collections.Counter(
+            {(i, local): 1 for state in reachable for i, local in enumerate(state)})
+
+
+def test_equal_labels_are_one_action_object(grid_reference):
+    labels = grid_reference.lts.transitions
+    assert len({id(a) for _, a, _ in labels}) == len({a.text() for _, a, _ in labels})
+
+
+def test_fresh_compositions_explore_to_equal_payloads():
+    scn = load_scenario(CONFIGS / "crossroad.json")
+    one, two = (explore(build_control_composition(scn)) for _ in range(2))
+    assert one.state_payload == two.state_payload
+    assert one.transitions == two.transitions
 
 
 def test_receivers_take_the_offered_value():
@@ -199,7 +248,8 @@ def test_receivers_take_the_offered_value():
         (Receive("g"), lambda offers: offers[0].n if offers[0].n % 2 else None)])
     comp = Composition((sender, odd))
     acts = comp.enabled_actions(comp.initial_state)
-    assert [(a.text(), s) for a, s in acts] == [("g !1", (1, 1)), ("g !3", (3, 3))]
+    assert [(a.text(), comp.local_states(s)) for a, s in acts] == [
+        ("g !1", (1, 1)), ("g !3", (3, 3))]
 
 
 def test_receiver_memo_calls_accept_once_per_local_state_and_offers():
@@ -224,7 +274,7 @@ def test_receiver_memo_calls_accept_once_per_local_state_and_offers():
     assert sorted(calls, key=lambda c: (c[0], c[1][0].n)) == [
         (s, (Nat(n),)) for s in range(3) for n in (1, 2)]
     assert lts.num_states == 12
-    assert lts_edge_set(lts) == brute_force_edges(comp)
+    assert lts_edge_set(lts, comp) == brute_force_edges(comp)
 
 
 def test_gate_fires_only_on_concrete_offers():
@@ -240,7 +290,7 @@ def test_gate_fires_only_on_concrete_offers():
                                              (Receive("g"), lambda offers: 4)]})
     comp = Composition((receiver("A"), both, other))
     acts = comp.enabled_actions(comp.initial_state)
-    assert [(a.text(), s) for a, s in acts] == [
+    assert [(a.text(), comp.local_states(s)) for a, s in acts] == [
         ("g !2", (1, 2, 4)), ("g !2", (1, 3, 4)),
         ("g !1", (1, 3, 1)), ("g !1", (1, 3, 4))]
 
