@@ -1,11 +1,19 @@
-"""Strong bisimulation minimization by iterated partition refinement.
+"""Strong bisimulation minimization by dirty-block partition refinement.
 
-Starting from one block, states are repeatedly split by their signature: the
-set of (label, successor block) pairs. At the fixpoint two states share a
-block iff they are strongly bisimilar. The quotient keeps one transition per
-(block, label, block) triple and renumbers blocks by first occurrence in
-state order, so the result is deterministic. Labels are numbered once, so
-signatures and the quotient's triples hold ints, not actions.
+A state's signature is its set of (label, successor block) pairs. Refinement
+starts from one block holding every state, marked dirty, and works in
+rounds. Each round groups the members of every dirty block by signature,
+all taken against the block ids of the round before, then splits: the
+largest group keeps the block's id and every other group gets a new one.
+Only a state with a successor that got a new id can change its signature,
+so the next round's dirty blocks are those of the predecessors of the moved
+states (after Paige & Tarjan, SIAM J. Comput. 1987, and Valmari & Lehtinen,
+STACS 2008). When no block is dirty, two states share a block iff they are
+strongly bisimilar. That coarsest partition is unique, and the blocks are
+renumbered by first occurrence in state order, so the result is
+deterministic. The quotient keeps one transition per (block, label, block)
+triple. Labels are numbered once, so signatures and the quotient's triples
+hold ints, not actions.
 """
 from __future__ import annotations
 
@@ -32,7 +40,10 @@ def minimize(lts: Lts) -> Lts:
 def partition(lts: Lts) -> List[int]:
     """Block index per state for the coarsest strong bisimulation partition.
 
-    Blocks are numbered by first occurrence scanning states in index order.
+    Refinement re-signs only the dirty blocks, those holding a predecessor
+    of a state that moved to a new block in the last round. At the fixpoint
+    the blocks are renumbered by first occurrence scanning states in index
+    order, so the numbering does not depend on the order of the splits.
     """
     return _refine(lts, _label_ids(lts))
 
@@ -52,21 +63,33 @@ def _label_ids(lts: Lts) -> Dict[int, int]:
 def _refine(lts: Lts, label_ids: Dict[int, int]) -> List[int]:
     n = lts.num_states
     out: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
+    pred: List[List[int]] = [[] for _ in range(n)]
     for src, act, dst in lts.transitions:
         out[src].append((label_ids[id(act)], dst))
+        pred[dst].append(src)
     blocks = [0] * n
-    nblocks = 1
-    while True:
-        sigs: Dict[Tuple[int, frozenset], int] = {}
-        new_blocks = [0] * n
-        for s in range(n):
-            sig = (blocks[s], frozenset((lid, blocks[d]) for lid, d in out[s]))
-            b = sigs.get(sig)
-            if b is None:
-                b = len(sigs)
-                sigs[sig] = b
-            new_blocks[s] = b
-        if len(sigs) == nblocks:
-            return new_blocks
-        blocks = new_blocks
-        nblocks = len(sigs)
+    members: List[List[int]] = [list(range(n))]
+    dirty = {0}
+    while dirty:
+        # every signature is taken against the block ids of the last round
+        splits = []
+        for b in dirty:
+            if len(members[b]) > 1:
+                groups: Dict[frozenset, List[int]] = {}
+                for s in members[b]:
+                    groups.setdefault(
+                        frozenset((lid, blocks[d]) for lid, d in out[s]), []).append(s)
+                if len(groups) > 1:
+                    splits.append((b, sorted(groups.values(), key=len)))
+        moved: List[int] = []
+        for b, groups in splits:
+            members[b] = groups.pop()  # the largest group keeps the id
+            for group in groups:
+                new = len(members)
+                members.append(group)
+                for s in group:
+                    blocks[s] = new
+                moved += group
+        dirty = {blocks[p] for s in moved for p in pred[s]}
+    renumber: Dict[int, int] = {}
+    return [renumber.setdefault(b, len(renumber)) for b in blocks]

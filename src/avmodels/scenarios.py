@@ -29,6 +29,9 @@ from .grid_model import RANDOM_DIR
 
 Scenario = Union[ControlScenario, GridScenario]
 
+# the perception maps hold width x height cells, allocated before exploring
+MAX_GRID_CELLS = 65536
+
 
 class ScenarioError(ValueError):
     pass
@@ -132,6 +135,9 @@ def _moves(raw, where: str):
 def _grid_scenario(data) -> GridScenario:
     width = _nat(_req(data, "width", "scenario"), "width")
     height = _nat(_req(data, "height", "scenario"), "height")
+    if width * height > MAX_GRID_CELLS:
+        raise ScenarioError(f"grid of {width} x {height} cells exceeds the limit of"
+                            f" {MAX_GRID_CELLS} cells")
     static = []
     for i, ob in enumerate(_list(data.get("static", []), "static")):
         where = f"static[{i}]"

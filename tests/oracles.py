@@ -2,9 +2,10 @@
 
 Everything here is deliberately written with different algorithms and data
 layouts than the package: rendezvous by trying every concretely offered
-value list on every participant, a naive greatest-fixpoint bisimulation, a
-solved attacker/defender game, exact rational geometry for line-of-sight,
-subset replay of traces and level-by-level shortest distances.
+value list on every participant, a naive greatest-fixpoint bisimulation,
+whole-partition signature refinement, a solved attacker/defender game, exact
+rational geometry for line-of-sight, subset replay of traces and
+level-by-level shortest distances.
 """
 from __future__ import annotations
 
@@ -208,6 +209,29 @@ def game_bisimulation(lts: Lts) -> Set[Tuple[int, int]]:
                 attacker_wins.add(pos)
                 changed = True
     return {(pos[1], pos[2]) for pos in apos if pos not in attacker_wins}
+
+
+def signature_refinement(lts: Lts) -> List[int]:
+    """Block per state of the coarsest strong bisimulation partition, by
+    recomputing every state's signature (its block and its set of (action,
+    successor block) pairs) each round until the block count stops growing.
+    Blocks are numbered by first occurrence in state order."""
+    n = lts.num_states
+    out: List[List[Tuple[Action, int]]] = [[] for _ in range(n)]
+    for src, act, dst in lts.transitions:
+        out[src].append((act, dst))
+    blocks = [0] * n
+    nblocks = 1
+    while True:
+        sigs: Dict[Tuple[int, frozenset], int] = {}
+        new_blocks = [0] * n
+        for s in range(n):
+            sig = (blocks[s], frozenset((a, blocks[d]) for a, d in out[s]))
+            new_blocks[s] = sigs.setdefault(sig, len(sigs))
+        if len(sigs) == nblocks:
+            return new_blocks
+        blocks = new_blocks
+        nblocks = len(sigs)
 
 
 def partition_to_relation(blocks: List[int]) -> Set[Tuple[int, int]]:

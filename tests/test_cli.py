@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -269,6 +270,23 @@ def test_malformed_inputs_exit_with_a_documented_code(tmp_path, capsys, command,
     assert "Traceback" not in err
     if code == 2:
         assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["explore", "testgen"])
+def test_oversized_grid_exits_2_before_allocating_it(tmp_path, capsys, command):
+    # a million rows of the bundled width would take seconds and hundreds of
+    # MB to lay out as perception maps; the cell limit rejects it at parse time
+    grid = json.loads((CONFIGS / "grid.json").read_text())
+    scenario = write_json(tmp_path / "tall.json", dict(grid, height=1000000))
+    purpose = str(CONFIGS / "purpose_collision_pedestrian.json")
+    argv = {"explore": ["explore", "--scenario", scenario, "--out", str(tmp_path / "out.aut")],
+            "testgen": ["testgen", "--scenario", scenario, "--purpose", purpose,
+                        "--out", str(tmp_path / "sim.json")]}[command]
+    t0 = time.monotonic()
+    assert main(argv) == 2
+    assert time.monotonic() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "65536 cells" in err
 
 
 def test_non_ascii_aut_names_the_file_and_the_line(tmp_path, capsys):

@@ -3,8 +3,8 @@ tests/golden/.
 
 The kernel, product and search code may be refactored, but the verdicts it
 gives, their counterexamples (lasso cycles included), the testgen witnesses
-and the sha256 of the .aut that explore writes for crossroad.json and for
-grid.json with --expose-grid must stay exactly what the goldens hold.
+and the sha256 of the .aut that explore and minimize write for crossroad.json
+and for grid.json with --expose-grid must stay exactly what the goldens hold.
 `python tests/test_goldens.py` rewrites the goldens from the current code; do
 that only for an intended change of output.
 """
@@ -18,6 +18,7 @@ from avmodels.aut import export_aut, import_aut
 from avmodels.control_model import build_control_composition, consistent_move
 from avmodels.grid_model import build_grid_composition
 from avmodels.kernel import Lts, explore
+from avmodels.minimize import minimize
 from avmodels.perception import GridScenario
 from avmodels.properties import (
     TERMINAL_GATES, check_consistent_updates, check_deadlock_freedom,
@@ -99,13 +100,15 @@ def manifest_witnesses() -> dict:
 
 def aut_sha256(grid_exposed: Lts) -> dict:
     """sha256 of the .aut that explore writes for crossroad.json and, given
-    its LTS, for grid.json with --expose-grid."""
+    its LTS, for grid.json with --expose-grid, and of the .aut that minimize
+    writes for each."""
     crossroad = explore(build_control_composition(load_scenario(CONFIGS / "crossroad.json")))
     out = {}
     for name, lts in (("crossroad.json", crossroad), ("grid.json --expose-grid", grid_exposed)):
-        buf = io.BytesIO()
-        export_aut(lts, buf)
-        out[name] = hashlib.sha256(buf.getvalue()).hexdigest()
+        for key, written in ((name, lts), (f"{name} minimized", minimize(lts))):
+            buf = io.BytesIO()
+            export_aut(written, buf)
+            out[key] = hashlib.sha256(buf.getvalue()).hexdigest()
     return out
 
 

@@ -1,10 +1,13 @@
+import io
 import random
 
+from avmodels.aut import import_aut
 from avmodels.kernel import Action, Lts
 from avmodels.minimize import minimize, partition
 
 from oracles import (
     game_bisimulation, naive_bisimulation, partition_to_relation, random_lts,
+    signature_refinement,
 )
 
 
@@ -79,3 +82,45 @@ def test_minimize_preserves_initial_block():
     small = minimize(lts)
     out = small.outgoing()
     assert [(a.text(), d) for a, d in out[small.initial]] != []
+
+
+def test_partition_matches_whole_partition_refinement_on_random_lts():
+    rng = random.Random(2008)
+    for _ in range(200):
+        lts = random_lts(rng, max_states=rng.choice((5, 30, 150)), labels=("a", "b"))
+        assert partition(lts) == signature_refinement(lts)
+
+
+def test_partition_splits_a_labelled_chain_one_state_per_round():
+    # state i is k-1-i "a"-steps from the end, so round r only splits off
+    # the state r steps from it: k rounds, k blocks
+    k = 40
+    lts = Lts(k, 0, tuple((i, simple("a"), i + 1) for i in range(k - 1)))
+    assert partition(lts) == signature_refinement(lts) == list(range(k))
+    assert minimize(lts).num_states == k
+
+
+def test_partition_with_two_same_label_edges_into_one_block():
+    # 0 reaches the bisimilar 1 and 2 by "a", 3 reaches only 4: 0 ~ 3, and
+    # 5 -b-> 1 and 5 -b-> 2 is one edge of the quotient
+    lts = Lts(6, 0, (
+        (0, simple("a"), 1), (0, simple("a"), 2), (3, simple("a"), 4),
+        (1, simple("c"), 1), (2, simple("c"), 2), (4, simple("c"), 4),
+        (5, simple("b"), 1), (5, simple("b"), 2),
+    ))
+    blocks = partition(lts)
+    assert blocks == signature_refinement(lts) == [0, 1, 1, 0, 1, 2]
+    assert len(minimize(lts).transitions) == 3
+
+
+def test_partition_of_isolated_states_without_incoming_edges():
+    # 0, 2 and 4 have no incoming edges; 0 and 4 are dead, 2 steps to 3
+    lts = Lts(5, 0, ((1, simple("a"), 3), (2, simple("a"), 3), (3, simple("b"), 3)))
+    assert partition(lts) == signature_refinement(lts) == [0, 1, 1, 2, 0]
+
+
+def test_partition_of_a_one_state_header_without_transitions():
+    lts = import_aut(io.BytesIO(b"des (0, 0, 1)\n"))
+    assert partition(lts) == signature_refinement(lts) == [0]
+    small = minimize(lts)
+    assert (small.num_states, small.initial, small.transitions) == (1, 0, ())
