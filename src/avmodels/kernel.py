@@ -35,8 +35,9 @@ Product of either with a Monitor, optionally up to the first state meeting a
 goal; shortest_trace reads a shortest trace to any state back from the Lts
 it returns. A Product's states are (system state, monitor state) pairs, and
 the monitor's step cuts an edge by returning None; the property observers,
-the END_OBSTACLE count of the liveness checks and the testgen purpose are
-all monitors. search explores up to a goal and returns the trace to it.
+the END_OBSTACLE count of the liveness checks, the testgen purpose and the
+replay of a folded scenario are all monitors. search explores up to a goal
+and returns the trace to it.
 """
 from __future__ import annotations
 
@@ -142,7 +143,6 @@ class Composition:
         self._local_ids: List[Dict[Hashable, int]] = [{c.initial: 0} for c in self.components]
         self._steps: List[List[Optional[tuple]]] = [[None] for _ in self.components]
         self._offer_ids: Dict[Tuple[Value, ...], int] = {}
-        self._offers: List[Tuple[Value, ...]] = []  # offer id -> offers
         self._actions: Dict[Tuple[str, int], Action] = {}
 
     @property
@@ -175,8 +175,7 @@ class Composition:
             else:
                 oid = self._offer_ids.get(act.offers)
                 if oid is None:
-                    oid = self._offer_ids[act.offers] = len(self._offers)
-                    self._offers.append(act.offers)
+                    oid = self._offer_ids[act.offers] = len(self._offer_ids)
                 act = self._actions.setdefault((act.gate, oid), act)
                 nxt = self._local_id(i, nxt)
                 key = (act.gate, oid, nxt)
@@ -241,10 +240,9 @@ class Composition:
                             accepts, accepted = recv
                             got = accepted.get(oid)
                             if got is None:
-                                offers = self._offers[oid]
                                 got = accepted[oid] = [
                                     self._local_id(i, nxt)
-                                    for nxt in (accept(offers) for accept in accepts)
+                                    for nxt in (accept(act.offers) for accept in accepts)
                                     if nxt is not None]
                             alts = alts + got
                         if not alts:

@@ -176,49 +176,34 @@ def initiate_map(scn: GridScenario) -> GridMap:
 def supercover(a: Cell, b: Cell) -> List[Cell]:
     """Cells whose closed unit square the segment between the centers of a
     and b crosses, walked from a to b. Corner grazings contribute both side
-    cells. Classic integer error-term line walk.
+    cells. Classic integer error-term line walk along x; a steeper segment
+    is walked transposed.
     """
     (x, y), (x1, y1) = a, b
-    cells = [(x, y)]
     dx, dy = x1 - x, y1 - y
+    if abs(dx) < abs(dy):
+        return [(cx, cy) for cy, cx in supercover((y, x), (y1, x1))]
+    cells = [(x, y)]
     xstep = 1 if dx > 0 else -1
     ystep = 1 if dy > 0 else -1
     dx, dy = abs(dx), abs(dy)
     ddx, ddy = 2 * dx, 2 * dy
-    if ddx >= ddy:
-        error = errorprev = dx
-        for _ in range(dx):
-            x += xstep
-            error += ddy
-            if error > ddx:
-                y += ystep
-                error -= ddx
-                if error + errorprev < ddx:
-                    cells.append((x, y - ystep))
-                elif error + errorprev > ddx:
-                    cells.append((x - xstep, y))
-                else:
-                    cells.append((x, y - ystep))
-                    cells.append((x - xstep, y))
-            cells.append((x, y))
-            errorprev = error
-    else:
-        error = errorprev = dy
-        for _ in range(dy):
+    error = errorprev = dx
+    for _ in range(dx):
+        x += xstep
+        error += ddy
+        if error > ddx:
             y += ystep
-            error += ddx
-            if error > ddy:
-                x += xstep
-                error -= ddy
-                if error + errorprev < ddy:
-                    cells.append((x - xstep, y))
-                elif error + errorprev > ddy:
-                    cells.append((x, y - ystep))
-                else:
-                    cells.append((x - xstep, y))
-                    cells.append((x, y - ystep))
-            cells.append((x, y))
-            errorprev = error
+            error -= ddx
+            if error + errorprev < ddx:
+                cells.append((x, y - ystep))
+            elif error + errorprev > ddx:
+                cells.append((x - xstep, y))
+            else:
+                cells.append((x, y - ystep))
+                cells.append((x - xstep, y))
+        cells.append((x, y))
+        errorprev = error
     return cells
 
 

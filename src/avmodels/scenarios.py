@@ -132,6 +132,14 @@ def _moves(raw, where: str):
     return tuple(raw)
 
 
+def _inside(ob: ObstacleRec, width: int, height: int, where: str) -> ObstacleRec:
+    # from the rectangle's size alone, before the map lists its cells
+    if ob.x + ob.w > width or ob.y + ob.h > height:
+        raise ScenarioError(f"{where}: {ob.kind} of {ob.w} x {ob.h} at ({ob.x}, {ob.y})"
+                            f" does not fit the {width} x {height} grid")
+    return ob
+
+
 def _grid_scenario(data) -> GridScenario:
     width = _nat(_req(data, "width", "scenario"), "width")
     height = _nat(_req(data, "height", "scenario"), "height")
@@ -144,23 +152,24 @@ def _grid_scenario(data) -> GridScenario:
         if not isinstance(ob, dict):
             raise ScenarioError(f"{where}: expected an object")
         try:
-            static.append(ObstacleRec(
+            rec = ObstacleRec(
                 kind=str(_req(ob, "kind", where)),
                 x=_nat(_req(ob, "x", where), f"{where}.x"),
                 y=_nat(_req(ob, "y", where), f"{where}.y"),
                 w=_nat(ob.get("w", 1), f"{where}.w"),
                 h=_nat(ob.get("h", 1), f"{where}.h"),
                 transparent=bool(ob.get("transparent", False)),
-            ))
+            )
         except ValueError as e:
             raise ScenarioError(f"{where}: {e}")
+        static.append(_inside(rec, width, height, where))
     mobile = []
     for i, ob in enumerate(_list(data.get("mobile", []), "mobile")):
         where = f"mobile[{i}]"
         if not isinstance(ob, dict):
             raise ScenarioError(f"{where}: expected an object")
         try:
-            mobile.append(ObstacleRec(
+            rec = ObstacleRec(
                 kind=str(_req(ob, "kind", where)),
                 x=_nat(_req(ob, "x", where), f"{where}.x"),
                 y=_nat(_req(ob, "y", where), f"{where}.y"),
@@ -170,9 +179,10 @@ def _grid_scenario(data) -> GridScenario:
                 transparent=bool(ob.get("transparent", False)),
                 cyclic=bool(ob.get("cyclic", False)),
                 moves=_moves(_req(ob, "moves", where), f"{where}.moves"),
-            ))
+            )
         except ValueError as e:
             raise ScenarioError(f"{where}: {e}")
+        mobile.append(_inside(rec, width, height, where))
     raw_car = _req(data, "car", "scenario")
     if not isinstance(raw_car, dict):
         raise ScenarioError("car: expected an object")

@@ -7,17 +7,19 @@ is the kernel.Product of the model with that monitor, so its states are
 (model state, patterns left), and the states with none left are accepting.
 The product is explored on the fly and breadth first up to the first
 accepting state; a shortest trace into it is the generated test. For
-grid-model witnesses the trace folds into a tick-by-tick scenario that
-replays against the model.
+grid-model witnesses the trace folds into a tick-by-tick scenario. Replaying
+one is a search too: the product of the model with a monitor that counts
+the scenario's steps matched, up to the state where all are.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from functools import partial
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from . import values
 from .kernel import (
-    Action, Composition, ExplorationLimits, Lts, Monitor, Product, explore, goal_trace,
+    Action, ExplorationLimits, Lts, Monitor, Product, explore, goal_trace, search,
 )
 from .perception import GridScenario, decode_obstacle
 from .grid_model import build_grid_composition
@@ -220,15 +222,14 @@ def trace_to_scenario(trace: Sequence[Action]) -> SimScenario:
     """Fold a grid-model trace into ticks. Bookkeeping actions are dropped;
     the round structure (live obstacles once each, then the car, then TICK)
     is validated as it goes. Folding stops at the first terminal: arrival,
-    collision, or the last live obstacle ending.
+    collision, or the last live obstacle ending after the first TICK.
     """
-    live: Optional[set] = None  # lazily learned from the first round
-    first_round_kinds: List[str] = []
+    live: Optional[set] = None  # the kinds that moved in the first round
+    ended: set = set()
     ticks: List[SimTick] = []
     moved: List[ObstacleMove] = []
     car_move = None
     terminal = None
-    in_first_round = True
     for act in trace:
         g = act.gate
         if g in ("GRID_UPDATE", "GRID_CAR", "LIDAR_MAP"):
@@ -237,15 +238,10 @@ def trace_to_scenario(trace: Sequence[Action]) -> SimScenario:
             mv = _decode_obstacle_move(act)
             if car_move is not None:
                 raise FoldError(f"{mv.kind} moved after the car in one tick")
-            if in_first_round:
-                if mv.kind in first_round_kinds:
-                    raise FoldError(f"{mv.kind} moved twice in one tick")
-                first_round_kinds.append(mv.kind)
-            else:
-                if any(m.kind == mv.kind for m in moved):
-                    raise FoldError(f"{mv.kind} moved twice in one tick")
-                if live is not None and mv.kind not in live:
-                    raise FoldError(f"{mv.kind} moved while ended")
+            if any(m.kind == mv.kind for m in moved):
+                raise FoldError(f"{mv.kind} moved twice in one tick")
+            if mv.kind in ended or (live is not None and mv.kind not in live):
+                raise FoldError(f"{mv.kind} moved while ended")
             moved.append(mv)
             continue
         if g == "CAR_POSITION":
@@ -258,10 +254,10 @@ def trace_to_scenario(trace: Sequence[Action]) -> SimScenario:
                 raise FoldError(f"bad CAR_POSITION offers in {act.text()!r}: {e}")
             continue
         if g == "TICK":
+            kinds = {m.kind for m in moved}
             if live is None:
-                live = set(first_round_kinds)
-                in_first_round = False
-            if {m.kind for m in moved} != live:
+                live = kinds
+            if kinds != live:
                 raise FoldError("tick closed before every live obstacle moved")
             ticks.append(SimTick(tuple(moved), car_move))
             moved, car_move = [], None
@@ -270,15 +266,16 @@ def trace_to_scenario(trace: Sequence[Action]) -> SimScenario:
             if len(act.offers) != 1 or not isinstance(act.offers[0], values.Sym):
                 raise FoldError(f"bad END_OBSTACLE offers in {act.text()!r}")
             kind = act.offers[0].name
-            if live is None:
-                live = set(first_round_kinds)
-                in_first_round = False
-            if kind not in live:
+            if kind in ended:
                 raise FoldError(f"{kind} ended twice")
-            live.discard(kind)
-            if not live:
-                terminal = "END"
-                break
+            if live is not None and kind not in live:
+                raise FoldError(f"{kind} ended but never moved")
+            ended.add(kind)
+            if live is not None:
+                live.discard(kind)
+                if not live:
+                    terminal = "END"
+                    break
             continue
         if g == "ARRIVAL":
             terminal = "ARRIVAL"
@@ -306,63 +303,46 @@ def _matches_car(act: Action, car) -> bool:
     return (prev.x, prev.y) == tuple(car[0]) and (new.x, new.y) == tuple(car[1])
 
 
-def replay(scn: GridScenario, sim: SimScenario,
-           composition: Optional[Composition] = None) -> List[Action]:
-    """Drive the composition along a folded scenario and return the complete
-    label sequence it took, bookkeeping included. Raises ReplayError with
-    the index of the first scenario step that cannot be matched.
+def replay(scn: GridScenario, sim: SimScenario) -> List[Action]:
+    """The complete label sequence, bookkeeping included, of the grid model's
+    run along a folded scenario, found by a search of the model's product
+    with a monitor of (steps matched, END_OBSTACLEs seen). The steps are
+    each tick's obstacle moves, car move and TICK (the folded trace may stop
+    mid-round, so the last tick does not close with one), then an ARRIVAL or
+    COLLISION terminal. A transition matching the next step advances the
+    monitor; bookkeeping leaves it in place, and so does TICK once an END
+    terminal only waits for every non-cyclic obstacle to end; every other
+    transition is cut. Raises ReplayError with the most steps any explored
+    run matched.
     """
-    comp = composition if composition is not None else build_grid_composition(scn)
-    state = comp.initial_state
-    taken: List[Action] = []
-    step = 0
-
-    def advance_to(want, description, also_bridge=frozenset()):
-        nonlocal state
-        budget = 4 * (len(scn.mobile) + 4)
-        bridgeable = BRIDGE_GATES | also_bridge
-        while True:
-            enabled = comp.enabled_actions(state)
-            for act, succ in enabled:
-                if want(act):
-                    taken.append(act)
-                    state = succ
-                    return act
-            bridges = [(a, s) for a, s in enabled if a.gate in bridgeable]
-            if not bridges:
-                raise ReplayError(step, f"expected {description}, model offers "
-                                        f"{sorted({a.gate for a, _ in enabled})}")
-            act, succ = bridges[0]
-            taken.append(act)
-            state = succ
-            budget -= 1
-            if budget <= 0:
-                raise ReplayError(step, f"no {description} within the round")
-
+    steps: List[Tuple[Callable[[Action], bool], str]] = []
     for i, tick in enumerate(sim.ticks):
         for mv in tick.obstacles:
-            advance_to(lambda a, mv=mv: _matches_move(a, mv),
-                       f"{mv.kind} -> {mv.target}")
-            step += 1
+            steps.append((partial(_matches_move, mv=mv), f"{mv.kind} -> {mv.target}"))
         if tick.car is not None:
-            advance_to(lambda a, car=tick.car: _matches_car(a, car),
-                       f"car -> {tick.car[1]}")
-            step += 1
+            steps.append((partial(_matches_car, car=tick.car), f"car -> {tick.car[1]}"))
         if i + 1 < len(sim.ticks):
-            # the folded trace may stop mid-round, so the last tick is
-            # never required to close with TICK
-            advance_to(lambda a: a.gate == "TICK", "TICK")
-            step += 1
-    if sim.terminal == "ARRIVAL":
-        advance_to(lambda a: a.gate == "ARRIVAL", "ARRIVAL")
-    elif sim.terminal == "COLLISION":
-        advance_to(lambda a: a.gate == "COLLISION", "COLLISION")
-    elif sim.terminal == "END":
-        # earlier ends fire while bridging; only wait for the ones missing.
-        # The last ones sit at the head of the round after the final folded
-        # tick, so crossing that one TICK is part of the wind-down.
-        total = sum(1 for m in scn.mobile if not m.cyclic)
-        while sum(1 for a in taken if a.gate == "END_OBSTACLE") < total:
-            advance_to(lambda a: a.gate == "END_OBSTACLE", "END_OBSTACLE",
-                       also_bridge=frozenset({"TICK"}))
-    return taken
+            steps.append((ActionPattern("TICK").matches, "TICK"))
+    if sim.terminal in ("ARRIVAL", "COLLISION"):
+        steps.append((ActionPattern(sim.terminal).matches, sim.terminal))
+    n = len(steps)
+    wind_down = sim.terminal == "END"
+    ends_wanted = sum(1 for m in scn.mobile if not m.cyclic) if wind_down else 0
+
+    def step(seen, act):
+        matched, ends = seen
+        if matched < n and steps[matched][0](act):
+            return matched + 1, ends
+        if act.gate in BRIDGE_GATES:
+            return matched, ends + (act.gate == "END_OBSTACLE")
+        if wind_down and matched == n and act.gate == "TICK":
+            return seen
+        return None
+
+    explored, trace = search(Product(build_grid_composition(scn), Monitor((0, 0), step)),
+                             lambda node: node[1][0] == n and node[1][1] >= ends_wanted)
+    if trace is None:
+        at = max(seen[0] for _, seen in explored.state_payload)
+        raise ReplayError(at, "no run of the model matches "
+                              + (steps[at][1] if at < n else "the last END_OBSTACLE"))
+    return list(trace)

@@ -231,6 +231,8 @@ def test_criterion_6_scenario_corpus_outcomes(grid_reference, grid_reference_exp
             assert sim.terminal == entry.get("terminal"), entry["name"]
             taken = tuple(replay(scn, sim))
             assert trace_to_scenario(taken) == sim, entry["name"]
+            if not expose:  # the replay runs the model without the grid offers
+                assert taken == trace, entry["name"]
             if entry["purpose"] == "purpose_collision_pedestrian.json":
                 assert prod.num_states <= 2_000  # of the model's 22,983
                 assert trace[-1].gate == "COLLISION"

@@ -15,6 +15,7 @@ from avmodels import kernel
 from avmodels.aut import import_aut
 from avmodels.cli import main
 from avmodels.kernel import ExplorationLimits, explore
+from avmodels.scenarios import ScenarioError, scenario_from_json
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "configs"
@@ -287,6 +288,21 @@ def test_oversized_grid_exits_2_before_allocating_it(tmp_path, capsys, command):
     assert time.monotonic() - t0 < 1.0
     err = capsys.readouterr().err
     assert err.startswith("error:") and "65536 cells" in err
+
+
+@pytest.mark.parametrize("section", ["static", "mobile"])
+def test_oversized_obstacle_exits_2_before_listing_its_cells(tmp_path, capsys, section):
+    # 10^10 cells of one rectangle; its size alone says it cannot fit
+    grid = json.loads((CONFIGS / "grid.json").read_text())
+    huge = dict(grid[section][0], w=100000, h=100000)
+    data = dict(grid, **{section: [huge] + grid[section][1:]})
+    with pytest.raises(ScenarioError, match=rf"{section}\[0\]: .* does not fit the 10 x 10 grid"):
+        scenario_from_json(data)
+    t0 = time.monotonic()
+    assert main(["explore", "--scenario", write_json(tmp_path / "huge.json", data),
+                 "--out", str(tmp_path / "out.aut")]) == 2
+    assert time.monotonic() - t0 < 1.0
+    assert capsys.readouterr().err.startswith(f"error: {section}[0]: ")
 
 
 def test_non_ascii_aut_names_the_file_and_the_line(tmp_path, capsys):

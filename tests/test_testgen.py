@@ -1,9 +1,13 @@
 """Purpose parsing, the purpose product, trace folding and scenario replay."""
+import json
+
 import pytest
 
+from avmodels.cli import main
 from avmodels.grid_model import build_grid_composition
 from avmodels.kernel import Action, Lts
 from avmodels.perception import obstacle_value, position_value
+from avmodels.scenarios import scenario_from_json
 from avmodels.testgen import (
     ActionPattern, FoldError, ObstacleMove, PurposeError, ReplayError,
     SimScenario, SimTick, TestPurpose, extract_test, parse_purpose,
@@ -191,11 +195,42 @@ def test_fold_rejects_protocol_violations():
         ))
     with pytest.raises(FoldError):
         trace_to_scenario((end_of("W"), end_of("W")))
+    with pytest.raises(FoldError, match="W moved while ended"):
+        trace_to_scenario((end_of("W"), ob_move("W", (0, 0), (1, 0), "right")))
+    with pytest.raises(FoldError, match="V ended but never moved"):
+        # V was not live at the first TICK
+        trace_to_scenario((ob_move("W", (0, 0), (1, 0), "right"), Action("TICK"),
+                           end_of("V")))
     with pytest.raises(FoldError):
         trace_to_scenario((Action("REQUEST_PATH"),))
     for offers in ((Sym("W"),), (Sym("W"), Sym("W"), Sym("down"))):
         with pytest.raises(FoldError):
             trace_to_scenario((Action("OBSTACLE_POSITION", offers),))
+
+
+WALKER = {"kind": "Walker", "x": 0, "y": 0, "moves": ["right"]}
+PARKED = {"kind": "Parked", "x": 0, "y": 3, "moves": []}
+
+
+@pytest.mark.parametrize("mobile", [[WALKER, PARKED], [PARKED, WALKER], [PARKED]],
+                         ids=["walker-first", "parked-first", "parked-alone"])
+def test_an_obstacle_without_moves_ends_in_the_first_round(tmp_path, capsys, mobile):
+    # Parked ends before the first TICK, so it is no live obstacle and its
+    # END is no terminal; the fold learns the live set at that TICK
+    data = {"width": 6, "height": 6, "mobile": mobile,
+            "car": {"x": 5, "y": 5, "moves": ["none", "none"]}}
+    scenario, purpose = tmp_path / "scn.json", tmp_path / "purpose.json"
+    scenario.write_text(json.dumps(data))
+    purpose.write_text(json.dumps([{"gate": "TICK"}]))
+    sim_path = tmp_path / "sim.json"
+    assert main(["testgen", "--scenario", str(scenario), "--purpose", str(purpose),
+                 "--out", str(sim_path)]) == 0
+    assert capsys.readouterr().err == ""
+    sim = SimScenario.from_json(json.loads(sim_path.read_text()))
+    assert sim.terminal is None
+    assert [[m.kind for m in t.obstacles] for t in sim.ticks] == [
+        ["Walker"] if WALKER in mobile else []]
+    assert trace_to_scenario(replay(scenario_from_json(data), sim)) == sim
 
 
 def test_sim_scenario_json_round_trip():
@@ -305,6 +340,21 @@ def test_replay_reports_where_it_diverged(reference):
         replay(scn, impossible)
     assert err.value.step == 0
     assert "Other_Car" in str(err.value)
+
+
+def test_replay_error_counts_the_steps_every_run_matched(reference):
+    # the pedestrian witness with its last car move redirected: every step
+    # before that move replays, so the error names that step and that move
+    scn, witness = run_purpose(
+        reference, [{"gate": "COLLISION", "offers": ["Pedestrian"]}])
+    sim = trace_to_scenario(witness)
+    *ticks, last = sim.ticks
+    bad = SimScenario(tuple(ticks) + (SimTick(last.obstacles, (last.car[0], (0, 0))),))
+    with pytest.raises(ReplayError) as err:
+        replay(scn, bad)
+    steps_before = sum(len(t.obstacles) + (t.car is not None) + 1 for t in ticks)
+    assert err.value.step == steps_before + len(last.obstacles)
+    assert "car -> (0, 0)" in str(err.value)
 
 
 def test_unreachable_purpose_is_inconclusive(reference):
