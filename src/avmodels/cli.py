@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional
 
 from . import properties, testgen
 from .aut import AutFormatError, export_aut, import_aut
@@ -92,27 +91,20 @@ def cmd_minimize(args) -> int:
     return 0
 
 
-def _end_total(scn) -> Optional[int]:
-    if isinstance(scn, ControlScenario):
-        return len(scn.obstacles)
-    if isinstance(scn, GridScenario):
-        return sum(1 for m in scn.mobile if not m.cyclic)
-    return None
-
-
 def cmd_check(args) -> int:
     lts = _read_aut(args.lts)
     scn = load_scenario(args.scenario) if args.scenario else None
+    end_total = scn.end_obstacle_total if scn is not None else None
     if args.property == "consistent-moves":
         if not isinstance(scn, ControlScenario):
             raise CliError("consistent-moves needs --scenario with a street graph")
         verdict = properties.check_consistent_updates(lts, scn.gmap)
     elif args.property == "inevitable-termination":
         verdict = properties.check_inevitable_termination(
-            lts, end_obstacle_total=_end_total(scn))
+            lts, end_obstacle_total=end_total)
     else:
         verdict = properties.check_deadlock_freedom(
-            lts, end_obstacle_total=_end_total(scn))
+            lts, end_obstacle_total=end_total)
     print(json.dumps(verdict.to_json(), indent=2))
     return 0 if verdict.passed else EXIT_FAIL
 

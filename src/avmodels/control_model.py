@@ -208,6 +208,11 @@ class ControlScenario:
                 if not (m in (LEAVE, RANDOM) or isinstance(m, Turn)):
                     raise MapError(f"obstacle {i}: bad op {m!r}")
 
+    @property
+    def end_obstacle_total(self) -> int:
+        """END_OBSTACLEs that end a run: one per obstacle."""
+        return len(self.obstacles)
+
 
 def build_control_composition(scn: ControlScenario) -> Composition:
     gmap = scn.gmap

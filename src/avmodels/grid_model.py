@@ -20,12 +20,10 @@ from __future__ import annotations
 from .kernel import Action, Component, Composition, Receive
 from .perception import (
     DIRECTIONS,
-    GridError,
     GridScenario,
     build_grid_map,
     compute_perception,
     decode_obstacle,
-    initiate_map,
     move_allowed,
     obstacle_value,
     perception_value,
@@ -40,17 +38,11 @@ STEP_DIRS = ("up", "down", "left", "right")
 
 
 def build_grid_composition(scn: GridScenario, expose_grid: bool = False) -> Composition:
-    initiate_map(scn)  # validates placement
     width, height = scn.width, scn.height
     mobiles = scn.mobile
     n = len(mobiles)
     kinds = tuple(ob.kind for ob in mobiles)
     index = {k: i for i, k in enumerate(kinds)}
-    for ob in mobiles:
-        if ob.cyclic and not ob.moves:
-            raise GridError(f"{ob.kind}: cyclic without moves")
-    if scn.car.cyclic and not scn.car.moves:
-        raise GridError("car: cyclic without moves")
 
     static_cells = {c: ob.kind for ob in scn.static for c in rect_cells(ob.anchor(), ob.w, ob.h)}
     car0 = (scn.car.x, scn.car.y)

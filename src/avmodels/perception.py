@@ -40,6 +40,19 @@ class GridError(ValueError):
     pass
 
 
+# the perception maps hold width x height cells, allocated before exploring
+MAX_GRID_CELLS = 65536
+MOVE_WORDS = DIRECTIONS + (RANDOM_DIR,)
+
+
+def _check_script(who: str, cyclic: bool, moves: Tuple[str, ...]) -> None:
+    for m in moves:
+        if m not in MOVE_WORDS:
+            raise GridError(f"{who}: bad move {m!r}, expected one of {', '.join(MOVE_WORDS)}")
+    if cyclic and not moves:
+        raise GridError(f"{who}: cyclic without moves")
+
+
 @dataclass(frozen=True)
 class ObstacleRec:
     kind: str
@@ -54,15 +67,17 @@ class ObstacleRec:
     moves: Tuple[str, ...] = ()
 
     def __post_init__(self):
+        try:
+            Sym(self.kind)  # labels carry the kind as a symbol
+        except ValueError_:
+            raise GridError(f"obstacle kind {self.kind!r} is not a symbol name") from None
         if self.w < 1 or self.h < 1:
             raise GridError(f"{self.kind}: extent must be positive")
         if self.speed < 0:
             raise GridError(f"{self.kind}: negative speed")
         if self.direction not in DIR_DELTAS:
             raise GridError(f"{self.kind}: bad direction {self.direction!r}")
-        for m in self.moves:
-            if m not in DIR_DELTAS and m != RANDOM_DIR:
-                raise GridError(f"{self.kind}: bad move {m!r}")
+        _check_script(self.kind, self.cyclic, self.moves)
 
     def anchor(self) -> Cell:
         return (self.x, self.y)
@@ -78,14 +93,16 @@ class CarSpec:
 
     def __post_init__(self):
         if self.speed < 1:
-            raise GridError("car speed must be positive")
-        for m in self.moves:
-            if m not in DIR_DELTAS and m != RANDOM_DIR:
-                raise GridError(f"car: bad move {m!r}")
+            raise GridError("car: speed must be positive")
+        _check_script("car", self.cyclic, self.moves)
 
 
 @dataclass(frozen=True)
 class GridScenario:
+    """The owner of every grid rule, with ObstacleRec and CarSpec: the cell
+    limit, each rectangle fitting the grid, no overlaps, the car on a free
+    cell, move words and no cyclic script without moves are all checked at
+    construction, so every command rejects the same scenarios."""
     width: int
     height: int
     static: Tuple[ObstacleRec, ...]
@@ -96,14 +113,31 @@ class GridScenario:
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
             raise GridError("degenerate grid")
+        if self.width * self.height > MAX_GRID_CELLS:
+            raise GridError(f"grid of {self.width} x {self.height} cells exceeds the limit"
+                            f" of {MAX_GRID_CELLS} cells")
         if self.dist_min < 0:
             raise GridError("negative dist_min")
         kinds = [m.kind for m in self.mobile]
         if len(set(kinds)) != len(kinds):
             raise GridError(f"mobile obstacle kinds must be unique: {kinds}")
+        for section, obs in (("static", self.static), ("mobile", self.mobile)):
+            for i, ob in enumerate(obs):
+                # from the rectangle's size alone, before the map lists its cells
+                if not (0 <= ob.x and ob.x + ob.w <= self.width
+                        and 0 <= ob.y and ob.y + ob.h <= self.height):
+                    raise GridError(f"{section}[{i}]: {ob.kind} of {ob.w} x {ob.h} at"
+                                    f" ({ob.x}, {ob.y}) does not fit the"
+                                    f" {self.width} x {self.height} grid")
         for ob in self.static:
             if ob.moves or ob.speed:
                 raise GridError(f"static obstacle {ob.kind} with moves")
+        initiate_map(self)  # overlaps, and the car on a free cell
+
+    @property
+    def end_obstacle_total(self) -> int:
+        """END_OBSTACLEs that end a run: one per non-cyclic mobile."""
+        return sum(1 for m in self.mobile if not m.cyclic)
 
 
 def rect_cells(anchor: Cell, w: int, h: int) -> List[Cell]:

@@ -16,6 +16,9 @@ Grid form::
                  "transparent": true, "moves": ["right", "random"]}],
      "car": {"x": 6, "y": 9, "speed": 1, "moves": ["up", "up"]},
      "dist_min": 4}
+
+This module checks the JSON shape and types only. The grid rules belong to
+`perception.GridScenario`, which checks them all when it is constructed.
 """
 from __future__ import annotations
 
@@ -24,13 +27,9 @@ from typing import Union
 
 from .control_model import ControlScenario, GraphMap, ObstacleScript, Turn, \
     LEAVE, RANDOM
-from .perception import CarSpec, GridScenario, ObstacleRec, DIRECTIONS
-from .grid_model import RANDOM_DIR
+from .perception import CarSpec, GridError, GridScenario, ObstacleRec
 
 Scenario = Union[ControlScenario, GridScenario]
-
-# the perception maps hold width x height cells, allocated before exploring
-MAX_GRID_CELLS = 65536
 
 
 class ScenarioError(ValueError):
@@ -121,68 +120,41 @@ def _graph_scenario(data) -> ControlScenario:
         raise ScenarioError(f"bad scenario: {e}")
 
 
-_MOVE_WORDS = set(DIRECTIONS) | {RANDOM_DIR}
-
-
 def _moves(raw, where: str):
     for j, mv in enumerate(_list(raw, where)):
-        if not isinstance(mv, str) or mv not in _MOVE_WORDS:
-            raise ScenarioError(f"{where}[{j}]: expected one of "
-                                f"{sorted(_MOVE_WORDS)}, got {mv!r}")
+        if not isinstance(mv, str):
+            raise ScenarioError(f"{where}[{j}]: expected a move word, got {mv!r}")
     return tuple(raw)
 
 
-def _inside(ob: ObstacleRec, width: int, height: int, where: str) -> ObstacleRec:
-    # from the rectangle's size alone, before the map lists its cells
-    if ob.x + ob.w > width or ob.y + ob.h > height:
-        raise ScenarioError(f"{where}: {ob.kind} of {ob.w} x {ob.h} at ({ob.x}, {ob.y})"
-                            f" does not fit the {width} x {height} grid")
-    return ob
+def _obstacle(ob, where: str, mobile: bool) -> ObstacleRec:
+    if not isinstance(ob, dict):
+        raise ScenarioError(f"{where}: expected an object")
+    fields = dict(
+        kind=str(_req(ob, "kind", where)),
+        x=_nat(_req(ob, "x", where), f"{where}.x"),
+        y=_nat(_req(ob, "y", where), f"{where}.y"),
+        w=_nat(ob.get("w", 1), f"{where}.w"),
+        h=_nat(ob.get("h", 1), f"{where}.h"),
+        transparent=bool(ob.get("transparent", False)),
+    )
+    if mobile:
+        fields.update(speed=_nat(ob.get("speed", 1), f"{where}.speed"),
+                      cyclic=bool(ob.get("cyclic", False)),
+                      moves=_moves(_req(ob, "moves", where), f"{where}.moves"))
+    try:
+        return ObstacleRec(**fields)
+    except GridError as e:
+        raise ScenarioError(f"{where}: {e}")
 
 
 def _grid_scenario(data) -> GridScenario:
     width = _nat(_req(data, "width", "scenario"), "width")
     height = _nat(_req(data, "height", "scenario"), "height")
-    if width * height > MAX_GRID_CELLS:
-        raise ScenarioError(f"grid of {width} x {height} cells exceeds the limit of"
-                            f" {MAX_GRID_CELLS} cells")
-    static = []
-    for i, ob in enumerate(_list(data.get("static", []), "static")):
-        where = f"static[{i}]"
-        if not isinstance(ob, dict):
-            raise ScenarioError(f"{where}: expected an object")
-        try:
-            rec = ObstacleRec(
-                kind=str(_req(ob, "kind", where)),
-                x=_nat(_req(ob, "x", where), f"{where}.x"),
-                y=_nat(_req(ob, "y", where), f"{where}.y"),
-                w=_nat(ob.get("w", 1), f"{where}.w"),
-                h=_nat(ob.get("h", 1), f"{where}.h"),
-                transparent=bool(ob.get("transparent", False)),
-            )
-        except ValueError as e:
-            raise ScenarioError(f"{where}: {e}")
-        static.append(_inside(rec, width, height, where))
-    mobile = []
-    for i, ob in enumerate(_list(data.get("mobile", []), "mobile")):
-        where = f"mobile[{i}]"
-        if not isinstance(ob, dict):
-            raise ScenarioError(f"{where}: expected an object")
-        try:
-            rec = ObstacleRec(
-                kind=str(_req(ob, "kind", where)),
-                x=_nat(_req(ob, "x", where), f"{where}.x"),
-                y=_nat(_req(ob, "y", where), f"{where}.y"),
-                w=_nat(ob.get("w", 1), f"{where}.w"),
-                h=_nat(ob.get("h", 1), f"{where}.h"),
-                speed=_nat(ob.get("speed", 1), f"{where}.speed"),
-                transparent=bool(ob.get("transparent", False)),
-                cyclic=bool(ob.get("cyclic", False)),
-                moves=_moves(_req(ob, "moves", where), f"{where}.moves"),
-            )
-        except ValueError as e:
-            raise ScenarioError(f"{where}: {e}")
-        mobile.append(_inside(rec, width, height, where))
+    static = [_obstacle(ob, f"static[{i}]", False)
+              for i, ob in enumerate(_list(data.get("static", []), "static"))]
+    mobile = [_obstacle(ob, f"mobile[{i}]", True)
+              for i, ob in enumerate(_list(data.get("mobile", []), "mobile"))]
     raw_car = _req(data, "car", "scenario")
     if not isinstance(raw_car, dict):
         raise ScenarioError("car: expected an object")
@@ -194,10 +166,7 @@ def _grid_scenario(data) -> GridScenario:
             cyclic=bool(raw_car.get("cyclic", False)),
             moves=_moves(raw_car.get("moves", []), "car.moves"),
         )
-    except ValueError as e:
-        raise ScenarioError(f"car: {e}")
-    try:
         return GridScenario(width, height, tuple(static), tuple(mobile), car,
                             dist_min=_nat(data.get("dist_min", 0), "dist_min"))
-    except ValueError as e:
-        raise ScenarioError(f"bad scenario: {e}")
+    except GridError as e:
+        raise ScenarioError(str(e))

@@ -327,7 +327,7 @@ def replay(scn: GridScenario, sim: SimScenario) -> List[Action]:
         steps.append((ActionPattern(sim.terminal).matches, sim.terminal))
     n = len(steps)
     wind_down = sim.terminal == "END"
-    ends_wanted = sum(1 for m in scn.mobile if not m.cyclic) if wind_down else 0
+    ends_wanted = scn.end_obstacle_total if wind_down else 0
 
     def step(seen, act):
         matched, ends = seen

@@ -367,6 +367,51 @@ def test_generated_aut_files_exit_with_a_documented_code(tmp_path_factory, text)
             assert err.getvalue().startswith("error:"), argv
 
 
+KINDS = ("Building", "Walker", "Cart")
+
+
+@st.composite
+def grid_scenarios(draw):
+    """Grid-scenario JSON of at most 6 x 6 cells whose rectangles may overlap
+    or stick out, whose scripts may be cyclic or empty, and whose car may be
+    anywhere, on the grid or off it."""
+    width, height = draw(st.integers(2, 6)), draw(st.integers(2, 6))
+    x, y = st.sampled_from(range(width + 1)), st.sampled_from(range(height + 1))
+    size, cyclic = st.sampled_from((1, 1, 1, 1, 2, 3)), st.sampled_from((False, False, True))
+    moves = st.lists(st.sampled_from(("up", "down", "left", "right", "none", "random")),
+                     max_size=3)
+    static = [{"kind": draw(st.sampled_from(KINDS)), "x": draw(x), "y": draw(y),
+               "w": draw(size), "h": draw(size)} for _ in range(draw(st.integers(0, 2)))]
+    mobile = [{"kind": kind, "x": draw(x), "y": draw(y), "w": draw(size), "h": draw(size),
+               "cyclic": draw(cyclic), "moves": draw(moves)}
+              for kind in KINDS[:draw(st.integers(0, 2))]]
+    car = {"x": draw(x), "y": draw(y), "cyclic": draw(cyclic), "moves": draw(moves)}
+    return {"width": width, "height": height, "static": static, "mobile": mobile,
+            "car": car, "dist_min": draw(st.integers(0, 3))}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=grid_scenarios())
+def test_every_command_accepts_and_rejects_the_same_grid_scenarios(tmp_path_factory, data):
+    work = tmp_path_factory.mktemp("grid")
+    scenario = write_json(work / "scenario.json", data)
+    sim = write_json(work / "empty.sim.json", {"ticks": [], "terminal": None})
+    runs = [["render", "--scenario", scenario, "--sim", sim],
+            ["explore", "--scenario", scenario, "--out", str(work / "out.aut"),
+             "--max-states", "200"],
+            ["testgen", "--scenario", scenario, "--purpose",
+             str(CONFIGS / "purpose_arrival.json"), "--out", str(work / "out.sim.json"),
+             "--max-states", "200"]]
+    codes = []
+    for argv in runs:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            codes.append(main(argv))
+        assert codes[-1] in (0, 1, 2, 3), argv
+        assert "Traceback" not in out.getvalue() + err.getvalue(), argv
+    assert codes.count(2) in (0, len(runs)), codes
+
+
 def test_missing_files_exit_2(tmp_path, capsys):
     assert main(["explore", "--scenario", str(tmp_path / "none.json"),
                  "--out", str(tmp_path / "x.aut")]) == 2

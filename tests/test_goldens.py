@@ -19,7 +19,6 @@ from avmodels.control_model import build_control_composition, consistent_move
 from avmodels.grid_model import build_grid_composition
 from avmodels.kernel import Lts, explore
 from avmodels.minimize import minimize
-from avmodels.perception import GridScenario
 from avmodels.properties import (
     TERMINAL_GATES, check_consistent_updates, check_deadlock_freedom,
     check_inevitable_termination,
@@ -36,12 +35,6 @@ CONFIGS = GOLDEN.parents[1] / "configs"
 
 GATE_SETS = {"default": TERMINAL_GATES, "ARRIVAL": ("ARRIVAL",),
              "COLLISION": ("COLLISION",), "none": ()}
-
-
-def _end_total(scn):
-    if isinstance(scn, GridScenario):
-        return sum(1 for m in scn.mobile if not m.cyclic)
-    return len(scn.obstacles)
 
 
 def _systems():
@@ -64,7 +57,7 @@ def _corrupted(gmap, street, control, target):
 def verdicts() -> dict:
     out = {}
     for name, lts, scn in _systems():
-        total = _end_total(scn)
+        total = scn.end_obstacle_total
         out[name] = {
             key: [check(lts, gates, total).to_json()
                   for check in (check_deadlock_freedom, check_inevitable_termination)]

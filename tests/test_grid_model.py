@@ -289,9 +289,7 @@ def test_rounds_continue_after_a_collision(reference):
 
 
 def test_cyclic_mobile_without_moves_is_rejected():
-    scn = GridScenario(3, 3, static=(),
-                       mobile=(ObstacleRec("Spin", 0, 0, cyclic=True,
-                                           moves=()),),
-                       car=CarSpec(2, 2))
     with pytest.raises(ValueError):
-        build_grid_composition(scn)
+        GridScenario(3, 3, static=(),
+                     mobile=(ObstacleRec("Spin", 0, 0, cyclic=True, moves=()),),
+                     car=CarSpec(2, 2))

@@ -198,6 +198,30 @@ def test_scenario_validation():
                      CarSpec(4, 4))
     with pytest.raises(ValueError):
         CarSpec(1, 1, speed=0)
+    # every grid rule is checked when the object is constructed
+    cases = [
+        (lambda: GridScenario(300, 300, (), (), CarSpec(0, 0)),
+         "exceeds the limit of 65536 cells"),
+        (lambda: GridScenario(5, 5, (ObstacleRec("Wall", 3, 0, w=3),), (), CarSpec(0, 4)),
+         r"static\[0\]: Wall of 3 x 1 at \(3, 0\) does not fit the 5 x 5 grid"),
+        (lambda: GridScenario(5, 5, (), (ObstacleRec("Walker", 0, 10 ** 9, h=10 ** 9),),
+                              CarSpec(0, 0)),
+         r"mobile\[0\]: Walker of .* does not fit the 5 x 5 grid"),
+        (lambda: GridScenario(6, 6, (ObstacleRec("Building", 0, 0, w=3, h=3),),
+                              (ObstacleRec("Walker", 1, 1, moves=("up",)),), CarSpec(5, 5)),
+         r"Walker overlaps Building at \(1,1\)"),
+        (lambda: GridScenario(5, 5, (ObstacleRec("Rock", 2, 2),), (), CarSpec(2, 2)),
+         r"car placed on Rock at \(2, 2\)"),
+        (lambda: GridScenario(5, 5, (), (), CarSpec(5, 0)), "car out of the map"),
+        (lambda: GridScenario(5, 5, (), (), CarSpec(0, -1)), "car out of the map"),
+        (lambda: ObstacleRec("Spin", 0, 0, speed=1, cyclic=True), "Spin: cyclic without moves"),
+        (lambda: CarSpec(0, 0, cyclic=True), "car: cyclic without moves"),
+        (lambda: CarSpec(0, 0, moves=("up", "sideways")), "car: bad move 'sideways'"),
+        (lambda: ObstacleRec("3", 0, 0), "obstacle kind '3' is not a symbol name"),
+    ]
+    for build_it, message in cases:
+        with pytest.raises(GridError, match=message):
+            build_it()
 
 
 def test_value_encoders_round_trip_text():
