@@ -59,7 +59,8 @@ def import_aut(source: IO) -> Lts:
     Canonical labels become structured actions; other labels stay opaque
     (gate = full label text, no offers). Raises AutFormatError with the
     offending line number on malformed input, non-ASCII bytes or count
-    mismatches.
+    mismatches, and at line 1 when the header promises more than 2T + 1
+    states for T transitions, which leaves states no transition names.
     """
     data = source.read()
     if isinstance(data, bytes):
@@ -77,6 +78,12 @@ def import_aut(source: IO) -> Lts:
     if not m:
         raise AutFormatError(f"bad header {lines[0]!r}", 1)
     initial, ntrans, nstates = (int(g) for g in m.groups())
+    if nstates > 2 * ntrans + 1:
+        # T transitions and the initial state name at most 2T + 1 states;
+        # trusting a larger count would allocate per-state lists for it
+        raise AutFormatError(
+            f"header promises {nstates} states, more than its {ntrans} transitions"
+            f" and the initial state can name ({2 * ntrans + 1})", 1)
     transitions = []
     actions: Dict[str, Action] = {}  # label text -> its action
     for ln, raw in enumerate(lines[1:], start=2):

@@ -22,12 +22,19 @@ decodes a state back to the tuple of local states. Component states must be
 hashable, since the numbering looks them up by equality. Each distinct
 offers tuple is numbered once too, as an offer id, and each (gate, offer id)
 has one canonical Action, so equal labels of an explored LTS are one object.
-The step cache is a list per component indexed by local id; step outputs are
-deduplicated by (gate, offer id, next id), the rendezvous matches offers by
-id, and receivers' results are memoized per (local id, offer id), so none of
-it hashes nested values; accept still gets the offers tuple itself. Ids
-follow first appearance and offer maps keep their insertion order, so
-exploration order does not depend on them.
+The step cache is a list per component indexed by local id, and each entry
+is frozen when it is built: tuples of (offer id, action, next ids) per gate,
+receivers' accept tuples, and shared empty constants where a local state has
+nothing. Step outputs are deduplicated by (gate, offer id, next id), the
+rendezvous matches offers by scanning a gate's short offer tuple for an id,
+and receivers' results are memoized per (local id, offer id), so none of it
+hashes nested values; accept still gets the offers tuple itself. Each entry
+also holds two bitmasks over the synchronized gates: the member gates where
+the local state has neither an offer nor a receiver, and the gates it offers
+concretely. enabled_actions ORs them over a state's components and tries
+only the gates someone offers and no member blocks, which are the only ones
+that can fire. Ids follow first appearance, gates keep sync_map order and
+offers their first-seen order, so exploration order does not depend on them.
 
 explore is the one breadth-first search of the package. It walks any system
 with an initial_state and enabled_actions(state): a composition, an Lts, or a
@@ -111,7 +118,8 @@ class CompositionError(ValueError):
     pass
 
 
-_NO_OFFERS: Dict = {}
+# shared by every step-cache entry with nothing on a gate; never mutated
+_NONE: Dict = {}
 
 
 class Composition:
@@ -134,11 +142,25 @@ class Composition:
             for g in sorted(c.sync_set):
                 sync_map.setdefault(g, []).append(i)
         self.sync_map: Dict[str, Tuple[int, ...]] = {g: tuple(m) for g, m in sync_map.items()}
+        # bit k of a gate mask stands for the k-th gate of sync_map
+        self._gates: List[Tuple[str, Tuple[int, ...]]] = list(self.sync_map.items())
+        self._gate_bits: Dict[str, int] = {g: 1 << k for k, g in enumerate(self.sync_map)}
+        self._member_bits: List[int] = [
+            sum(self._gate_bits[g] for g in c.sync_set) for c in self.components]
         # per component: local id -> local state, local state -> local id,
-        # and the step cache, local id -> None or (solo list of (action,
-        # next id), gate -> offer id -> (action, next ids), gate -> (accepts,
-        # offer id -> accepted next ids)); an offer id numbers each distinct
-        # offers tuple once, and (gate, offer id) -> its canonical action
+        # and the step cache, local id -> None or a frozen entry (solo,
+        # synced, receivers, blocked, offered):
+        # - solo: tuple of (action, next id) on unsynchronized gates;
+        # - synced: gate -> tuple of (offer id, action, next ids tuple), in
+        #   first-seen order;
+        # - receivers: gate -> (accepts tuple, offer id -> accepted next ids
+        #   tuple, filled when the rendezvous first asks);
+        # - blocked: gate mask of member gates with neither an offer nor a
+        #   receiver, where the component cannot take part;
+        # - offered: gate mask of gates with a concrete offer.
+        # Empty solo, synced and receivers are the shared () and _NONE. An
+        # offer id numbers each distinct offers tuple once, and (gate, offer
+        # id) -> its canonical action
         self._locals: List[List[Hashable]] = [[c.initial] for c in self.components]
         self._local_ids: List[Dict[Hashable, int]] = [{c.initial: 0} for c in self.components]
         self._steps: List[List[Optional[tuple]]] = [[None] for _ in self.components]
@@ -164,8 +186,10 @@ class Composition:
 
     def _component_steps(self, i: int, lid: int):
         solo: List[Tuple[Action, int]] = []
-        synced: Dict[str, Dict[int, Tuple[Action, list]]] = {}
-        receivers: Dict[str, Tuple[list, dict]] = {}
+        synced: Dict[str, List[Tuple[int, Action, Tuple[int, ...]]]] = {}
+        accepts: Dict[str, list] = {}
+        bits = self._gate_bits
+        offered = receiving = 0
         comp = self.components[i]
         seen = set()
         for act, nxt in comp.step(self._locals[i][lid]):
@@ -189,67 +213,89 @@ class Composition:
                         f"synchronized gate {act.gate} without listing it in its sync set"
                     )
                 if receive:
-                    receivers.setdefault(act.gate, ([], {}))[0].append(nxt)
+                    accepts.setdefault(act.gate, []).append(nxt)
+                    receiving |= bits[act.gate]
+                    continue
+                offers = synced.setdefault(act.gate, [])
+                for k, (o, _, nxts) in enumerate(offers):
+                    if o == oid:  # another successor for an offer listed before
+                        offers[k] = (oid, act, nxts + (nxt,))
+                        break
                 else:
-                    synced.setdefault(act.gate, {}).setdefault(oid, (act, []))[1].append(nxt)
+                    offers.append((oid, act, (nxt,)))
+                offered |= bits[act.gate]
             else:
                 solo.append((act, nxt))
-        entry = self._steps[i][lid] = (solo, synced, receivers)
+        entry = self._steps[i][lid] = (
+            tuple(solo),
+            {g: tuple(offers) for g, offers in synced.items()} or _NONE,
+            {g: (tuple(fns), {}) for g, fns in accepts.items()} or _NONE,
+            self._member_bits[i] & ~(offered | receiving),
+            offered)
         return entry
 
     def enabled_actions(self, state: tuple) -> List[Tuple[Action, tuple]]:
         """All enabled (action, successor) pairs, in deterministic order.
 
-        A gate's offers are tried in the order of the smallest offer map
-        among members with no receiver on it (the lowest index on ties), or
-        when every member receives, in member order over all concrete offers.
+        Gates are tried in sync_map order, and only those that some member
+        offers concretely and where no member is blocked. A gate's offers
+        are tried in the order of the shortest offer tuple among members
+        with no receiver on it (the lowest index on ties), or when every
+        member receives, in member order over all concrete offers.
         """
         out: List[Tuple[Action, tuple]] = []
         steps = self._steps
         per_comp = [steps[i][s] or self._component_steps(i, s) for i, s in enumerate(state)]
-        for i, (solo, _, _) in enumerate(per_comp):
+        blocked = offered = 0
+        for i, (solo, _, _, b, o) in enumerate(per_comp):
+            blocked |= b
+            offered |= o
             for act, nxt in solo:
                 succ = list(state)
                 succ[i] = nxt
                 out.append((act, tuple(succ)))
-        for gate, members in self.sync_map.items():
+        fire = offered & ~blocked
+        while fire:
+            bit = fire & -fire
+            fire ^= bit
+            gate, members = self._gates[bit.bit_length() - 1]
             parts = []
             source = None
             for i in members:
-                _, synced, receivers = per_comp[i]
-                offered = synced.get(gate, _NO_OFFERS)
+                _, synced, receivers, _, _ = per_comp[i]
+                offers = synced.get(gate, ())
                 recv = receivers.get(gate)
-                if recv is None:
-                    if not offered:
-                        break
-                    if source is None or len(offered) < len(source):
-                        source = offered
-                parts.append((i, offered, recv))
-            else:
-                if source is None:
-                    source = {}
-                    for _, offered, _ in parts:
-                        for oid, hit in offered.items():
-                            source.setdefault(oid, hit)
-                for oid, (act, _) in source.items():
-                    choices = []
-                    for i, offered, recv in parts:
-                        hit = offered.get(oid)
-                        alts = hit[1] if hit else []
-                        if recv is not None:
-                            accepts, accepted = recv
-                            got = accepted.get(oid)
-                            if got is None:
-                                got = accepted[oid] = [
-                                    self._local_id(i, nxt)
-                                    for nxt in (accept(act.offers) for accept in accepts)
-                                    if nxt is not None]
-                            alts = alts + got
-                        if not alts:
+                if recv is None and (source is None or len(offers) < len(source)):
+                    source = offers
+                parts.append((i, offers, recv))
+            if source is None:
+                firsts = {}
+                for _, offers, _ in parts:
+                    for offer in offers:
+                        firsts.setdefault(offer[0], offer)
+                source = firsts.values()
+            for oid, act, _ in source:
+                choices = []
+                for i, offers, recv in parts:
+                    alts = ()
+                    for offer in offers:
+                        if offer[0] == oid:
+                            alts = offer[2]
                             break
-                        choices.append((i, alts))
-                    else:
-                        _emit_combos(out, state, act, choices)
+                    if recv is not None:
+                        accepts, accepted = recv
+                        got = accepted.get(oid)
+                        if got is None:
+                            got = accepted[oid] = tuple(
+                                self._local_id(i, nxt)
+                                for nxt in (accept(act.offers) for accept in accepts)
+                                if nxt is not None)
+                        alts += got
+                    if not alts:
+                        break
+                    choices.append((i, alts))
+                else:
+                    _emit_combos(out, state, act, choices)
         return out
 
 
@@ -338,21 +384,27 @@ def explore(system, limits: ExplorationLimits = ExplorationLimits(),
     init = system.initial_state
     index: Dict[Hashable, int] = {init: 0}
     payload: List[Hashable] = [init]
-    depth = [0]
     transitions: List[Tuple[int, Action, int]] = []
-    queue = collections.deque([] if goal is not None and goal(init) else [0])
 
     def explored() -> Lts:
         return Lts(len(payload), 0, tuple(transitions), tuple(payload))
 
+    # the queue holds the index objects that transitions share; states are
+    # numbered in BFS order, so a level's states run from one level end to
+    # the next
+    queue = collections.deque([] if goal is not None and goal(init) else [0])
+    depth, level_end = 0, 1
     while queue:
         si = queue.popleft()
-        if limits.max_depth and depth[si] >= limits.max_depth:
-            if system.enabled_actions(payload[si]):
+        if si == level_end:
+            depth, level_end = depth + 1, len(payload)
+        state = payload[si]
+        if limits.max_depth and depth >= limits.max_depth:
+            if system.enabled_actions(state):
                 raise ExplorationLimitError(explored(), "max_depth")
             continue
         into: Dict[int, List[Action]] = {}  # successor index -> actions emitted into it
-        for act, succ in system.enabled_actions(payload[si]):
+        for act, succ in system.enabled_actions(state):
             ti = index.get(succ)
             if ti is None:
                 if len(payload) >= limits.max_states:
@@ -360,7 +412,6 @@ def explore(system, limits: ExplorationLimits = ExplorationLimits(),
                 ti = len(payload)
                 index[succ] = ti
                 payload.append(succ)
-                depth.append(depth[si] + 1)
                 if goal is not None and goal(succ):
                     transitions.append((si, act, ti))
                     return explored()

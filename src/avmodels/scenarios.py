@@ -76,6 +76,12 @@ def _nat(value, where: str) -> int:
     return value
 
 
+def _flag(value, where: str) -> bool:
+    if not isinstance(value, bool):
+        raise ScenarioError(f"{where}: expected true or false, got {value!r}")
+    return value
+
+
 def _graph_scenario(data) -> ControlScenario:
     vertices = _req(data, "vertices", "scenario")
     raw_edges = _list(_req(data, "edges", "scenario"), "edges")
@@ -136,11 +142,11 @@ def _obstacle(ob, where: str, mobile: bool) -> ObstacleRec:
         y=_nat(_req(ob, "y", where), f"{where}.y"),
         w=_nat(ob.get("w", 1), f"{where}.w"),
         h=_nat(ob.get("h", 1), f"{where}.h"),
-        transparent=bool(ob.get("transparent", False)),
+        transparent=_flag(ob.get("transparent", False), f"{where}.transparent"),
     )
     if mobile:
         fields.update(speed=_nat(ob.get("speed", 1), f"{where}.speed"),
-                      cyclic=bool(ob.get("cyclic", False)),
+                      cyclic=_flag(ob.get("cyclic", False), f"{where}.cyclic"),
                       moves=_moves(_req(ob, "moves", where), f"{where}.moves"))
     try:
         return ObstacleRec(**fields)
@@ -163,7 +169,7 @@ def _grid_scenario(data) -> GridScenario:
             x=_nat(_req(raw_car, "x", "car"), "car.x"),
             y=_nat(_req(raw_car, "y", "car"), "car.y"),
             speed=_nat(raw_car.get("speed", 1), "car.speed"),
-            cyclic=bool(raw_car.get("cyclic", False)),
+            cyclic=_flag(raw_car.get("cyclic", False), "car.cyclic"),
             moves=_moves(raw_car.get("moves", []), "car.moves"),
         )
         return GridScenario(width, height, tuple(static), tuple(mobile), car,

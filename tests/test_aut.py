@@ -85,6 +85,14 @@ def test_import_rejects_out_of_range_states():
         import_aut(io.StringIO(src2))
 
 
+def test_import_rejects_more_states_than_the_transitions_can_name():
+    # one transition and the initial state name at most 3 states
+    assert import_aut(io.StringIO('des (0, 1, 3)\n(1, "a", 2)\n')).num_states == 3
+    with pytest.raises(AutFormatError, match="4 states") as exc:
+        import_aut(io.StringIO('des (0, 1, 4)\n(1, "a", 2)\n'))
+    assert exc.value.line == 1
+
+
 def test_import_rejects_count_mismatch():
     src = 'des (0, 2, 2)\n(0, "a", 1)\n'
     with pytest.raises(AutFormatError):

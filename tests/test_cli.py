@@ -305,6 +305,23 @@ def test_oversized_obstacle_exits_2_before_listing_its_cells(tmp_path, capsys, s
     assert capsys.readouterr().err.startswith(f"error: {section}[0]: ")
 
 
+@pytest.mark.parametrize("section,flag,value", [
+    ("static", "transparent", "false"), ("mobile", "cyclic", "no"), ("car", "cyclic", 0)])
+def test_a_flag_that_is_not_a_json_boolean_exits_2(tmp_path, capsys, section, flag, value):
+    grid = json.loads((CONFIGS / "grid.json").read_text())
+    if section == "car":
+        data, where = dict(grid, car=dict(grid["car"], **{flag: value})), f"car.{flag}"
+    else:
+        entry = dict(grid[section][0], **{flag: value})
+        data, where = dict(grid, **{section: [entry] + grid[section][1:]}), f"{section}[0].{flag}"
+    scenario = write_json(tmp_path / "flag.json", data)
+    for argv in (["explore", "--scenario", scenario, "--out", str(tmp_path / "out.aut")],
+                 ["render", "--scenario", scenario, "--sim", write_json(tmp_path / "sim.json", [])]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == \
+            f"error: {where}: expected true or false, got {value!r}\n"
+
+
 def test_non_ascii_aut_names_the_file_and_the_line(tmp_path, capsys):
     aut = tmp_path / "bad.aut"
     aut.write_bytes(b'des (0, 1, 2)\n(0, "caf\xd9", 1)\n')
@@ -314,6 +331,18 @@ def test_non_ascii_aut_names_the_file_and_the_line(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
         assert str(aut) in err and "line 2" in err
+
+
+def test_a_header_promising_a_million_states_exits_2_at_once(tmp_path, capsys):
+    aut = tmp_path / "lie.aut"
+    aut.write_text("des (0, 0, 1000000)\n")
+    for argv in (["minimize", str(aut), str(tmp_path / "out.aut")],
+                 ["check", "--lts", str(aut), "--property", "deadlock"]):
+        t0 = time.monotonic()
+        assert main(argv) == 2
+        assert time.monotonic() - t0 < 0.1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {aut}: line 1: header promises 1000000 states")
 
 
 AUT_LABELS = (

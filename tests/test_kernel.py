@@ -205,6 +205,49 @@ def test_random_compositions_match_brute_force_oracle():
                      "a receiver refuses an offer"}
 
 
+def gate_cases(comp, reachable, edges):
+    """Which gate situations the reachable states of a composition show, by
+    the position of the gate in sync_map: a gate past the eighth that fires
+    and one before it, a fired gate where every member receives, a gate where every member only
+    receives, a gate nobody offers concretely while some member has nothing
+    on it, and an offered gate that a member with nothing on it blocks."""
+    fired = {(src, a.gate) for src, a, _ in edges}
+    cases = set()
+    for st in reachable:
+        per = [c.step(s) for c, s in zip(comp.components, st)]
+        for k, (gate, members) in enumerate(comp.sync_map.items()):
+            offers = [any(not isinstance(a, Receive) and a.gate == gate for a, _ in per[i])
+                      for i in members]
+            receives = [any(isinstance(a, Receive) and a.gate == gate for a, _ in per[i])
+                        for i in members]
+            blocked = not all(o or r for o, r in zip(offers, receives))
+            if (st, gate) in fired:
+                cases.add("a gate past the eighth fires" if k >= 8 else "an early gate fires")
+                if all(receives):
+                    cases.add("every member receives")
+            elif not any(offers):
+                cases.add("nobody offers, a member blocks" if blocked else
+                          "every member only receives")
+            elif blocked:
+                cases.add("a member blocks an offered gate")
+    return cases
+
+
+def test_wide_compositions_match_brute_force_oracle():
+    # twelve gates, so the gate masks of Composition pass 255
+    rng = random.Random(20261019)
+    cases = set()
+    for _ in range(40):
+        comp = random_composition(rng, max_components=4, gates=tuple(f"g{k}" for k in range(12)))
+        lts = explore(comp, ExplorationLimits(max_states=100_000))
+        want = brute_force_edges(comp)
+        assert lts_edge_set(lts, comp) == want
+        cases |= gate_cases(comp, want[1], want[2])
+    assert cases == {"a gate past the eighth fires", "an early gate fires",
+                     "every member receives", "every member only receives",
+                     "nobody offers, a member blocks", "a member blocks an offered gate"}
+
+
 def test_step_runs_once_per_distinct_reachable_local_state():
     rng = random.Random(20261018)
     for _ in range(60):
