@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Set, Tuple
 
 from avmodels.kernel import Action, Component, Composition, Lts, Receive
+from avmodels.scenarios import ScenarioError, scenario_from_json
 from avmodels.values import Bool, Nat, Pos, Sym
 
 
@@ -475,3 +476,69 @@ def random_lts(rng: random.Random, max_states=200, labels=("a", "b", "c", "d")) 
         for _ in range(rng.randint(0, 3)):
             transitions.append((s, Action(rng.choice(labels)), rng.randrange(n)))
     return Lts(n, 0, tuple(transitions))
+
+
+_MOVES = ("up", "down", "left", "right", "none", "random")
+
+
+def random_grid_json(rng: random.Random) -> dict:
+    """Grid-scenario JSON of 2..5 x 2..5 cells: at most one static rock and
+    two mobile obstacles, each anchored on an edge cell about two times in
+    three, with scripts of up to four move words (random ones included) that
+    may be cyclic, and a car with such a script. Draws again until the
+    scenario loads."""
+    while True:
+        width, height = rng.randint(2, 5), rng.randint(2, 5)
+
+        def cell():
+            return (rng.choice((0, width - 1, rng.randrange(width))),
+                    rng.choice((0, height - 1, rng.randrange(height))))
+
+        def script():
+            moves = [rng.choice(_MOVES) for _ in range(rng.randint(0, 4))]
+            return moves, bool(moves) and rng.random() < 0.3
+
+        static = []
+        for _ in range(rng.randint(0, 1)):
+            x, y = cell()
+            static.append({"kind": "Rock", "x": x, "y": y, "transparent": rng.random() < 0.3})
+        mobile = []
+        for kind in ("Walker", "Cart")[:rng.randint(0, 2)]:
+            (x, y), (moves, cyclic) = cell(), script()
+            mobile.append({"kind": kind, "x": x, "y": y, "transparent": rng.random() < 0.5,
+                           "cyclic": cyclic, "moves": moves})
+        (x, y), (moves, cyclic) = cell(), script()
+        data = {"width": width, "height": height, "static": static, "mobile": mobile,
+                "car": {"x": x, "y": y, "cyclic": cyclic, "moves": moves},
+                "dist_min": rng.randint(0, 3)}
+        try:
+            scenario_from_json(data)
+        except ScenarioError:
+            continue
+        return data
+
+
+def random_street_json(rng: random.Random) -> dict:
+    """Street-graph scenario JSON: 2..4 vertices joined by n..n+3 random
+    streets (loops and parallel streets included), the car and its
+    destination on random streets, and up to two obstacles on other streets
+    with scripts of up to two random, leave or turn operations. Draws again
+    until the scenario loads."""
+    while True:
+        n = rng.randint(2, 4)
+        edges = [[rng.randrange(n), f"S{k}", rng.randrange(n)]
+                 for k in range(rng.randint(n, n + 3))]
+        streets = [street for _, street, _ in edges]
+        car = {"position": rng.choice(streets), "destination": rng.choice(streets)}
+        free = [s for s in streets if s != car["position"]]
+        rng.shuffle(free)
+        obstacles = [{"position": s, "moves": [
+            rng.choice(("random", "leave", {"turn": rng.randint(0, 2)}))
+            for _ in range(rng.randint(0, 2))]} for s in free[:rng.randint(0, 2)]]
+        data = {"vertices": list(range(n)), "edges": edges, "car": car,
+                "obstacles": obstacles}
+        try:
+            scenario_from_json(data)
+        except ScenarioError:
+            continue
+        return data

@@ -5,6 +5,9 @@ The kernel, product and search code may be refactored, but the verdicts it
 gives, their counterexamples (lasso cycles included), the testgen witnesses
 and the sha256 of the .aut that explore and minimize write for crossroad.json
 and for grid.json with --expose-grid must stay exactly what the goldens hold.
+So must the outputs for a seeded corpus of small generated grid and street
+scenarios, on which each check must also give the same verdict on the
+composition as on the LTS explored from it.
 `python tests/test_goldens.py` rewrites the goldens from the current code; do
 that only for an intended change of output.
 """
@@ -13,9 +16,12 @@ import io
 import json
 import pathlib
 import random
+from functools import partial
 
 from avmodels.aut import export_aut, import_aut
-from avmodels.control_model import build_control_composition, consistent_move
+from avmodels.control_model import (
+    ControlScenario, build_control_composition, consistent_move,
+)
 from avmodels.grid_model import build_grid_composition
 from avmodels.kernel import Lts, explore
 from avmodels.minimize import minimize
@@ -26,7 +32,7 @@ from avmodels.properties import (
 from avmodels.scenarios import load_scenario, scenario_from_json
 from avmodels.testgen import extract_test, parse_purpose, product_with_purpose
 
-from oracles import random_lts
+from oracles import random_grid_json, random_lts, random_street_json
 from test_control_model import CITY, city_scenario
 from test_shortest_traces import LABELS, SEEDS
 
@@ -105,6 +111,62 @@ def aut_sha256(grid_exposed: Lts) -> dict:
     return out
 
 
+CORPUS_SEED = 14
+CORPUS_PURPOSE = parse_purpose([{"gate": "ARRIVAL"}])
+
+
+def corpus_scenarios():
+    """(name, scenario JSON, expose_grid): 48 grid and 24 street-graph
+    scenarios drawn from one seed; every fourth grid publishes its
+    perception grids."""
+    rng = random.Random(CORPUS_SEED)
+    out = [(f"grid-{i:02d}", random_grid_json(rng), i % 4 == 0) for i in range(48)]
+    out += [(f"street-{i:02d}", random_street_json(rng), False) for i in range(24)]
+    return out
+
+
+def _sha256(data) -> str:
+    return hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
+
+
+def _aut_sha256(lts: Lts) -> str:
+    buf = io.BytesIO()
+    export_aut(lts, buf)
+    return hashlib.sha256(buf.getvalue()).hexdigest()
+
+
+def corpus() -> dict:
+    """Per corpus scenario: the sha256 of its JSON, of the .aut that explore
+    and minimize write, of every applicable verdict and of the ARRIVAL
+    purpose's witness. Asserts that each check gives the same verdict on the
+    composition as on its explored LTS."""
+    out = {}
+    for name, data, expose_grid in corpus_scenarios():
+        scn = scenario_from_json(data)
+        total = scn.end_obstacle_total
+        checks = {"deadlock": partial(check_deadlock_freedom, end_obstacle_total=total),
+                  "inevitable-termination": partial(check_inevitable_termination,
+                                                    end_obstacle_total=total)}
+        if isinstance(scn, ControlScenario):
+            comp = build_control_composition(scn)
+            checks["consistent-moves"] = partial(check_consistent_updates, gmap=scn.gmap)
+        else:
+            comp = build_grid_composition(scn, expose_grid=expose_grid)
+        lts = explore(comp)
+        verdicts = {}
+        for prop, check in checks.items():
+            verdict = check(lts)
+            assert check(comp) == verdict, (name, prop)
+            verdicts[prop] = _sha256(verdict.to_json())
+        witness = extract_test(product_with_purpose(comp, CORPUS_PURPOSE)[0])
+        out[name] = {
+            "scenario": _sha256(data), "states": lts.num_states,
+            "transitions": len(lts.transitions), "aut": _aut_sha256(lts),
+            "minimized": _aut_sha256(minimize(lts)), "verdicts": verdicts,
+            "witness": _sha256(None if witness is None else [a.text() for a in witness])}
+    return out
+
+
 def golden(name: str):
     return json.loads((GOLDEN / f"{name}.json").read_text())
 
@@ -123,9 +185,13 @@ def test_full_size_aut_bytes_match_the_goldens(grid_reference_exposed):
     assert aut_sha256(grid_reference_exposed.lts) == golden("aut_sha256")
 
 
+def test_generated_corpus_matches_the_golden():
+    assert corpus() == golden("corpus_sha256")
+
+
 if __name__ == "__main__":
     from conftest import _explore_grid
     for name, make in (("verdicts", verdicts), ("random_verdicts", random_verdicts),
-                       ("witnesses", manifest_witnesses),
+                       ("witnesses", manifest_witnesses), ("corpus_sha256", corpus),
                        ("aut_sha256", lambda: aut_sha256(_explore_grid(True).lts))):
         (GOLDEN / f"{name}.json").write_text(json.dumps(make(), indent=1) + "\n")
