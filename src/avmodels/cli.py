@@ -24,8 +24,8 @@ from .grid_model import build_grid_composition
 from .kernel import ExplorationLimitError, ExplorationLimits, Lts, explore
 from .minimize import minimize
 from .perception import GridScenario, rect_cells
-from .scenarios import ScenarioError, load_scenario
-from .testgen import FoldError, PurposeError, ReplayError, SimScenario
+from .scenarios import load_scenario
+from .testgen import SimScenario
 
 PROPERTIES = ("consistent-moves", "inevitable-termination", "deadlock")
 
@@ -255,7 +255,7 @@ def main(argv=None) -> int:
     except ExplorationLimitError as e:  # a product of testgen or check; no output
         print(f"truncated: {e.reason}", file=sys.stderr)
         return EXIT_LIMIT
-    except (ScenarioError, PurposeError, FoldError, ReplayError, ValueError) as e:
+    except ValueError as e:  # scenario, purpose, sim and value errors
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

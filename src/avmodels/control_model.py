@@ -75,6 +75,10 @@ class GraphMap:
                 raise MapError(f"edge {street} endpoint not a vertex")
             if street in by_street:
                 raise MapError(f"duplicate street name {street}")
+            try:
+                Sym(street)  # labels carry the street as a symbol
+            except ValueError_:
+                raise MapError(f"street name {street!r} is not a symbol name") from None
             by_street[street] = (src, dst)
             succ[src].append(street)
         object.__setattr__(self, "_edge_by_street", by_street)

@@ -19,22 +19,19 @@ A composition's states are tuples of local-state ids, one per component: it
 numbers each component's distinct local states once, in the order they first
 appear among the step outputs (the initial one is 0), and local_states
 decodes a state back to the tuple of local states. Component states must be
-hashable, since the numbering looks them up by equality. Each distinct
-offers tuple is numbered once too, as an offer id, and each (gate, offer id)
-has one canonical Action, so equal labels of an explored LTS are one object.
-The step cache is a list per component indexed by local id, and each entry
-is frozen when it is built: tuples of (offer id, action, next ids) per gate,
-receivers' accept tuples, and shared empty constants where a local state has
-nothing. Step outputs are deduplicated by (gate, offer id, next id), the
-rendezvous matches offers by scanning a gate's short offer tuple for an id,
-and receivers' results are memoized per (local id, offer id), so none of it
-hashes nested values; accept still gets the offers tuple itself. Each entry
-also holds two bitmasks over the synchronized gates: the member gates where
-the local state has neither an offer nor a receiver, and the gates it offers
-concretely. enabled_actions ORs them over a state's components and tries
-only the gates someone offers and no member blocks, which are the only ones
-that can fire. Ids follow first appearance, gates keep sync_map order and
-offers their first-seen order, so exploration order does not depend on them.
+hashable, since the numbering looks them up by equality. Each distinct label
+has one canonical Action, so equal labels of an explored LTS are one object;
+the rendezvous matches offers by identity and memoizes receivers' results
+per action id, without hashing nested values, and accept still gets the
+offers tuple itself. The step cache is a list per component indexed by
+local id, and each entry is frozen when it is built: the solo moves, one
+table of the synchronized gates where the local state offers or receives,
+and two bitmasks over the synchronized gates, the member gates missing from
+that table and the gates it offers concretely. enabled_actions ORs the
+masks over a state's components and tries only the gates someone offers and
+no member blocks, which are the only ones that can fire. Ids follow first
+appearance, gates keep sync_map order and offers their first-seen order, so
+exploration order does not depend on them.
 
 explore is the one breadth-first search of the package. It walks any system
 with an initial_state and enabled_actions(state): a composition, an Lts, or a
@@ -118,10 +115,6 @@ class CompositionError(ValueError):
     pass
 
 
-# shared by every step-cache entry with nothing on a gate; never mutated
-_NONE: Dict = {}
-
-
 class Composition:
     """A closed system of components with per-gate synchronization sets.
 
@@ -149,23 +142,22 @@ class Composition:
             sum(self._gate_bits[g] for g in c.sync_set) for c in self.components]
         # per component: local id -> local state, local state -> local id,
         # and the step cache, local id -> None or a frozen entry (solo,
-        # synced, receivers, blocked, offered):
+        # gates, blocked, offered):
         # - solo: tuple of (action, next id) on unsynchronized gates;
-        # - synced: gate -> tuple of (offer id, action, next ids tuple), in
-        #   first-seen order;
-        # - receivers: gate -> (accepts tuple, offer id -> accepted next ids
-        #   tuple, filled when the rendezvous first asks);
-        # - blocked: gate mask of member gates with neither an offer nor a
-        #   receiver, where the component cannot take part;
+        # - gates: synchronized gate -> (offers, accepts, accepted), for each
+        #   gate where the local state offers or receives: offers is a tuple
+        #   of (action, next ids tuple) in first-seen order, accepts the
+        #   receivers' accept functions and accepted their memo, id(action)
+        #   -> accepted next ids tuple, or None without receivers;
+        # - blocked: gate mask of member gates with no entry in gates, where
+        #   the component cannot take part;
         # - offered: gate mask of gates with a concrete offer.
-        # Empty solo, synced and receivers are the shared () and _NONE. An
-        # offer id numbers each distinct offers tuple once, and (gate, offer
-        # id) -> its canonical action
+        # _labels maps each distinct label to its one canonical Action, so
+        # offers match by identity
         self._locals: List[List[Hashable]] = [[c.initial] for c in self.components]
         self._local_ids: List[Dict[Hashable, int]] = [{c.initial: 0} for c in self.components]
         self._steps: List[List[Optional[tuple]]] = [[None] for _ in self.components]
-        self._offer_ids: Dict[Tuple[Value, ...], int] = {}
-        self._actions: Dict[Tuple[str, int], Action] = {}
+        self._labels: Dict[Action, Action] = {}
 
     @property
     def initial_state(self) -> tuple:
@@ -185,52 +177,48 @@ class Composition:
         return lid
 
     def _component_steps(self, i: int, lid: int):
-        solo: List[Tuple[Action, int]] = []
-        synced: Dict[str, List[Tuple[int, Action, Tuple[int, ...]]]] = {}
-        accepts: Dict[str, list] = {}
-        bits = self._gate_bits
-        offered = receiving = 0
         comp = self.components[i]
-        seen = set()
+        labels = self._labels
+        bits = self._gate_bits
+        solo: Dict[Tuple[int, int], Tuple[Action, int]] = {}
+        gates: Dict[str, Tuple[list, list]] = {}
+        member = offered = 0
         for act, nxt in comp.step(self._locals[i][lid]):
+            gate = act.gate
             receive = type(act) is Receive
-            if receive:
-                key = (act.gate, nxt)
-            else:
-                oid = self._offer_ids.get(act.offers)
-                if oid is None:
-                    oid = self._offer_ids[act.offers] = len(self._offer_ids)
-                act = self._actions.setdefault((act.gate, oid), act)
+            if not receive:
+                act = labels.setdefault(act, act)
                 nxt = self._local_id(i, nxt)
-                key = (act.gate, oid, nxt)
-            if key in seen:
-                continue
-            seen.add(key)
-            if receive or act.gate in self.sync_map:
-                if act.gate not in comp.sync_set:
-                    raise CompositionError(
-                        f"component {comp.id} {'receives' if receive else 'emits'} "
-                        f"synchronized gate {act.gate} without listing it in its sync set"
-                    )
-                if receive:
-                    accepts.setdefault(act.gate, []).append(nxt)
-                    receiving |= bits[act.gate]
+                if gate not in self.sync_map:
+                    solo.setdefault((id(act), nxt), (act, nxt))
                     continue
-                offers = synced.setdefault(act.gate, [])
-                for k, (o, _, nxts) in enumerate(offers):
-                    if o == oid:  # another successor for an offer listed before
-                        offers[k] = (oid, act, nxts + (nxt,))
-                        break
-                else:
-                    offers.append((oid, act, (nxt,)))
-                offered |= bits[act.gate]
+            if gate not in comp.sync_set:
+                raise CompositionError(
+                    f"component {comp.id} {'receives' if receive else 'emits'} "
+                    f"synchronized gate {gate} without listing it in its sync set"
+                )
+            part = gates.get(gate)
+            if part is None:
+                part = gates[gate] = ([], [])
+                member |= bits[gate]
+            offers, accepts = part
+            if receive:
+                if nxt not in accepts:
+                    accepts.append(nxt)
+                continue
+            for k, (a, nxts) in enumerate(offers):
+                if a is act:  # another successor for an offer listed before
+                    if nxt not in nxts:
+                        offers[k] = (act, nxts + (nxt,))
+                    break
             else:
-                solo.append((act, nxt))
+                offers.append((act, (nxt,)))
+            offered |= bits[gate]
         entry = self._steps[i][lid] = (
-            tuple(solo),
-            {g: tuple(offers) for g, offers in synced.items()} or _NONE,
-            {g: (tuple(fns), {}) for g, fns in accepts.items()} or _NONE,
-            self._member_bits[i] & ~(offered | receiving),
+            tuple(solo.values()),
+            {g: (tuple(offers), tuple(accepts), {} if accepts else None)
+             for g, (offers, accepts) in gates.items()},
+            self._member_bits[i] & ~member,
             offered)
         return entry
 
@@ -247,7 +235,7 @@ class Composition:
         steps = self._steps
         per_comp = [steps[i][s] or self._component_steps(i, s) for i, s in enumerate(state)]
         blocked = offered = 0
-        for i, (solo, _, _, b, o) in enumerate(per_comp):
+        for i, (solo, _, b, o) in enumerate(per_comp):
             blocked |= b
             offered |= o
             for act, nxt in solo:
@@ -259,34 +247,32 @@ class Composition:
             bit = fire & -fire
             fire ^= bit
             gate, members = self._gates[bit.bit_length() - 1]
+            # no member is blocked, so each has an entry for the gate
             parts = []
             source = None
             for i in members:
-                _, synced, receivers, _, _ = per_comp[i]
-                offers = synced.get(gate, ())
-                recv = receivers.get(gate)
-                if recv is None and (source is None or len(offers) < len(source)):
+                offers, accepts, accepted = per_comp[i][1][gate]
+                if accepted is None and (source is None or len(offers) < len(source)):
                     source = offers
-                parts.append((i, offers, recv))
+                parts.append((i, offers, accepts, accepted))
             if source is None:
                 firsts = {}
-                for _, offers, _ in parts:
+                for _, offers, _, _ in parts:
                     for offer in offers:
-                        firsts.setdefault(offer[0], offer)
+                        firsts.setdefault(id(offer[0]), offer)
                 source = firsts.values()
-            for oid, act, _ in source:
+            for act, _ in source:
                 choices = []
-                for i, offers, recv in parts:
+                for i, offers, accepts, accepted in parts:
                     alts = ()
-                    for offer in offers:
-                        if offer[0] == oid:
-                            alts = offer[2]
+                    for a, nxts in offers:
+                        if a is act:
+                            alts = nxts
                             break
-                    if recv is not None:
-                        accepts, accepted = recv
-                        got = accepted.get(oid)
+                    if accepted is not None:
+                        got = accepted.get(id(act))
                         if got is None:
-                            got = accepted[oid] = tuple(
+                            got = accepted[id(act)] = tuple(
                                 self._local_id(i, nxt)
                                 for nxt in (accept(act.offers) for accept in accepts)
                                 if nxt is not None)

@@ -441,6 +441,48 @@ def test_every_command_accepts_and_rejects_the_same_grid_scenarios(tmp_path_fact
     assert codes.count(2) in (0, len(runs)), codes
 
 
+STREET_NAMES = ("A", "B_bis", "Main_Street", "Main Street", "true", "Position", "9th", "")
+
+
+@st.composite
+def street_scenarios(draw):
+    """Street-graph JSON over 2..4 vertices whose street names may not be
+    symbol names (spaces, reserved words, a leading digit, empty) or may
+    repeat, with the car, its destination and up to two obstacles on drawn
+    streets."""
+    n = draw(st.integers(2, 4))
+    vertex = st.integers(0, n - 1)
+    edges = [[draw(vertex), name, draw(vertex)]
+             for name in draw(st.lists(st.sampled_from(STREET_NAMES), min_size=1, max_size=5))]
+    street = st.sampled_from([name for _, name, _ in edges])
+    op = st.sampled_from(("random", "leave", {"turn": 0}, {"turn": 1}))
+    return {"vertices": list(range(n)), "edges": edges,
+            "car": {"position": draw(street), "destination": draw(street)},
+            "obstacles": [{"position": draw(street), "moves": draw(st.lists(op, max_size=2))}
+                          for _ in range(draw(st.integers(0, 2)))]}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=street_scenarios())
+def test_every_command_accepts_and_rejects_the_same_street_scenarios(tmp_path_factory, data):
+    work = tmp_path_factory.mktemp("street")
+    scenario = write_json(work / "scenario.json", data)
+    aut = work / "one.aut"
+    aut.write_text("des (0, 0, 1)\n")
+    runs = [["explore", "--scenario", scenario, "--out", str(work / "out.aut"),
+             "--max-states", "200"]] + [
+        ["check", "--lts", str(aut), "--property", prop, "--scenario", scenario]
+        for prop in ("consistent-moves", "deadlock")]
+    codes = []
+    for argv in runs:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            codes.append(main(argv))
+        assert codes[-1] in (0, 1, 2, 3), argv
+        assert "Traceback" not in out.getvalue() + err.getvalue(), argv
+    assert codes.count(2) in (0, len(runs)), codes
+
+
 def test_missing_files_exit_2(tmp_path, capsys):
     assert main(["explore", "--scenario", str(tmp_path / "none.json"),
                  "--out", str(tmp_path / "x.aut")]) == 2

@@ -52,6 +52,14 @@ def test_graph_map_validation():
         GraphMap((0, 1), ((0, "A", 1), (1, "A", 0)))
 
 
+@pytest.mark.parametrize("name", ["Main Street", "true"])
+def test_street_names_must_be_symbol_names(name):
+    # labels carry streets as symbols, so a street that no label could name
+    # is rejected with the map, not when the car first reaches it
+    with pytest.raises(MapError, match=f"street name '{name}' is not a symbol name"):
+        GraphMap((0, 1), ((0, "A", 1), (1, name, 1)))
+
+
 def test_itinerary_shortest_and_deterministic():
     it = compute_itinerary(CITY, "Coronation_Street", "Albert_Square")
     assert it.reachable and len(it.controls) == 5

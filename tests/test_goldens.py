@@ -104,11 +104,15 @@ def aut_sha256(grid_exposed: Lts) -> dict:
     crossroad = explore(build_control_composition(load_scenario(CONFIGS / "crossroad.json")))
     out = {}
     for name, lts in (("crossroad.json", crossroad), ("grid.json --expose-grid", grid_exposed)):
-        for key, written in ((name, lts), (f"{name} minimized", minimize(lts))):
-            buf = io.BytesIO()
-            export_aut(written, buf)
-            out[key] = hashlib.sha256(buf.getvalue()).hexdigest()
+        out[name] = _aut_sha256(lts)
+        out[f"{name} minimized"] = _aut_sha256(minimize(lts))
     return out
+
+
+def _aut_sha256(lts: Lts) -> str:
+    buf = io.BytesIO()
+    export_aut(lts, buf)
+    return hashlib.sha256(buf.getvalue()).hexdigest()
 
 
 CORPUS_SEED = 14
@@ -127,12 +131,6 @@ def corpus_scenarios():
 
 def _sha256(data) -> str:
     return hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
-
-
-def _aut_sha256(lts: Lts) -> str:
-    buf = io.BytesIO()
-    export_aut(lts, buf)
-    return hashlib.sha256(buf.getvalue()).hexdigest()
 
 
 def corpus() -> dict:

@@ -1,11 +1,13 @@
-"""Every module-level import of the package and of its tests is used."""
+"""Every module-level import of the package and of its tests is used, and
+every module-level definition of the package is used inside it or exported."""
 import ast
 import pathlib
 
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-SOURCES = sorted(p for p in (ROOT / "src" / "avmodels").glob("*.py") if p.name != "__init__.py")
+PACKAGE = ROOT / "src" / "avmodels"
+SOURCES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 SOURCES += sorted((ROOT / "tests").glob("*.py"))
 
 
@@ -23,6 +25,42 @@ def unused_imports(source: str):
     return sorted((line, name) for name, line in bound.items() if name not in used)
 
 
+def dead_definitions(modules: dict, exported) -> list:
+    """(module, name) of each module-level function, class or constant of
+    the modules (name -> source) whose name no module loads, as a name or
+    as an attribute, and exported does not hold. Names match by spelling
+    alone, so a local variable of the same name counts as a load."""
+    trees = {module: ast.parse(source) for module, source in modules.items()}
+    loaded = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    dead = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                continue
+            dead += [(module, name) for name in names
+                     if name not in loaded and name not in exported]
+    return sorted(dead)
+
+
+def exported_names() -> set:
+    for node in ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and any(t.id == "__all__" for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_module_level_imports_are_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
@@ -31,3 +69,17 @@ def test_module_level_imports_are_used(path):
 def test_the_guard_sees_an_unused_import():
     assert unused_imports("import os\nfrom typing import List, Tuple\nx: List = 1\n") == \
         [(1, "os"), (2, "Tuple")]
+
+
+def test_package_definitions_are_used_or_exported():
+    modules = {p.stem: p.read_text(encoding="utf-8")
+               for p in PACKAGE.glob("*.py") if p.name != "__init__.py"}
+    assert dead_definitions(modules, exported_names()) == []
+
+
+def test_the_guard_sees_a_dead_definition():
+    modules = {"kernel": "_NONE: dict = {}\nLIMIT = 3\ndef step(s):\n    return s\n"
+                         "class Cache:\n    pass\n",
+               "model": "from .kernel import step\nfrom . import kernel\n"
+                        "def run():\n    return step(kernel.LIMIT)\n"}
+    assert dead_definitions(modules, {"run"}) == [("kernel", "Cache"), ("kernel", "_NONE")]

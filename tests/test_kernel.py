@@ -41,6 +41,24 @@ def test_two_way_rendezvous_requires_equal_offers():
     comp = Composition((p, q))
     acts = comp.enabled_actions(comp.initial_state)
     assert [(a.text(), comp.local_states(s)) for a, s in acts] == [("g !2", (2, 1))]
+    # offers are tried in the order of the shortest offer list among the
+    # members without a receiver, here Q's; each call gives a new object
+    def g(n):
+        return Action("g", (Nat(n),))
+
+    p = table_component("P", {"g"}, {0: [(g(1), 1), (g(2), 2), (g(3), 3)]})
+    q = table_component("Q", {"g"}, {0: [(g(3), 1), (g(2), 2)]})
+    comp = Composition((p, q))
+    acts = comp.enabled_actions(comp.initial_state)
+    assert [(a.text(), comp.local_states(s)) for a, s in acts] == \
+        [("g !3", (3, 1)), ("g !2", (2, 2))]
+    # a member that also receives is never the source, though its one offer
+    # is the shortest list
+    r = table_component("R", {"g"}, {0: [(g(2), 5), (Receive("g"), lambda offers: 9)]})
+    comp = Composition((p, q, r))
+    acts = comp.enabled_actions(comp.initial_state)
+    assert [(a.text(), comp.local_states(s)) for a, s in acts] == \
+        [("g !3", (3, 1, 9)), ("g !2", (2, 2, 5)), ("g !2", (2, 2, 9))]
 
 
 def test_three_way_rendezvous():
