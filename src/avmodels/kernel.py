@@ -27,7 +27,8 @@ offers tuple itself. The step cache is a list per component indexed by
 local id, and each entry is frozen when it is built: the solo moves, one
 table of the synchronized gates where the local state offers or receives,
 and two bitmasks over the synchronized gates, the member gates missing from
-that table and the gates it offers concretely. enabled_actions ORs the
+that table and the gates it offers concretely. Only a receiver's memo is
+added later, the first time its gate is tried. enabled_actions ORs the
 masks over a state's components and tries only the gates someone offers and
 no member blocks, which are the only ones that can fire. Ids follow first
 appearance, gates keep sync_map order and offers their first-seen order, so
@@ -148,7 +149,8 @@ class Composition:
         #   gate where the local state offers or receives: offers is a tuple
         #   of (action, next ids tuple) in first-seen order, accepts the
         #   receivers' accept functions and accepted their memo, id(action)
-        #   -> accepted next ids tuple, or None without receivers;
+        #   -> accepted next ids tuple, None until the gate is first tried
+        #   (most receivers never are) and always None without receivers;
         # - blocked: gate mask of member gates with no entry in gates, where
         #   the component cannot take part;
         # - offered: gate mask of gates with a concrete offer.
@@ -216,8 +218,7 @@ class Composition:
             offered |= bits[gate]
         entry = self._steps[i][lid] = (
             tuple(solo.values()),
-            {g: (tuple(offers), tuple(accepts), {} if accepts else None)
-             for g, (offers, accepts) in gates.items()},
+            {g: (tuple(offers), tuple(accepts), None) for g, (offers, accepts) in gates.items()},
             self._member_bits[i] & ~member,
             offered)
         return entry
@@ -251,9 +252,14 @@ class Composition:
             parts = []
             source = None
             for i in members:
-                offers, accepts, accepted = per_comp[i][1][gate]
-                if accepted is None and (source is None or len(offers) < len(source)):
-                    source = offers
+                table = per_comp[i][1]
+                offers, accepts, accepted = table[gate]
+                if not accepts:
+                    if source is None or len(offers) < len(source):
+                        source = offers
+                elif accepted is None:  # first try of this receiver's gate
+                    accepted = {}
+                    table[gate] = (offers, accepts, accepted)
                 parts.append((i, offers, accepts, accepted))
             if source is None:
                 firsts = {}
@@ -269,7 +275,7 @@ class Composition:
                         if a is act:
                             alts = nxts
                             break
-                    if accepted is not None:
+                    if accepts:
                         got = accepted.get(id(act))
                         if got is None:
                             got = accepted[id(act)] = tuple(

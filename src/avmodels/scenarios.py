@@ -82,6 +82,12 @@ def _flag(value, where: str) -> bool:
     return value
 
 
+def _street(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise ScenarioError(f"{where}: expected a street name, got {value!r}")
+    return value
+
+
 def _graph_scenario(data) -> ControlScenario:
     vertices = _req(data, "vertices", "scenario")
     raw_edges = _list(_req(data, "edges", "scenario"), "edges")
@@ -102,14 +108,14 @@ def _graph_scenario(data) -> ControlScenario:
     car = _req(data, "car", "scenario")
     if not isinstance(car, dict):
         raise ScenarioError("car: expected an object")
-    position = _req(car, "position", "car")
-    destination = _req(car, "destination", "car")
+    position = _street(_req(car, "position", "car"), "car.position")
+    destination = _street(_req(car, "destination", "car"), "car.destination")
     obstacles = []
     for i, ob in enumerate(_list(data.get("obstacles", []), "obstacles")):
         where = f"obstacles[{i}]"
         if not isinstance(ob, dict):
             raise ScenarioError(f"{where}: expected an object")
-        street = _req(ob, "position", where)
+        street = _street(_req(ob, "position", where), f"{where}.position")
         moves = []
         for j, mv in enumerate(_list(ob.get("moves", []), f"{where}.moves")):
             if mv in (RANDOM, LEAVE):

@@ -1,9 +1,11 @@
 """End-to-end runs of the command line front end via main(argv)."""
 import contextlib
+import gc
 import io
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import time
@@ -11,11 +13,12 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from avmodels import kernel
+from avmodels import cli, kernel
 from avmodels.aut import import_aut
 from avmodels.cli import main
 from avmodels.kernel import ExplorationLimits, explore
 from avmodels.scenarios import ScenarioError, scenario_from_json
+from oracles import random_grid_json
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "configs"
@@ -322,6 +325,22 @@ def test_a_flag_that_is_not_a_json_boolean_exits_2(tmp_path, capsys, section, fl
             f"error: {where}: expected true or false, got {value!r}\n"
 
 
+@pytest.mark.parametrize("field, data, got", [
+    ("car.position", dict(TINY_GRAPH, car={"position": ["A"], "destination": "A_bis"}), "['A']"),
+    ("car.destination", dict(TINY_GRAPH, car={"position": "A", "destination": 1}), "1"),
+    ("obstacles[0].position", dict(TINY_GRAPH, obstacles=[{"position": ["A_bis"]}]), "['A_bis']"),
+], ids=["car-position", "car-destination", "obstacle-position"])
+def test_a_street_position_that_is_not_a_name_exits_2_naming_the_field(tmp_path, capsys,
+                                                                        field, data, got):
+    scenario = write_json(tmp_path / "scenario.json", data)
+    aut = tmp_path / "one.aut"
+    aut.write_text("des (0, 0, 1)\n")
+    for argv in (["explore", "--scenario", scenario, "--out", str(tmp_path / "out.aut")],
+                 ["check", "--lts", str(aut), "--property", "deadlock", "--scenario", scenario]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {field}: expected a street name, got {got}\n"
+
+
 def test_non_ascii_aut_names_the_file_and_the_line(tmp_path, capsys):
     aut = tmp_path / "bad.aut"
     aut.write_bytes(b'des (0, 1, 2)\n(0, "caf\xd9", 1)\n')
@@ -508,6 +527,79 @@ def test_reference_configs_parse(capsys, tmp_path):
     code = main(["explore", "--scenario", str(CONFIGS / "crossroad.json"),
                  "--out", str(tmp_path / "c.aut"), "--max-states", "3000"])
     assert code == 3  # the full graph model is larger than this cap
+
+
+def _exit_path(name, tmp_path, monkeypatch):
+    """(argv, expected exit code or the exception main lets through) for one
+    way out of main."""
+    grid = write_json(tmp_path / "grid.json", TINY_GRID)
+    unreachable = write_json(tmp_path / "p.json", [{"gate": "COLLISION", "offers": ["Rock"]}])
+    if name == "check-fails":
+        blocked = write_json(tmp_path / "blocked.json", dict(
+            TINY_GRAPH, obstacles=[{"position": "A_bis", "moves": [{"turn": 5}]}]))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["explore", "--scenario", blocked, "--out", str(tmp_path / "b.aut")]) == 0
+        return ["check", "--lts", str(tmp_path / "b.aut"), "--property", "deadlock",
+                "--scenario", blocked], 1
+    if name == "uncaught":
+        def boom(args):
+            raise RuntimeError(f"collector enabled: {gc.isenabled()}")
+        monkeypatch.setattr(cli, "cmd_explore", boom)
+    explore_grid = ["explore", "--scenario", grid, "--out", str(tmp_path / "out.aut")]
+    return {
+        "explore": (explore_grid, 0),
+        "testgen-inconclusive": (["testgen", "--scenario", grid, "--purpose", unreachable,
+                                  "--out", str(tmp_path / "sim.json")], 1),
+        "cli-error": (["explore", "--scenario", write_json(tmp_path / "g.json", TINY_GRAPH),
+                       "--out", str(tmp_path / "out.aut"), "--expose-grid"], 2),
+        "bad-scenario": (["explore", "--scenario", write_json(tmp_path / "bad.json", dict(
+            TINY_GRAPH, obstacles=[{"position": ["A_bis"]}])), "--out", str(tmp_path / "out.aut")], 2),
+        "limit": (explore_grid + ["--max-states", "10"], 3),
+        "uncaught": (explore_grid, RuntimeError),
+    }[name]
+
+
+@pytest.fixture
+def restore_collector():
+    """Puts the cyclic collector back as the test found it."""
+    was = gc.isenabled()
+    yield
+    (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collecting", "paused-by-caller"])
+@pytest.mark.parametrize("name", ["explore", "check-fails", "testgen-inconclusive", "cli-error",
+                                  "bad-scenario", "limit", "uncaught"])
+def test_main_leaves_the_cyclic_collector_as_it_found_it(tmp_path, capsys, monkeypatch,
+                                                         restore_collector, name, enabled):
+    argv, want = _exit_path(name, tmp_path, monkeypatch)
+    (gc.enable if enabled else gc.disable)()
+    if want is RuntimeError:
+        with pytest.raises(RuntimeError, match="collector enabled: False"):
+            main(argv)
+    else:
+        assert main(argv) == want
+    assert gc.isenabled() is enabled
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("scenario, expose_grid", [
+    (str(CONFIGS / "crossroad.json"), False),  # 22,474 states
+    (random_grid_json(random.Random(14)), True),  # corpus scenario grid-00
+], ids=["crossroad", "corpus-grid-00"])
+def test_a_command_leaves_almost_no_cyclic_garbage(tmp_path, capsys, restore_collector,
+                                                   scenario, expose_grid):
+    # main pauses the cyclic collector because what a command builds holds
+    # no reference cycles: reference counting frees the explored model, so a
+    # collection afterwards finds only a few hundred objects of any run
+    if not isinstance(scenario, str):
+        scenario = write_json(tmp_path / "scenario.json", scenario)
+    argv = ["explore", "--scenario", scenario, "--out", str(tmp_path / "out.aut")]
+    gc.disable()  # no automatic collection between the command and the count
+    gc.collect()
+    assert main(argv + (["--expose-grid"] if expose_grid else [])) == 0
+    assert gc.collect() < 1000
+    assert "states=" in capsys.readouterr().out
 
 
 # explores every bundled scenario and generates every manifest witness into
