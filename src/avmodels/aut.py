@@ -9,17 +9,35 @@ canonical action text form and parsed back into structured actions when they
 are canonical; anything else round-trips as an opaque label. Export writes
 each action object's text once; import parses each distinct label text once,
 and transitions with equal text share one action.
+
+Export sorts its rows once and writes them in chunks of _WRITE_LINES lines,
+so the file never exists whole in memory as one string or line list.
+
+Import reads a file as export writes it in one pass over chunks of about
+_READ_CHUNK characters, each cut at a line end: the quotes split a chunk into
+labels and a label-free skeleton, which must be exactly one
+`(digits, "", digits)` line per transition. Anything else (other spacing,
+blank lines, other line breaks, no final newline, a count or range error)
+sends the whole text to the per-line reader, which accepts the same files
+and reports every error with its line; both readers give equal Lts.
 """
 from __future__ import annotations
 
 import re
-from typing import IO, Dict, List, Tuple
+from typing import IO, Dict, List, Optional, Tuple
 
 from . import values
 from .kernel import Action, Lts, parse_action
 
 _HEADER_RE = re.compile(r"des\s*\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)\s*\Z")
 _TRANS_RE = re.compile(r"\(\s*(\d+)\s*,\s*\"([^\"]*)\"\s*,\s*(\d+)\s*\)\s*\Z")
+# the header exactly as export writes it; ASCII digits only
+_EXPORTED_HEADER_RE = re.compile(r"des \(([0-9]+), ([0-9]+), ([0-9]+)\)\Z")
+_READ_CHUNK = 1 << 18
+_WRITE_LINES = 4096
+_SKELETON_LINE = '(, "", )\n'  # an exported line without its numbers and label
+_NO_DIGITS = str.maketrans("", "", "0123456789")
+_NUMBER_SEPARATORS = str.maketrans('(,")\n', "     ")
 
 
 class AutFormatError(ValueError):
@@ -29,7 +47,10 @@ class AutFormatError(ValueError):
 
 
 def export_aut(lts: Lts, sink: IO) -> None:
-    """Write lts to a binary or text stream. ASCII only."""
+    """Write lts to a binary or text stream. ASCII only.
+
+    Raises ValueError before writing anything if a label holds a quote or a
+    non-ASCII character."""
     rows: List[Tuple[int, str, int]] = []
     # id(action) -> its checked label text; lts keeps every action alive,
     # and an id costs no hashing of offer values
@@ -42,15 +63,19 @@ def export_aut(lts: Lts, sink: IO) -> None:
                 raise ValueError(f"label not representable in aut: {label!r}")
         rows.append((src, label, dst))
     rows.sort()
-    lines = [f"des ({lts.initial}, {len(rows)}, {lts.num_states})\n"]
-    lines.extend(f'({src}, "{label}", {dst})\n' for src, label, dst in rows)
-    data = "".join(lines)
     if hasattr(sink, "buffer"):
         sink = sink.buffer  # text wrapper around a binary stream
+    header = f"des ({lts.initial}, {len(rows)}, {lts.num_states})\n"
     try:
-        sink.write(data.encode("ascii"))
+        sink.write(header.encode("ascii"))
+        encode = True
     except TypeError:
-        sink.write(data)
+        sink.write(header)
+        encode = False
+    for start in range(0, len(rows), _WRITE_LINES):
+        chunk = "".join(f'({src}, "{label}", {dst})\n'
+                        for src, label, dst in rows[start:start + _WRITE_LINES])
+        sink.write(chunk.encode("ascii") if encode else chunk)
 
 
 def import_aut(source: IO) -> Lts:
@@ -71,6 +96,57 @@ def import_aut(source: IO) -> Lts:
             # for the byte appended, its last line is the byte's line
             line = len((data[:e.start].decode("ascii") + "?").splitlines())
             raise AutFormatError(f"not ascii: {e}", line)
+    lts = _import_exported(data)
+    return lts if lts is not None else _import_lines(data)
+
+
+def _import_exported(data: str) -> Optional[Lts]:
+    """The Lts of a file laid out exactly as export_aut writes it, read in
+    chunks; None for any other text, valid or not."""
+    end = data.find("\n")
+    m = _EXPORTED_HEADER_RE.match(data, 0, end) if end >= 0 else None
+    if not m:
+        return None
+    initial, ntrans, nstates = (int(g) for g in m.groups())
+    if nstates > 2 * ntrans + 1 or initial >= nstates:
+        return None
+    transitions: List[Tuple[int, Action, int]] = []
+    actions: Dict[str, Action] = {}  # label text -> its action
+    pos = end + 1
+    while pos < len(data):
+        end = data.find("\n", pos + _READ_CHUNK)
+        end = len(data) if end < 0 else end + 1
+        pieces = data[pos:end].split('"')
+        pos = end
+        lines = len(pieces) // 2
+        skeleton = '""'.join(pieces[::2])
+        if skeleton.translate(_NO_DIGITS) != _SKELETON_LINE * lines:
+            return None
+        # two non-empty digit runs per line, or the count falls short
+        numbers = skeleton.translate(_NUMBER_SEPARATORS).split()
+        if len(numbers) != 2 * lines:
+            return None
+        try:
+            numbers = list(map(int, numbers))
+        except ValueError:  # more digits than int() converts
+            return None
+        if max(numbers) >= nstates:
+            return None
+        labels = pieces[1::2]
+        for label in set(labels).difference(actions):
+            if label.splitlines() not in ([], [label]):
+                return None  # a line break inside the quotes
+            actions[label] = _parse_label(label)
+        transitions.extend(zip(numbers[::2], map(actions.__getitem__, labels),
+                               numbers[1::2]))
+    if len(transitions) != ntrans:
+        return None
+    return Lts(nstates, initial, tuple(transitions))
+
+
+def _import_lines(data: str) -> Lts:
+    """Read an .aut text line by line; the reference reader, and the one
+    that reports errors."""
     lines = data.splitlines()
     if not lines:
         raise AutFormatError("empty file", 1)

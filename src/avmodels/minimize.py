@@ -1,19 +1,28 @@
-"""Strong bisimulation minimization by dirty-block partition refinement.
+"""Strong bisimulation minimization: a backward sweep over the states whose
+every path is finite, then dirty-block partition refinement of the rest.
 
-A state's signature is its set of (label, successor block) pairs. Refinement
-starts from one block holding every state, marked dirty, and works in
-rounds. Each round groups the members of every dirty block by signature,
+A state's signature is its set of (label, successor block) pairs. The sweep
+visits the states in Kahn's order from the sinks over the predecessor
+lists, so each state comes after all its successors; its signature is taken
+once, from their final blocks, and equal signatures share a block. On these
+well-founded states that settles strong bisimulation exactly, one rank at a
+time (Dovier, Piazza & Policriti, TCS 311, 2004). A state the sweep never
+reaches can reach a cycle, so it has an infinite path and is bisimilar to
+no settled state, and a settled state has no unsettled successor.
+
+The unsettled states start as one block, marked dirty, and refinement works
+in rounds. Each round groups the members of every dirty block by signature,
 all taken against the block ids of the round before, then splits: the
 largest group keeps the block's id and every other group gets a new one.
 Only a state with a successor that got a new id can change its signature,
 so the next round's dirty blocks are those of the predecessors of the moved
 states (after Paige & Tarjan, SIAM J. Comput. 1987, and Valmari & Lehtinen,
-STACS 2008). When no block is dirty, two states share a block iff they are
-strongly bisimilar. That coarsest partition is unique, and the blocks are
-renumbered by first occurrence in state order, so the result is
-deterministic. The quotient keeps one transition per (block, label, block)
-triple. Labels are numbered once, so signatures and the quotient's triples
-hold ints, not actions.
+STACS 2008); a settled block never becomes dirty. When no block is dirty,
+two states share a block iff they are strongly bisimilar. That coarsest
+partition is unique, and the blocks are renumbered by first occurrence in
+state order, so the result is deterministic. The quotient keeps one
+transition per (block, label, block) triple. Labels are numbered once, so
+signatures and the quotient's triples hold ints, not actions.
 """
 from __future__ import annotations
 
@@ -40,10 +49,12 @@ def minimize(lts: Lts) -> Lts:
 def partition(lts: Lts) -> List[int]:
     """Block index per state for the coarsest strong bisimulation partition.
 
-    Refinement re-signs only the dirty blocks, those holding a predecessor
-    of a state that moved to a new block in the last round. At the fixpoint
-    the blocks are renumbered by first occurrence scanning states in index
-    order, so the numbering does not depend on the order of the splits.
+    The states with only finite paths are settled in one backward sweep.
+    Refinement of the rest re-signs only the dirty blocks, those holding a
+    predecessor of a state that moved to a new block in the last round. At
+    the fixpoint the blocks are renumbered by first occurrence scanning
+    states in index order, so the numbering does not depend on the order of
+    the sweep or of the splits.
     """
     return _refine(lts, _label_ids(lts))
 
@@ -67,9 +78,28 @@ def _refine(lts: Lts, label_ids: Dict[int, int]) -> List[int]:
     for src, act, dst in lts.transitions:
         out[src].append((label_ids[id(act)], dst))
         pred[dst].append(src)
-    blocks = [0] * n
-    members: List[List[int]] = [list(range(n))]
-    dirty = {0}
+    blocks = [-1] * n
+    # settle the states whose every path is finite, sinks first (Kahn's
+    # order over pred): each one's successors already have their final block
+    signatures: Dict[Tuple[int, ...], int] = {}
+    pending = [len(succs) for succs in out]  # edges to states not yet settled
+    ready = [s for s in range(n) if not out[s]]
+    for s in ready:  # grows while it is walked
+        # a block id is below n, so lid * n + block names one (label, block)
+        key = tuple(sorted({lid * n + blocks[d] for lid, d in out[s]}))
+        blocks[s] = signatures.setdefault(key, len(signatures))
+        for p in pred[s]:
+            pending[p] -= 1
+            if not pending[p]:
+                ready.append(p)
+    # the rest can reach a cycle: one block for them all, refined against the
+    # settled blocks, which no longer change
+    rest = [s for s in range(n) if blocks[s] < 0]
+    for s in rest:
+        blocks[s] = len(signatures)
+    # a settled block is never dirty, so it needs no member list
+    members: List[List[int]] = [[]] * len(signatures) + [rest]
+    dirty = {len(signatures)} if rest else set()
     while dirty:
         # every signature is taken against the block ids of the last round
         splits = []

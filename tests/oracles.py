@@ -478,6 +478,51 @@ def random_lts(rng: random.Random, max_states=200, labels=("a", "b", "c", "d")) 
     return Lts(n, 0, tuple(transitions))
 
 
+def mixed_lts(rng: random.Random, labels=("a", "b")) -> Lts:
+    """A random LTS with finite-path and cycle-reaching states side by side:
+    an acyclic layer whose edges only go forward; a cyclic core (one ring
+    plus random edges) with edges into the layer; the same labelled ring
+    twice, so bisimilar states sit in different SCCs; and long chains that
+    end in a cycle. State numbers are shuffled, so index order follows none
+    of these parts."""
+    acts = [Action(label) for label in labels]
+    edges: List[Tuple[int, Action, int]] = []
+    count = 0
+
+    def fresh(k: int) -> List[int]:
+        nonlocal count
+        count += k
+        return list(range(count - k, count))
+
+    layer = fresh(rng.randint(1, 12))
+    for i, s in enumerate(layer[:-1]):
+        for _ in range(rng.randint(0, 2)):
+            edges.append((s, rng.choice(acts), rng.choice(layer[i + 1:])))
+    core = fresh(rng.randint(1, 8))
+    for s, d in zip(core, core[1:] + core[:1]):
+        edges.append((s, rng.choice(acts), d))
+    for s in core:
+        for _ in range(rng.randint(0, 2)):
+            edges.append((s, rng.choice(acts), rng.choice(core + layer)))
+    word = [rng.choice(acts) for _ in range(rng.randint(1, 3))]
+    for _ in range(2):
+        ring = fresh(len(word))
+        for i, s in enumerate(ring):
+            edges.append((s, word[i], ring[(i + 1) % len(ring)]))
+        if rng.random() < 0.5:
+            edges.append((ring[0], rng.choice(acts), rng.choice(layer)))
+    for _ in range(rng.randint(1, 2)):
+        chain = fresh(rng.randint(5, 15))
+        for s, d in zip(chain, chain[1:]):
+            edges.append((s, rng.choice(acts), d))
+        edges.append((chain[-1], rng.choice(acts), rng.choice(chain[-3:])))
+        if rng.random() < 0.5:
+            edges.append((chain[0], rng.choice(acts), rng.choice(layer)))
+    perm = list(range(count))
+    rng.shuffle(perm)
+    return Lts(count, perm[0], tuple((perm[s], a, perm[d]) for s, a, d in edges))
+
+
 _MOVES = ("up", "down", "left", "right", "none", "random")
 
 

@@ -3,8 +3,12 @@ import pathlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from avmodels.aut import AutFormatError, _parse_label, export_aut, import_aut
+from avmodels import aut
+from avmodels.aut import (
+    AutFormatError, _import_exported, _import_lines, _parse_label, export_aut, import_aut,
+)
 from avmodels.kernel import Action, Lts
 from avmodels.values import Nat, Pos, Sym
 
@@ -168,3 +172,99 @@ def test_import_matches_a_per_line_parse_on_random_ltss():
         export_aut(random_lts(rng, max_states=40, labels=LABELS), buf)
         text = buf.getvalue()
         assert import_aut(io.StringIO(text)) == reference_import(text)
+
+
+def read_or_error(read):
+    try:
+        return read()
+    except AutFormatError as e:
+        return str(e), e.line
+
+
+@pytest.mark.parametrize("chunk", [7, 64])
+def test_import_matches_a_per_line_parse_across_chunk_cuts(monkeypatch, chunk):
+    # small chunks cut each file many times, after every kind of line
+    monkeypatch.setattr(aut, "_READ_CHUNK", chunk)
+    rng = random.Random(12)
+    for _ in range(60):
+        buf = io.StringIO()
+        export_aut(random_lts(rng, max_states=40, labels=LABELS), buf)
+        text = buf.getvalue()
+        # an Lts with more than 2T + 1 states exports a header import rejects
+        expected = read_or_error(lambda: _import_lines(text))
+        assert read_or_error(lambda: import_aut(io.StringIO(text))) == expected
+        if isinstance(expected, Lts):
+            assert _import_exported(text) == expected
+
+
+CANONICAL = ('des (0, 4, 3)\n(0, "CAR_MOVE !brakes", 1)\n(1, "not !a value", 2)\n'
+             '(2, "G !7", 0)\n(2, "", 2)\n')
+
+
+@pytest.mark.parametrize("text", [
+    CANONICAL.replace(", ", ",\t"),
+    CANONICAL.replace("(", "( ").replace(")", " ) "),
+    CANONICAL.replace(", ", " ,  "),
+    CANONICAL.replace("\n", "\n\n"),
+    CANONICAL.replace("\n", "\n \t\n", 2),
+    CANONICAL.replace("\n", "\r\n"),
+    CANONICAL.replace("\n", "\x0b"),
+    CANONICAL.replace("\n", "\x0c"),
+    CANONICAL.replace("\n", "\x1c"),
+    CANONICAL.rstrip("\n"),
+    CANONICAL.replace("des (0, 4, 3)", "des (0,4,3)"),
+], ids=["tabs", "spaces-in-parens", "spaces-around-commas", "blank-lines",
+        "whitespace-line", "crlf", "x0b", "x0c", "x1c", "no-final-newline",
+        "tight-header"])
+def test_other_layouts_take_the_per_line_path_and_parse_the_same(text):
+    canonical = import_aut(io.StringIO(CANONICAL))
+    assert _import_exported(CANONICAL) == canonical
+    assert _import_exported(text) is None
+    assert import_aut(io.StringIO(text)) == canonical
+    assert import_aut(io.BytesIO(text.encode("ascii"))) == canonical
+
+
+def long_chain(k: int) -> str:
+    buf = io.StringIO()
+    export_aut(Lts(k + 1, 0, tuple((i, Action("CAR_MOVE", (Sym("brakes"),)), i + 1)
+                                   for i in range(k))), buf)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("line, bad, message", [
+    (-5, '(17, "a" 3)', "bad transition"),
+    (-1, '(3, "a", 20001)', "state out of range"),  # one past the last state
+    (-1, '(3, "x\x0by", 4)', "bad transition"),
+])
+def test_an_error_past_the_first_chunk_reports_the_per_line_readers_line(line, bad, message):
+    lines = long_chain(20000).splitlines(keepends=True)
+    assert sum(map(len, lines)) > 2 * aut._READ_CHUNK
+    lines[line] = bad + "\n"
+    text = "".join(lines)
+    with pytest.raises(AutFormatError, match=message) as exc:
+        import_aut(io.BytesIO(text.encode("ascii")))
+    assert exc.value.line == len(lines) + 1 + line
+    with pytest.raises(AutFormatError) as ref:
+        _import_lines(text)
+    assert (str(exc.value), exc.value.line) == (str(ref.value), ref.value.line)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**16), where=st.integers(0, 2**16),
+       edit=st.sampled_from(("replace", "insert", "delete")),
+       byte=st.one_of(st.sampled_from(b'0123456789"(), \t\n\r\x0b\x0c\x1c'),
+                      st.integers(0, 127)))
+def test_a_one_byte_mutation_reads_as_the_per_line_reader_reads_it(seed, where, edit, byte):
+    buf = io.BytesIO()
+    export_aut(random_lts(random.Random(seed), max_states=12, labels=LABELS), buf)
+    data = bytearray(buf.getvalue())
+    at = where % len(data)
+    if edit == "delete":
+        del data[at]
+    elif edit == "insert":
+        data.insert(at, byte)
+    else:
+        data[at] = byte
+    text = data.decode("ascii")
+    assert read_or_error(lambda: import_aut(io.BytesIO(bytes(data)))) == \
+        read_or_error(lambda: _import_lines(text))

@@ -6,7 +6,7 @@ from avmodels.kernel import Action, Lts
 from avmodels.minimize import minimize, partition
 
 from oracles import (
-    game_bisimulation, naive_bisimulation, partition_to_relation, random_lts,
+    game_bisimulation, mixed_lts, naive_bisimulation, partition_to_relation, random_lts,
     signature_refinement,
 )
 
@@ -92,8 +92,10 @@ def test_partition_matches_whole_partition_refinement_on_random_lts():
 
 
 def test_partition_splits_a_labelled_chain_one_state_per_round():
-    # state i is k-1-i "a"-steps from the end, so round r only splits off
-    # the state r steps from it: k rounds, k blocks
+    # state i is k-1-i "a"-steps from the end, so no two states are
+    # bisimilar: k blocks. The chain is acyclic, so partition settles it in
+    # one backward sweep; whole-partition refinement splits off one state
+    # per round and needs k rounds
     k = 40
     lts = Lts(k, 0, tuple((i, simple("a"), i + 1) for i in range(k - 1)))
     assert partition(lts) == signature_refinement(lts) == list(range(k))
@@ -124,3 +126,20 @@ def test_partition_of_a_one_state_header_without_transitions():
     assert partition(lts) == signature_refinement(lts) == [0]
     small = minimize(lts)
     assert (small.num_states, small.initial, small.transitions) == (1, 0, ())
+
+
+def test_partition_matches_the_oracles_on_mixed_acyclic_and_cyclic_ltss():
+    rng = random.Random(2004)
+    for _ in range(300):
+        lts = mixed_lts(rng)
+        blocks = partition(lts)
+        assert blocks == signature_refinement(lts)
+        assert partition_to_relation(blocks) == naive_bisimulation(lts)
+
+
+def test_a_sink_and_a_self_loop_on_the_same_label_stay_apart():
+    # 0 -a-> 1 ends, 2 -a-> 2 never does; 1 is settled by the backward
+    # sweep, 2 can reach a cycle, so they start in different blocks
+    lts = Lts(3, 0, ((0, simple("a"), 1), (2, simple("a"), 2)))
+    assert partition(lts) == signature_refinement(lts) == [0, 1, 2]
+    assert minimize(lts).num_states == 3
