@@ -35,8 +35,8 @@ _TRANS_RE = re.compile(r"\(\s*(\d+)\s*,\s*\"([^\"]*)\"\s*,\s*(\d+)\s*\)\s*\Z")
 _EXPORTED_HEADER_RE = re.compile(r"des \(([0-9]+), ([0-9]+), ([0-9]+)\)\Z")
 _READ_CHUNK = 1 << 18
 _WRITE_LINES = 4096
-_SKELETON_LINE = '(, "", )\n'  # an exported line without its numbers and label
-_NO_DIGITS = str.maketrans("", "", "0123456789")
+# exported lines with their labels cut out
+_SKELETON_RE = re.compile(r'(?:\([0-9]+, "", [0-9]+\)\n)+')
 _NUMBER_SEPARATORS = str.maketrans('(,")\n', "     ")
 
 
@@ -118,14 +118,13 @@ def _import_exported(data: str) -> Optional[Lts]:
         end = len(data) if end < 0 else end + 1
         pieces = data[pos:end].split('"')
         pos = end
-        lines = len(pieces) // 2
+        if len(pieces) % 2 == 0:  # a quote opens a label the chunk never closes
+            return None
         skeleton = '""'.join(pieces[::2])
-        if skeleton.translate(_NO_DIGITS) != _SKELETON_LINE * lines:
+        if not _SKELETON_RE.fullmatch(skeleton):
             return None
-        # two non-empty digit runs per line, or the count falls short
+        # the skeleton holds exactly two digit runs per line, one per label
         numbers = skeleton.translate(_NUMBER_SEPARATORS).split()
-        if len(numbers) != 2 * lines:
-            return None
         try:
             numbers = list(map(int, numbers))
         except ValueError:  # more digits than int() converts

@@ -224,6 +224,23 @@ def test_other_layouts_take_the_per_line_path_and_parse_the_same(text):
     assert import_aut(io.BytesIO(text.encode("ascii"))) == canonical
 
 
+@pytest.mark.parametrize("text", [
+    'des (0, 2, 4)\n(0, "a", 1)2\n(, "b", 3)\n',
+    'des (0, 1, 2)\n(, 0"a", 1)\n',
+    'des (0, 1, 2)\n1(, "a", 1)\n',
+    'des (0, 1, 2)\n(0, "a", 1)\n"x',
+], ids=["digit-after-line", "digit-after-comma", "digit-before-paren", "open-quote-at-end"])
+def test_digits_or_quotes_out_of_place_take_the_per_line_path_and_fail_the_same(text):
+    # each skeleton has the exported punctuation and the right number of
+    # digit runs, but not each run in its slot
+    assert _import_exported(text) is None
+    with pytest.raises(AutFormatError) as exc:
+        import_aut(io.StringIO(text))
+    with pytest.raises(AutFormatError) as ref:
+        _import_lines(text)
+    assert (str(exc.value), exc.value.line) == (str(ref.value), ref.value.line)
+
+
 def long_chain(k: int) -> str:
     buf = io.StringIO()
     export_aut(Lts(k + 1, 0, tuple((i, Action("CAR_MOVE", (Sym("brakes"),)), i + 1)
@@ -265,6 +282,20 @@ def test_a_one_byte_mutation_reads_as_the_per_line_reader_reads_it(seed, where, 
         data.insert(at, byte)
     else:
         data[at] = byte
+    text = data.decode("ascii")
+    assert read_or_error(lambda: import_aut(io.BytesIO(bytes(data)))) == \
+        read_or_error(lambda: _import_lines(text))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**16), digit=st.integers(0, 2**16), to=st.integers(0, 2**16))
+def test_a_digit_moved_elsewhere_reads_as_the_per_line_reader_reads_it(seed, digit, to):
+    buf = io.BytesIO()
+    export_aut(random_lts(random.Random(seed), max_states=12, labels=LABELS), buf)
+    data = bytearray(buf.getvalue())
+    digits = [i for i, b in enumerate(data) if chr(b).isdigit()]
+    moved = data.pop(digits[digit % len(digits)])
+    data.insert(to % (len(data) + 1), moved)
     text = data.decode("ascii")
     assert read_or_error(lambda: import_aut(io.BytesIO(bytes(data)))) == \
         read_or_error(lambda: _import_lines(text))
