@@ -50,7 +50,13 @@ def export_aut(lts: Lts, sink: IO) -> None:
     """Write lts to a binary or text stream. ASCII only.
 
     Raises ValueError before writing anything if a label holds a quote or a
-    non-ASCII character."""
+    non-ASCII character, or if import_aut would refuse the header: no
+    states, an initial state past the last, or more than 2T + 1 states for T
+    transitions."""
+    nstates, ntrans = lts.num_states, len(lts.transitions)
+    if not 0 <= lts.initial < nstates <= 2 * ntrans + 1:
+        raise ValueError(f"header not representable in aut: initial state {lts.initial}"
+                         f" of {nstates} states with {ntrans} transitions")
     rows: List[Tuple[int, str, int]] = []
     # id(action) -> its checked label text; lts keeps every action alive,
     # and an id costs no hashing of offer values
@@ -107,7 +113,10 @@ def _import_exported(data: str) -> Optional[Lts]:
     m = _EXPORTED_HEADER_RE.match(data, 0, end) if end >= 0 else None
     if not m:
         return None
-    initial, ntrans, nstates = (int(g) for g in m.groups())
+    try:
+        initial, ntrans, nstates = (int(g) for g in m.groups())
+    except ValueError:  # more digits than int() converts
+        return None
     if nstates > 2 * ntrans + 1 or initial >= nstates:
         return None
     transitions: List[Tuple[int, Action, int]] = []
@@ -152,7 +161,10 @@ def _import_lines(data: str) -> Lts:
     m = _HEADER_RE.match(lines[0].strip())
     if not m:
         raise AutFormatError(f"bad header {lines[0]!r}", 1)
-    initial, ntrans, nstates = (int(g) for g in m.groups())
+    try:
+        initial, ntrans, nstates = (int(g) for g in m.groups())
+    except ValueError as e:  # more digits than int() converts
+        raise AutFormatError(f"bad header: {e}", 1)
     if nstates > 2 * ntrans + 1:
         # T transitions and the initial state name at most 2T + 1 states;
         # trusting a larger count would allocate per-state lists for it
@@ -167,7 +179,10 @@ def _import_lines(data: str) -> Lts:
         m = _TRANS_RE.match(raw.strip())
         if not m:
             raise AutFormatError(f"bad transition {raw!r}", ln)
-        src, label, dst = int(m.group(1)), m.group(2), int(m.group(3))
+        try:
+            src, label, dst = int(m.group(1)), m.group(2), int(m.group(3))
+        except ValueError as e:  # more digits than int() converts
+            raise AutFormatError(f"bad transition: {e}", ln)
         if src >= nstates or dst >= nstates:
             raise AutFormatError(f"state out of range in {raw!r}", ln)
         act = actions.get(label)

@@ -32,7 +32,7 @@ from .grid_model import build_grid_composition
 from .kernel import ExplorationLimitError, ExplorationLimits, Lts, explore
 from .minimize import minimize
 from .perception import GridScenario, rect_cells
-from .scenarios import load_scenario
+from .scenarios import load_scenario, read_json
 from .testgen import SimScenario
 
 PROPERTIES = ("consistent-moves", "inevitable-termination", "deadlock")
@@ -121,13 +121,7 @@ def cmd_testgen(args) -> int:
     scn = load_scenario(args.scenario)
     if not isinstance(scn, GridScenario):
         raise CliError("testgen needs a grid scenario")
-    try:
-        with open(args.purpose, "r", encoding="utf-8") as fh:
-            purpose = testgen.parse_purpose(json.load(fh))
-    except OSError as e:
-        raise CliError(f"cannot read {args.purpose}: {e}")
-    except json.JSONDecodeError as e:
-        raise CliError(f"{args.purpose} is not valid JSON: {e}")
+    purpose = testgen.parse_purpose(read_json(args.purpose))
     product, warnings = testgen.product_with_purpose(
         _build(scn, args.expose_grid), purpose,
         ExplorationLimits(max_states=args.max_states, max_depth=args.max_depth))
@@ -171,13 +165,7 @@ def cmd_render(args) -> int:
     scn = load_scenario(args.scenario)
     if not isinstance(scn, GridScenario):
         raise CliError("render needs a grid scenario")
-    try:
-        with open(args.sim, "r", encoding="utf-8") as fh:
-            sim = SimScenario.from_json(json.load(fh))
-    except OSError as e:
-        raise CliError(f"cannot read {args.sim}: {e}")
-    except json.JSONDecodeError as e:
-        raise CliError(f"{args.sim} is not valid JSON: {e}")
+    sim = SimScenario.from_json(read_json(args.sim))
     sizes = {ob.kind: (ob.w, ob.h) for ob in scn.mobile}
     anchors = {ob.kind: ob.anchor() for ob in scn.mobile}
     car = (scn.car.x, scn.car.y)

@@ -36,15 +36,22 @@ class ScenarioError(ValueError):
     pass
 
 
-def load_scenario(path: str) -> Scenario:
+def read_json(path: str):
+    """The JSON value in a UTF-8 file: a scenario, a purpose or a sim. Raises
+    ScenarioError naming the file when it cannot be read or decoded."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as e:
         raise ScenarioError(f"cannot read {path}: {e}")
-    except json.JSONDecodeError as e:
+    except UnicodeDecodeError as e:
+        raise ScenarioError(f"{path} is not UTF-8 text: {e}")
+    except (ValueError, RecursionError) as e:  # bad syntax, too many digits or too deep
         raise ScenarioError(f"{path} is not valid JSON: {e}")
-    return scenario_from_json(data)
+
+
+def load_scenario(path: str) -> Scenario:
+    return scenario_from_json(read_json(path))
 
 
 def scenario_from_json(data) -> Scenario:

@@ -2,17 +2,17 @@
 
 A value is one of: natural number, boolean, symbol, grid position, named
 record, or list of values. Values are immutable and hashable. The canonical
-text form is the one used in transition labels:
+text form is the one used in transition labels; parse_value reads it back:
 
-    naturals    decimal digits
+    naturals    ASCII digits [0-9]+, at most as many as int() converts
     booleans    true / false
-    symbols     the bare name
-    positions   Position(x,y)
+    symbols     a name [A-Za-z_][A-Za-z0-9_]* other than true/false/Position
+    positions   Position(x,y) of two naturals
     records     Name(v1,v2) with Name() for zero fields
     lists       [v1,v2] with [] for empty
 
-Canonical text never contains spaces or '!', which keeps label parsing a
-simple split.
+Any other text, non-ASCII digits included, raises ValueError_. Canonical
+text never contains spaces or '!', which keeps label parsing a simple split.
 """
 from __future__ import annotations
 
@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from typing import Tuple, Union
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+# one atom of value text: a natural, a name with the '(' of a record, or '['
+_ATOM_RE = re.compile(r"([0-9]+)|([A-Za-z_][A-Za-z0-9_]*)(\()?|\[")
 
 # Reserved spellings that would collide with other variants when parsed back.
 _RESERVED = {"true", "false", "Position"}
@@ -110,60 +112,41 @@ def parse_value(s: str) -> Value:
 
 
 def _parse(s: str, pos: int):
-    if pos >= len(s):
-        raise ValueError_(f"unexpected end of value text in {s!r}")
-    c = s[pos]
-    if c.isdigit():
-        j = pos
-        while j < len(s) and s[j].isdigit():
-            j += 1
-        return Nat(int(s[pos:j])), j
-    if c == "[":
-        items = []
-        pos += 1
-        if pos < len(s) and s[pos] == "]":
-            return Seq(()), pos + 1
+    m = _ATOM_RE.match(s, pos)
+    if not m:
+        raise ValueError_(f"bad value text at {pos} in {s!r}")
+    digits, name, paren = m.groups()
+    pos = m.end()
+    if digits:
+        try:
+            n = int(digits)
+        except ValueError as e:  # more digits than int() converts
+            raise ValueError_(f"bad natural at {m.start()}: {e}")
+        return Nat(n), pos
+    if name and not paren:
+        if name == "true":
+            return Bool(True), pos
+        if name == "false":
+            return Bool(False), pos
+        return Sym(name), pos
+    # a list or a record: comma-separated values up to the closing bracket,
+    # read in this frame so that each nesting level costs one
+    close = ")" if paren else "]"
+    items = []
+    if not s.startswith(close, pos):
         while True:
             v, pos = _parse(s, pos)
             items.append(v)
-            if pos >= len(s):
-                raise ValueError_(f"unterminated list in {s!r}")
-            if s[pos] == ",":
-                pos += 1
-                continue
-            if s[pos] == "]":
-                return Seq(tuple(items)), pos + 1
-            raise ValueError_(f"bad list separator at {pos} in {s!r}")
-    m = re.match(r"[A-Za-z_][A-Za-z0-9_]*", s[pos:])
-    if not m:
-        raise ValueError_(f"bad value text at {pos} in {s!r}")
-    name = m.group(0)
-    pos += len(name)
-    if pos < len(s) and s[pos] == "(":
-        fields = []
-        pos += 1
-        if pos < len(s) and s[pos] == ")":
+            if not s.startswith(",", pos):
+                break
             pos += 1
-        else:
-            while True:
-                v, pos = _parse(s, pos)
-                fields.append(v)
-                if pos >= len(s):
-                    raise ValueError_(f"unterminated record in {s!r}")
-                if s[pos] == ",":
-                    pos += 1
-                    continue
-                if s[pos] == ")":
-                    pos += 1
-                    break
-                raise ValueError_(f"bad record separator at {pos} in {s!r}")
-        if name == "Position":
-            if len(fields) != 2 or not all(isinstance(f, Nat) for f in fields):
-                raise ValueError_(f"Position needs two naturals in {s!r}")
-            return Pos(fields[0].n, fields[1].n), pos
-        return Rec(name, tuple(fields)), pos
-    if name == "true":
-        return Bool(True), pos
-    if name == "false":
-        return Bool(False), pos
-    return Sym(name), pos
+        if not s.startswith(close, pos):
+            raise ValueError_(f"expected ',' or '{close}' at {pos} in {s!r}")
+    pos += 1
+    if not name:
+        return Seq(tuple(items)), pos
+    if name == "Position":
+        if len(items) != 2 or not all(isinstance(f, Nat) for f in items):
+            raise ValueError_(f"Position needs two naturals in {s!r}")
+        return Pos(items[0].n, items[1].n), pos
+    return Rec(name, tuple(items)), pos

@@ -109,6 +109,41 @@ def test_export_rejects_unprintable_labels():
         export_aut(lts, io.StringIO())
 
 
+@pytest.mark.parametrize("lts", [
+    Lts(0, 0, ()), Lts(2, 0, ()), Lts(3, 5, ((0, Action("a"), 1),)),
+], ids=["no-states", "more-than-2T+1-states", "initial-past-the-last"])
+@pytest.mark.parametrize("sink", [io.StringIO, io.BytesIO])
+def test_export_refuses_a_header_import_refuses_and_writes_nothing(lts, sink):
+    sink = sink()
+    with pytest.raises(ValueError, match="header not representable"):
+        export_aut(lts, sink)
+    assert not sink.getvalue()
+
+
+LONG = "1" * 5000  # more digits than int() converts by default
+
+
+@pytest.mark.parametrize("text, line", [
+    (f"des (0, 1, {LONG})\n(0, \"a\", 1)\n", 1),
+    (f"des (0,  1, {LONG})\n(0, \"a\", 1)\n", 1),
+    (f'des (0, 1, 2)\n({LONG}, "a", 1)\n', 2),
+    (f'des (0, 1, 2)\n(0, "a", {LONG})\n', 2),
+], ids=["exported-header", "loose-header", "source", "target"])
+def test_a_number_past_the_int_digit_limit_is_a_format_error_at_its_line(text, line):
+    with pytest.raises(AutFormatError, match="Exceeds the limit") as exc:
+        import_aut(io.BytesIO(text.encode("ascii")))
+    with pytest.raises(AutFormatError) as ref:
+        _import_lines(text)
+    assert (str(exc.value), exc.value.line) == (str(ref.value), ref.value.line)
+    assert exc.value.line == line
+
+
+def test_a_label_with_a_natural_past_the_int_digit_limit_is_opaque():
+    src = f'des (0, 1, 2)\n(0, "G !{LONG}", 1)\n'
+    (_, act, _), = import_aut(io.StringIO(src)).transitions
+    assert act == Action(f"G !{LONG}")
+
+
 def test_empty_lts_roundtrip():
     lts = Lts(1, 0, ())
     back = roundtrip(lts)
@@ -165,11 +200,25 @@ def test_import_matches_a_per_line_parse_on_the_goldens(name):
     assert import_aut(io.StringIO(text)) == reference_import(text)
 
 
+def export_random(lts: Lts, sink) -> bool:
+    """Export a random_lts draw into sink; False, with sink left empty, for a
+    draw with more than 2T + 1 states, whose header export refuses as
+    import_aut would."""
+    if lts.num_states <= 2 * len(lts.transitions) + 1:
+        export_aut(lts, sink)
+        return True
+    with pytest.raises(ValueError, match="header not representable"):
+        export_aut(lts, sink)
+    assert not sink.getvalue()
+    return False
+
+
 def test_import_matches_a_per_line_parse_on_random_ltss():
     rng = random.Random(11)
     for _ in range(60):
         buf = io.StringIO()
-        export_aut(random_lts(rng, max_states=40, labels=LABELS), buf)
+        if not export_random(random_lts(rng, max_states=40, labels=LABELS), buf):
+            continue
         text = buf.getvalue()
         assert import_aut(io.StringIO(text)) == reference_import(text)
 
@@ -186,15 +235,17 @@ def test_import_matches_a_per_line_parse_across_chunk_cuts(monkeypatch, chunk):
     # small chunks cut each file many times, after every kind of line
     monkeypatch.setattr(aut, "_READ_CHUNK", chunk)
     rng = random.Random(12)
+    refused = 0
     for _ in range(60):
         buf = io.StringIO()
-        export_aut(random_lts(rng, max_states=40, labels=LABELS), buf)
+        if not export_random(random_lts(rng, max_states=40, labels=LABELS), buf):
+            refused += 1
+            continue
         text = buf.getvalue()
-        # an Lts with more than 2T + 1 states exports a header import rejects
-        expected = read_or_error(lambda: _import_lines(text))
-        assert read_or_error(lambda: import_aut(io.StringIO(text))) == expected
-        if isinstance(expected, Lts):
-            assert _import_exported(text) == expected
+        expected = _import_lines(text)
+        assert import_aut(io.StringIO(text)) == expected
+        assert _import_exported(text) == expected
+    assert refused  # these draws include Ltss whose header export refuses
 
 
 CANONICAL = ('des (0, 4, 3)\n(0, "CAR_MOVE !brakes", 1)\n(1, "not !a value", 2)\n'
@@ -273,7 +324,8 @@ def test_an_error_past_the_first_chunk_reports_the_per_line_readers_line(line, b
                       st.integers(0, 127)))
 def test_a_one_byte_mutation_reads_as_the_per_line_reader_reads_it(seed, where, edit, byte):
     buf = io.BytesIO()
-    export_aut(random_lts(random.Random(seed), max_states=12, labels=LABELS), buf)
+    if not export_random(random_lts(random.Random(seed), max_states=12, labels=LABELS), buf):
+        return
     data = bytearray(buf.getvalue())
     at = where % len(data)
     if edit == "delete":
@@ -291,7 +343,8 @@ def test_a_one_byte_mutation_reads_as_the_per_line_reader_reads_it(seed, where, 
 @given(seed=st.integers(0, 2**16), digit=st.integers(0, 2**16), to=st.integers(0, 2**16))
 def test_a_digit_moved_elsewhere_reads_as_the_per_line_reader_reads_it(seed, digit, to):
     buf = io.BytesIO()
-    export_aut(random_lts(random.Random(seed), max_states=12, labels=LABELS), buf)
+    if not export_random(random_lts(random.Random(seed), max_states=12, labels=LABELS), buf):
+        return
     data = bytearray(buf.getvalue())
     digits = [i for i, b in enumerate(data) if chr(b).isdigit()]
     moved = data.pop(digits[digit % len(digits)])

@@ -18,7 +18,9 @@ from avmodels.aut import import_aut
 from avmodels.cli import main
 from avmodels.kernel import ExplorationLimits, explore
 from avmodels.scenarios import ScenarioError, scenario_from_json
+from avmodels.values import text
 from oracles import random_grid_json
+from test_values import value_strategy
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "configs"
@@ -43,6 +45,24 @@ TINY_GRID = {
 def write_json(path, data):
     path.write_text(json.dumps(data))
     return str(path)
+
+
+def run_main(argv):
+    """main(argv) with its output captured: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_documented_exit(code, out, err):
+    """A documented exit code, no traceback, and on exit 2 one error line,
+    the last line written to stderr."""
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in out + err
+    if code == 2:
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and err.endswith(errors[0] + "\n"), err
 
 
 @pytest.fixture
@@ -364,6 +384,50 @@ def test_a_header_promising_a_million_states_exits_2_at_once(tmp_path, capsys):
         assert err.startswith(f"error: {aut}: line 1: header promises 1000000 states")
 
 
+def test_an_aut_number_past_the_int_digit_limit_names_the_file_and_the_line(tmp_path, capsys):
+    aut = tmp_path / "long.aut"
+    aut.write_text(f'des (0, 1, 2)\n({"1" * 5000}, "a", 1)\n')
+    for argv in (["minimize", str(aut), str(tmp_path / "out.aut")],
+                 ["check", "--lts", str(aut), "--property", "deadlock"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {aut}: line 2: bad transition: Exceeds the limit")
+        assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("offer", ["1" * 5000, "٣", "Position(²,1)"],
+                         ids=["long-natural", "arabic-indic", "superscript"])
+def test_a_purpose_offer_that_is_not_ascii_value_text_exits_2_naming_the_step(
+        tmp_path, tiny_grid, capsys, offer):
+    purpose = write_json(tmp_path / "p.json", [{"gate": "TICK"},
+                                               {"gate": "GRID_CAR", "offers": [offer]}])
+    assert main(["testgen", "--scenario", tiny_grid, "--purpose", purpose,
+                 "--out", str(tmp_path / "sim.json")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: purpose step 1 offer 0: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"\xff[]", "is not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 0"),
+    (b"[" * 100000, "is not valid JSON: maximum recursion depth exceeded"),
+    (b"[" + b"1" * 5000 + b"]", "is not valid JSON: Exceeds the limit (4300 digits)"),
+], ids=["not-utf-8", "nested-too-deeply", "number-past-the-digit-limit"])
+@pytest.mark.parametrize("role", ["scenario", "purpose", "sim"])
+def test_a_json_input_python_cannot_decode_exits_2_naming_the_file(tmp_path, tiny_grid, capsys,
+                                                                   role, content, message):
+    bad = tmp_path / f"{role}.json"
+    bad.write_bytes(content)
+    files = {"scenario": tiny_grid, "purpose": write_json(tmp_path / "p.json", [{"gate": "TICK"}]),
+             "sim": write_json(tmp_path / "s.json", {"ticks": []}), role: str(bad)}
+    command = ["render", "--sim", files["sim"]] if role == "sim" else [
+        "testgen", "--purpose", files["purpose"], "--out", str(tmp_path / "out.json")]
+    assert main(command + ["--scenario", files["scenario"]]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {bad} {message}")
+    assert err.count("\n") == 1
+
+
 AUT_LABELS = (
     # canonical
     "TICK", "ARRIVAL", "END_OBSTACLE", "G !7", "CAR_MOVE !brakes", "CAR_MOVE !turned_n(0)",
@@ -407,12 +471,10 @@ def test_generated_aut_files_exit_with_a_documented_code(tmp_path_factory, text)
         ["check", "--lts", str(aut), "--property", prop, "--scenario", scenario]
         for prop in ("consistent-moves", "inevitable-termination", "deadlock")]
     for argv in runs:
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
+        code, _, err = run_main(argv)
         assert code in (0, 1, 2, 3), argv
         if code == 2:
-            assert err.getvalue().startswith("error:"), argv
+            assert err.startswith("error:"), argv
 
 
 KINDS = ("Building", "Walker", "Cart")
@@ -452,11 +514,10 @@ def test_every_command_accepts_and_rejects_the_same_grid_scenarios(tmp_path_fact
              "--max-states", "200"]]
     codes = []
     for argv in runs:
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            codes.append(main(argv))
-        assert codes[-1] in (0, 1, 2, 3), argv
-        assert "Traceback" not in out.getvalue() + err.getvalue(), argv
+        code, out, err = run_main(argv)
+        codes.append(code)
+        assert code in (0, 1, 2, 3), argv
+        assert "Traceback" not in out + err, argv
     assert codes.count(2) in (0, len(runs)), codes
 
 
@@ -494,12 +555,90 @@ def test_every_command_accepts_and_rejects_the_same_street_scenarios(tmp_path_fa
         for prop in ("consistent-moves", "deadlock")]
     codes = []
     for argv in runs:
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            codes.append(main(argv))
-        assert codes[-1] in (0, 1, 2, 3), argv
-        assert "Traceback" not in out.getvalue() + err.getvalue(), argv
+        code, out, err = run_main(argv)
+        codes.append(code)
+        assert code in (0, 1, 2, 3), argv
+        assert "Traceback" not in out + err, argv
     assert codes.count(2) in (0, len(runs)), codes
+
+
+GATES = ("CAR_MOVE", "CAR_POSITION", "OBSTACLE_POSITION", "GRID_UPDATE", "GRID_CAR",
+         "LIDAR_MAP", "COLLISION", "END_OBSTACLE", "ARRIVAL", "TICK", "TELEPORT", "tick")
+OFFERS = ("*", "Walker", "Cart", "Rock", "up", "random", "true", "Position(1,1)")
+BAD_OFFERS = ("Position(1)", "[1,", "Foo(", "-3", "a b", "٣", "²", "Position(٣,1)",
+              "1" * 5000, None, 3, True, [])
+BAD_STEPS = ({}, {"offers": []}, {"gate": ""}, {"gate": 5}, {"gate": "TICK", "offers": "*"},
+             "TICK", None, ["TICK"])
+BAD_PURPOSES = ([], {"gate": "TICK"}, "TICK", 5, None, [[]])
+
+
+@st.composite
+def purposes(draw):
+    """Purpose JSON: mostly lists of steps over model and unknown gates whose
+    offers are wildcards, names the models use or other value texts; now and
+    then a malformed offer (non-ASCII digits and naturals past int()'s digit
+    limit included), a malformed step or a purpose that is not a list."""
+    def one(good, bad):
+        return draw(st.sampled_from(bad) if draw(st.integers(0, 11)) == 11 else good)
+
+    offer = st.one_of(st.sampled_from(OFFERS), value_strategy.map(text),
+                      st.text(alphabet="[](),019aZ_*٣", max_size=6))
+    step = st.fixed_dictionaries({"gate": st.sampled_from(GATES)},
+                                 optional={"offers": st.lists(offer, max_size=3)})
+    steps = [one(step, BAD_STEPS) for _ in range(draw(st.integers(1, 4)))]
+    for entry in steps:
+        if isinstance(entry, dict) and entry.get("offers"):
+            entry["offers"] = [one(st.just(o), BAD_OFFERS) for o in entry["offers"]]
+    return one(st.just(steps), BAD_PURPOSES)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**16), purpose=purposes())
+def test_generated_purposes_exit_with_a_documented_code(tmp_path_factory, seed, purpose):
+    work = tmp_path_factory.mktemp("purpose")
+    scenario = write_json(work / "scenario.json", random_grid_json(random.Random(seed)))
+    code, out, err = run_main(["testgen", "--scenario", scenario, "--purpose",
+                               write_json(work / "purpose.json", purpose),
+                               "--out", str(work / "sim.json"), "--max-states", "300"])
+    assert_documented_exit(code, out, err)
+
+
+@st.composite
+def sims(draw, kinds):
+    """Simulation JSON: tick lists that move the scenario's obstacles or
+    unknown ones, and the car, to cells on or off the grid, with now and then
+    a value of the wrong shape in place of a cell, a move, a tick or the
+    whole sim."""
+    coord = st.one_of(st.integers(0, 5), st.integers(-3, 9), st.sampled_from((10**20, 2.5, True)))
+    cell = st.one_of(st.lists(coord, min_size=2, max_size=2),
+                     st.sampled_from(([1], [1, 2, 3], "ab", None, {"x": 1})))
+    move = st.fixed_dictionaries({"from": cell, "to": cell,
+                                  "direction": st.sampled_from(("up", "left", 3))})
+    tick = st.one_of(
+        st.fixed_dictionaries(
+            {"obstacles": st.dictionaries(st.sampled_from(kinds + ("Ghost",)),
+                                          st.one_of(move, st.sampled_from(([], "up", None))),
+                                          max_size=2)},
+            optional={"car": st.one_of(st.none(), st.fixed_dictionaries({"from": cell,
+                                                                         "to": cell}))}),
+        st.sampled_from(({}, [], "tick", 0, {"obstacles": []})))
+    terminal = st.sampled_from((None, "ARRIVAL", "COLLISION", "END", "CRASH", [], 1))
+    return draw(st.one_of(
+        st.fixed_dictionaries({"ticks": st.lists(tick, max_size=4), "terminal": terminal}),
+        st.sampled_from(([], "sim", 5, {"ticks": 5}, {"ticks": "ab"}, {"terminal": "END"}))))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**16), data=st.data())
+def test_generated_sims_render_or_exit_with_a_documented_code(tmp_path_factory, seed, data):
+    work = tmp_path_factory.mktemp("sim")
+    scenario = random_grid_json(random.Random(seed))
+    sim = data.draw(sims(tuple(ob["kind"] for ob in scenario["mobile"])))
+    code, out, err = run_main(["render", "--scenario", write_json(work / "scenario.json", scenario),
+                               "--sim", write_json(work / "sim.json", sim)])
+    assert_documented_exit(code, out, err)
+    assert code in (0, 2)
+    assert (out.startswith("tick 0 (initial)\n") if code == 0 else out == "")
 
 
 def test_missing_files_exit_2(tmp_path, capsys):

@@ -34,6 +34,16 @@ def test_parse_rejects_garbage():
             parse_value(bad)
 
 
+@pytest.mark.parametrize("bad", [
+    "\u0663", "\u00b2", "1\u0663", "Position(5\u0663,1)", "[\uff11]",  # non-ASCII digits
+    "1" * 5000, "[" + "1" * 5000 + "]", "Position(0," + "1" * 5000 + ")",  # past int()'s limit
+], ids=["arabic-indic", "superscript", "mixed", "position", "fullwidth",
+        "long-natural", "long-in-list", "long-in-position"])
+def test_parse_reads_ascii_digits_only_and_fails_with_its_own_error(bad):
+    with pytest.raises(ValueError_):
+        parse_value(bad)
+
+
 def test_nat_and_pos_validate():
     with pytest.raises(ValueError):
         Nat(-1)
