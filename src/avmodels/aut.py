@@ -29,9 +29,9 @@ from typing import IO, Dict, List, Optional, Tuple
 from . import values
 from .kernel import Action, Lts, parse_action
 
-_HEADER_RE = re.compile(r"des\s*\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)\s*\Z")
-_TRANS_RE = re.compile(r"\(\s*(\d+)\s*,\s*\"([^\"]*)\"\s*,\s*(\d+)\s*\)\s*\Z")
-# the header exactly as export writes it; ASCII digits only
+_HEADER_RE = re.compile(r"des\s*\(\s*([0-9]+)\s*,\s*([0-9]+)\s*,\s*([0-9]+)\s*\)\s*\Z")
+_TRANS_RE = re.compile(r"\(\s*([0-9]+)\s*,\s*\"([^\"]*)\"\s*,\s*([0-9]+)\s*\)\s*\Z")
+# the header exactly as export writes it
 _EXPORTED_HEADER_RE = re.compile(r"des \(([0-9]+), ([0-9]+), ([0-9]+)\)\Z")
 _READ_CHUNK = 1 << 18
 _WRITE_LINES = 4096

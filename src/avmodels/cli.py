@@ -33,7 +33,7 @@ from .kernel import ExplorationLimitError, ExplorationLimits, Lts, explore
 from .minimize import minimize
 from .perception import GridScenario, rect_cells
 from .scenarios import load_scenario, read_json
-from .testgen import SimScenario
+from .testgen import FoldError, SimScenario
 
 PROPERTIES = ("consistent-moves", "inevitable-termination", "deadlock")
 
@@ -149,11 +149,8 @@ def _frame(scn: GridScenario, anchors, car) -> str:
         for x, y in rect_cells(ob.anchor(), ob.w, ob.h):
             rows[y][x] = "t" if ob.transparent else "#"
     for ob in scn.mobile:
-        anchor = anchors.get(ob.kind)
-        if anchor is None:
-            continue
         mark = ob.kind[0].lower() if ob.transparent else ob.kind[0].upper()
-        for x, y in rect_cells(anchor, ob.w, ob.h):
+        for x, y in rect_cells(anchors[ob.kind], ob.w, ob.h):
             rows[y][x] = mark
     if car is not None:
         x, y = car
@@ -165,7 +162,10 @@ def cmd_render(args) -> int:
     scn = load_scenario(args.scenario)
     if not isinstance(scn, GridScenario):
         raise CliError("render needs a grid scenario")
-    sim = SimScenario.from_json(read_json(args.sim))
+    try:
+        sim = SimScenario.from_json(read_json(args.sim))
+    except FoldError as e:
+        raise CliError(f"{args.sim}: {e}")
     sizes = {ob.kind: (ob.w, ob.h) for ob in scn.mobile}
     anchors = {ob.kind: ob.anchor() for ob in scn.mobile}
     car = (scn.car.x, scn.car.y)

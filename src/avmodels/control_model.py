@@ -61,45 +61,41 @@ Vertex = Union[int, str]
 class GraphMap:
     vertices: Tuple[Vertex, ...]
     edges: Tuple[Tuple[Vertex, str, Vertex], ...]  # (src, street, dst) in declaration order
-    _edge_by_street: dict = field(default=None, repr=False, compare=False)
-    _succ: dict = field(default=None, repr=False, compare=False)
+    # street -> the streets leaving its head vertex, in declaration order
+    _next: dict = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        vset = set(self.vertices)
-        if len(vset) != len(self.vertices):
+        leaving: Dict[Vertex, List[str]] = {v: [] for v in self.vertices}
+        if len(leaving) != len(self.vertices):
             raise MapError("duplicate vertices")
-        by_street = {}
-        succ: Dict[int, List[str]] = {v: [] for v in self.vertices}
+        head = {}
         for src, street, dst in self.edges:
-            if src not in vset or dst not in vset:
+            if src not in leaving or dst not in leaving:
                 raise MapError(f"edge {street} endpoint not a vertex")
-            if street in by_street:
+            if street in head:
                 raise MapError(f"duplicate street name {street}")
             try:
                 Sym(street)  # labels carry the street as a symbol
             except ValueError_:
                 raise MapError(f"street name {street!r} is not a symbol name") from None
-            by_street[street] = (src, dst)
-            succ[src].append(street)
-        object.__setattr__(self, "_edge_by_street", by_street)
-        object.__setattr__(self, "_succ", succ)
+            head[street] = dst
+            leaving[src].append(street)
+        out = {v: tuple(streets) for v, streets in leaving.items()}
+        object.__setattr__(self, "_next", {street: out[v] for street, v in head.items()})
 
     def streets(self) -> Tuple[str, ...]:
         return tuple(s for _, s, _ in self.edges)
 
     def has_street(self, street: str) -> bool:
-        return street in self._edge_by_street
-
-    def head(self, street: str) -> int:
-        """The vertex a car on this street is driving towards."""
-        return self._edge_by_street[street][1]
+        return street in self._next
 
 
 def successors(gmap: GraphMap, street: str) -> Tuple[str, ...]:
     """Streets leaving the head vertex of street, in edge declaration order."""
-    if not gmap.has_street(street):
-        raise MapError(f"unknown street {street}")
-    return tuple(gmap._succ[gmap.head(street)])
+    try:
+        return gmap._next[street]
+    except KeyError:
+        raise MapError(f"unknown street {street}") from None
 
 
 def consistent_move(gmap: GraphMap, street: str, control: Control, target: str) -> bool:
@@ -153,12 +149,6 @@ def control_value(control: Control) -> Value:
     if isinstance(control, Turn):
         return Rec("turned_n", (Nat(control.n),))
     raise MapError(f"not a control: {control!r}")
-
-
-def op_value(op: Op) -> Value:
-    if op == LEAVE:
-        return Sym(LEAVE)
-    return control_value(op)
 
 
 def grid_value(occupied) -> Value:
@@ -298,7 +288,7 @@ def build_control_composition(scn: ControlScenario) -> Composition:
                         lambda offers: ("awaiting", g_sent, decode_grid(offers[0]))))
             out.append((Receive("CURRENT_PATH"), follow))
         elif tag == "brake":
-            out.append((Action("CAR_MOVE", (Sym(BRAKES),)), ("request", st[1])))
+            out.append((Action("CAR_MOVE", (control_value(BRAKES),)), ("request", st[1])))
         elif tag == "move":
             out.append((Action("CAR_MOVE", (st[1],)), ("request", st[2])))
         return out
@@ -324,14 +314,12 @@ def build_control_composition(scn: ControlScenario) -> Composition:
                 if op == LEAVE:
                     sub = (None, (), False)
                     offers = (Nat(i), Sym(LEAVE), Sym(street))
-                elif isinstance(op, Turn):
+                else:  # a Turn
                     succ = successors(gmap, street)
                     if op.n >= len(succ):
                         continue  # invalid scripted turn never fires
                     sub = (succ[op.n], remaining[1:], False)
-                    offers = (Nat(i), op_value(op), Sym(succ[op.n]))
-                else:
-                    raise MapError(f"bad op {op!r}")
+                    offers = (Nat(i), control_value(op), Sym(succ[op.n]))
                 out.append((Action("OBSTACLE_MOVE", offers), st[:i] + (sub,) + st[i + 1:]))
         return out
 
@@ -368,7 +356,7 @@ def build_control_composition(scn: ControlScenario) -> Composition:
                 live2 = live[:i] + (False,) + live[i + 1:]
                 nxt = "halted" if (live and not any(live2)) else "idle"
                 out.append((Action("END_OBSTACLE", (Nat(i),)), (nxt, car, obst, live2)))
-            out.append((Action("CAR_MOVE", (Sym(BRAKES),)), ("push_pos", car, obst, live)))
+            out.append((Action("CAR_MOVE", (control_value(BRAKES),)), ("push_pos", car, obst, live)))
             for k, target in enumerate(successors(gmap, car)):
                 nxt = "collision" if target in occupied else "push_pos"
                 out.append((Action("CAR_MOVE", (control_value(Turn(k)),)),

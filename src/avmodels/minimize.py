@@ -1,14 +1,15 @@
 """Strong bisimulation minimization: a backward sweep over the states whose
 every path is finite, then dirty-block partition refinement of the rest.
 
-A state's signature is its set of (label, successor block) pairs. The sweep
-visits the states in Kahn's order from the sinks over the predecessor
-lists, so each state comes after all its successors; its signature is taken
-once, from their final blocks, and equal signatures share a block. On these
-well-founded states that settles strong bisimulation exactly, one rank at a
-time (Dovier, Piazza & Policriti, TCS 311, 2004). A state the sweep never
-reaches can reach a cycle, so it has an infinite path and is bisimilar to
-no settled state, and a settled state has no unsettled successor.
+A state's set of (label, successor block) pairs is its signature, which
+_refine's signature() alone computes. The sweep visits the states in Kahn's
+order from the sinks over the predecessor lists, so each state comes after
+all its successors; its signature is taken once, from their final blocks,
+and equal signatures share a block. On these well-founded states that
+settles strong bisimulation exactly, one rank at a time (Dovier, Piazza &
+Policriti, TCS 311, 2004). A state the sweep never reaches can reach a
+cycle, so it has an infinite path and is bisimilar to no settled state,
+and a settled state has no unsettled successor.
 
 The unsettled states start as one block, marked dirty, and refinement works
 in rounds. Each round groups the members of every dirty block by signature,
@@ -79,46 +80,46 @@ def _refine(lts: Lts, label_ids: Dict[int, int]) -> List[int]:
         out[src].append((label_ids[id(act)], dst))
         pred[dst].append(src)
     blocks = [-1] * n
+
+    def signature(s: int) -> Tuple[int, ...]:
+        # a block id is below n, so lid * n + block names one (label, block);
+        # the sweep keeps one per settled block, so a tuple: a frozenset is 4x larger
+        return tuple(sorted({lid * n + blocks[d] for lid, d in out[s]}))
+
     # settle the states whose every path is finite, sinks first (Kahn's
     # order over pred): each one's successors already have their final block
     signatures: Dict[Tuple[int, ...], int] = {}
     pending = [len(succs) for succs in out]  # edges to states not yet settled
     ready = [s for s in range(n) if not out[s]]
     for s in ready:  # grows while it is walked
-        # a block id is below n, so lid * n + block names one (label, block)
-        key = tuple(sorted({lid * n + blocks[d] for lid, d in out[s]}))
-        blocks[s] = signatures.setdefault(key, len(signatures))
+        blocks[s] = signatures.setdefault(signature(s), len(signatures))
         for p in pred[s]:
             pending[p] -= 1
             if not pending[p]:
                 ready.append(p)
     # the rest can reach a cycle: one block for them all, refined against the
-    # settled blocks, which no longer change
+    # settled blocks, which no longer change and so need no member list
     rest = [s for s in range(n) if blocks[s] < 0]
     for s in rest:
         blocks[s] = len(signatures)
-    # a settled block is never dirty, so it needs no member list: its slots
-    # all share one empty list on purpose (a list each would cost about 1 MB
-    # on 20,000 settled blocks), which the loop below must never change
-    members: List[List[int]] = [[]] * len(signatures) + [rest]
-    dirty = {len(signatures)} if rest else set()
+    members: Dict[int, List[int]] = {len(signatures): rest} if rest else {}
+    dirty = set(members)
     while dirty:
         # every signature is taken against the block ids of the last round
         splits = []
         for b in dirty:
             if len(members[b]) > 1:
-                groups: Dict[frozenset, List[int]] = {}
+                groups: Dict[Tuple[int, ...], List[int]] = {}
                 for s in members[b]:
-                    groups.setdefault(
-                        frozenset((lid, blocks[d]) for lid, d in out[s]), []).append(s)
+                    groups.setdefault(signature(s), []).append(s)
                 if len(groups) > 1:
                     splits.append((b, sorted(groups.values(), key=len)))
         moved: List[int] = []
         for b, groups in splits:
             members[b] = groups.pop()  # the largest group keeps the id
             for group in groups:
-                new = len(members)
-                members.append(group)
+                new = len(signatures) + len(members)
+                members[new] = group
                 for s in group:
                     blocks[s] = new
                 moved += group

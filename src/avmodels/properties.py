@@ -3,12 +3,12 @@
 Checks run as observer products: a kernel.Product of the system with a
 monitor, whose states are (system state, monitor state). A safety monitor
 steps to VIOLATION; the liveness checks' monitor counts the END_OBSTACLE
-actions taken and cuts the edges of terminal actions. kernel.search
-explores each product breadth first, on the fly up to the first violation,
-so the checked system may be an explored Lts or a Composition; a product
-past explore's default limits raises ExplorationLimitError. Verdicts carry
-the counterexample as a replayable label sequence (for lassos, a prefix
-plus the repeating cycle).
+actions taken, cuts the edges of terminal actions and ends at the _STUCK
+edge of a state with no way out. kernel.search explores each product
+breadth first, on the fly up to the first violation, so the checked system
+may be an explored Lts or a Composition; a product past explore's default
+limits raises ExplorationLimitError. Verdicts carry the counterexample as a
+replayable label sequence (for lassos, a prefix plus the repeating cycle).
 """
 from __future__ import annotations
 
@@ -24,6 +24,7 @@ from .values import Nat, Rec, Sym
 VIOLATION = ("violation",)
 
 TERMINAL_GATES = ("ARRIVAL", "COLLISION", "END_OBSTACLE")
+_STUCK = Action("STUCK")  # matched by identity, so a model's STUCK gate is not it
 
 
 class PropertySchemaError(ValueError):
@@ -126,35 +127,27 @@ def check_consistent_updates(system, gmap: GraphMap, consistent=None) -> Verdict
 def _escape(system, terminal_gates, end_obstacle_total):
     """Explore the product of system with its END_OBSTACLE count, pruned at
     terminal actions, up to the first state whose system state has no way
-    out, terminal or not. An END_OBSTACLE among the terminal gates is
-    terminal only at its end_obstacle_total-th occurrence (None behaves like
-    1). Returns the explored part and a shortest trace to that state, or
-    None when none is reachable.
+    out, terminal or not; its one edge, _STUCK, takes the count to the goal.
+    An END_OBSTACLE among the terminal gates is terminal only at its
+    end_obstacle_total-th occurrence (None behaves like 1). Returns the
+    explored part and a shortest trace to that state, or None if there is none.
     """
     need = 1 if end_obstacle_total is None else max(1, end_obstacle_total)
     terminal = frozenset(terminal_gates)
 
     def count(c, act):
+        if act is _STUCK:
+            return _STUCK
         if act.gate not in terminal:
             return c
         return c + 1 if act.gate == "END_OBSTACLE" and c + 1 < need else None
 
-    # the goal steps each discovered system state and its expansion takes
-    # those edges, so a system state is stepped once, not twice
-    pending = {}  # system state -> its edges, until expanded
-
     def edges(state):
-        out = pending.pop(state, None)
-        return system.enabled_actions(state) if out is None else out
-
-    def stuck(node):
-        out = pending.get(node[0])
-        if out is None:
-            out = pending[node[0]] = system.enabled_actions(node[0])
-        return not out
+        return system.enabled_actions(state) or [(_STUCK, state)]
 
     stepped = SimpleNamespace(initial_state=system.initial_state, enabled_actions=edges)
-    return search(Product(stepped, Monitor(0, count)), stuck)
+    product, trace = search(Product(stepped, Monitor(0, count)), lambda node: node[1] is _STUCK)
+    return product, None if trace is None else trace[:-1]
 
 
 def _find_cycle(out) -> Optional[tuple]:

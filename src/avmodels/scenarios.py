@@ -95,17 +95,20 @@ def _street(value, where: str) -> str:
     return value
 
 
+def _vertex(value) -> bool:
+    """A vertex is a name or a number; a JSON boolean would alias 0 or 1."""
+    return isinstance(value, (str, int)) and not isinstance(value, bool)
+
+
 def _graph_scenario(data) -> ControlScenario:
     vertices = _req(data, "vertices", "scenario")
     raw_edges = _list(_req(data, "edges", "scenario"), "edges")
-    if not isinstance(vertices, list) or not all(
-            isinstance(v, (str, int)) and not isinstance(v, bool) for v in vertices):
+    if not isinstance(vertices, list) or not all(map(_vertex, vertices)):
         raise ScenarioError("vertices: expected a list of names or numbers")
     edges = []
     for i, e in enumerate(raw_edges):
         if (not isinstance(e, list) or len(e) != 3
-                or not isinstance(e[1], str)
-                or not all(isinstance(x, (str, int)) for x in (e[0], e[2]))):
+                or not isinstance(e[1], str) or not (_vertex(e[0]) and _vertex(e[2]))):
             raise ScenarioError(f"edges[{i}]: expected [source, street, target]")
         edges.append((e[0], e[1], e[2]))
     try:

@@ -184,28 +184,39 @@ class SimScenario:
 
     @staticmethod
     def from_json(data) -> "SimScenario":
-        try:
-            ticks = []
-            for t in data["ticks"]:
-                moves = tuple(
-                    ObstacleMove(kind, _cell(m["from"]), _cell(m["to"]), m["direction"])
-                    for kind, m in t["obstacles"].items())
-                car = None
-                if t.get("car") is not None:
-                    car = (_cell(t["car"]["from"]), _cell(t["car"]["to"]))
-                ticks.append(SimTick(moves, car))
-            terminal = data.get("terminal")
-        except (AttributeError, KeyError, TypeError) as e:
-            raise FoldError(f"bad simulation scenario JSON: {e}")
+        """Raises FoldError naming the tick and the field that is malformed."""
+        if not isinstance(data, dict) or not isinstance(data.get("ticks"), list):
+            raise FoldError("a simulation scenario must be an object with a ticks list")
+        ticks = []
+        for i, t in enumerate(data["ticks"], start=1):
+            if not isinstance(t, dict):
+                raise FoldError(f"tick {i} must be an object")
+            if not isinstance(t.get("obstacles"), dict):
+                raise FoldError(f"tick {i}: obstacles must be an object")
+            moves = []
+            for kind, m in t["obstacles"].items():
+                where = f"tick {i}: obstacles.{kind}"
+                if not isinstance(m, dict) or not {"from", "to", "direction"} <= m.keys():
+                    raise FoldError(f"{where} must be an object with from, to and direction")
+                moves.append(ObstacleMove(kind, _cell(m["from"], f"{where}.from"),
+                                          _cell(m["to"], f"{where}.to"), m["direction"]))
+            car = t.get("car")
+            if car is not None:
+                if not isinstance(car, dict) or not {"from", "to"} <= car.keys():
+                    raise FoldError(f"tick {i}: car must be null or an object with from and to")
+                car = (_cell(car["from"], f"tick {i}: car.from"),
+                       _cell(car["to"], f"tick {i}: car.to"))
+            ticks.append(SimTick(tuple(moves), car))
+        terminal = data.get("terminal")
         if terminal is not None and terminal not in TERMINALS:
             raise FoldError(f"bad terminal {terminal!r}")
         return SimScenario(tuple(ticks), terminal)
 
 
-def _cell(raw) -> Tuple[int, int]:
+def _cell(raw, where: str) -> Tuple[int, int]:
     if (not isinstance(raw, list) or len(raw) != 2
             or not all(isinstance(v, int) and not isinstance(v, bool) for v in raw)):
-        raise FoldError(f"bad cell {raw!r}: need a list of two integers")
+        raise FoldError(f"{where}: bad cell {raw!r}: need a list of two integers")
     return raw[0], raw[1]
 
 

@@ -292,6 +292,18 @@ def test_digits_or_quotes_out_of_place_take_the_per_line_path_and_fail_the_same(
     assert (str(exc.value), exc.value.line) == (str(ref.value), ref.value.line)
 
 
+@pytest.mark.parametrize("text, line", [
+    ("des (0, 0, ١)\n", 1),
+    ('des (0, 1, 2)\n(٠, "a", 1)\n', 2),
+    ('des (0, 1, 2)\n(0, "a", ١)\n', 2),
+], ids=["header", "source", "target"])
+def test_a_non_ascii_digit_in_a_text_stream_is_a_format_error_at_its_line(text, line):
+    assert _import_exported(text) is None
+    with pytest.raises(AutFormatError) as exc:
+        import_aut(io.StringIO(text))
+    assert exc.value.line == line
+
+
 def long_chain(k: int) -> str:
     buf = io.StringIO()
     export_aut(Lts(k + 1, 0, tuple((i, Action("CAR_MOVE", (Sym("brakes"),)), i + 1)

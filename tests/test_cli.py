@@ -361,6 +361,46 @@ def test_a_street_position_that_is_not_a_name_exits_2_naming_the_field(tmp_path,
         assert capsys.readouterr().err == f"error: {field}: expected a street name, got {got}\n"
 
 
+@pytest.mark.parametrize("data, message", [
+    ([], "scenario must be a JSON object"),
+    ({}, "scenario has neither street-graph keys (vertices/edges) nor grid keys (width/height)"),
+    (dict(TINY_GRID, height=-1), "height: expected a non-negative integer, got -1"),
+    (dict(TINY_GRAPH, vertices=[0, [1]]), "vertices: expected a list of names or numbers"),
+    (dict(TINY_GRAPH, edges=[[0, "A", 1], [1, "A_bis"]]),
+     "edges[1]: expected [source, street, target]"),
+    # true == 1, so this edge would otherwise leave vertex 1
+    ({"vertices": [0, 1], "edges": [[True, "High_Street", 0], [0, "Low_Street", 1]],
+      "car": {"position": "High_Street", "destination": "Low_Street"}},
+     "edges[0]: expected [source, street, target]"),
+    (dict(TINY_GRAPH, car="A"), "car: expected an object"),
+    (dict(TINY_GRID, car=[0, 3]), "car: expected an object"),
+    (dict(TINY_GRAPH, obstacles=["A_bis"]), "obstacles[0]: expected an object"),
+    (dict(TINY_GRAPH, obstacles=[{"position": "A_bis", "moves": ["random", "jump"]}]),
+     """obstacles[0].moves[1]: expected "random", "leave" or {"turn": n}, got 'jump'"""),
+    (dict(TINY_GRID, static=[5]), "static[0]: expected an object"),
+    (dict(TINY_GRID, width=0), "degenerate grid"),
+    (dict(TINY_GRID, static=[dict(TINY_GRID["static"][0], w=0)]),
+     "static[0]: Rock: extent must be positive"),
+], ids=["not-an-object", "no-model-keys", "negative-height", "vertex-a-list", "short-edge",
+        "boolean-edge-endpoint", "graph-car-a-string", "grid-car-a-list", "obstacle-a-string",
+        "unknown-move-word", "static-a-number", "zero-width", "zero-extent"])
+def test_a_malformed_scenario_exits_2_with_its_one_error_line(tmp_path, data, message):
+    code, out, err = run_main(["explore", "--scenario", write_json(tmp_path / "s.json", data),
+                               "--out", str(tmp_path / "out.aut")])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("tick, message", [
+    ({"obstacles": []}, "tick 1: obstacles must be an object"),
+    ({"obstacles": {}, "car": {"to": [6, 8]}},
+     "tick 1: car must be null or an object with from and to"),
+], ids=["obstacles-a-list", "car-move-without-from"])
+def test_a_malformed_sim_exits_2_naming_the_file_and_the_tick(tmp_path, tick, message):
+    sim = write_json(tmp_path / "sim.json", {"ticks": [tick]})
+    code, out, err = run_main(["render", "--scenario", str(CONFIGS / "grid.json"), "--sim", sim])
+    assert (code, out, err) == (2, "", f"error: {sim}: {message}\n")
+
+
 def test_non_ascii_aut_names_the_file_and_the_line(tmp_path, capsys):
     aut = tmp_path / "bad.aut"
     aut.write_bytes(b'des (0, 1, 2)\n(0, "caf\xd9", 1)\n')

@@ -241,6 +241,15 @@ def test_custom_terminal_gates():
     assert check_inevitable_termination(lts).kind == "fail"
 
 
+def test_a_model_gate_named_stuck_is_an_ordinary_action():
+    behind = Lts(2, 0, ((0, simple("STUCK"), 1), (1, simple("ARRIVAL"), 1)))
+    assert check_deadlock_freedom(behind).passed
+    assert check_inevitable_termination(behind).passed
+    verdict = check_deadlock_freedom(path_lts(simple("STUCK")))
+    assert verdict.kind == "fail" and verdict.trace == (simple("STUCK"),)
+    assert check_deadlock_freedom(Lts(1, 0, ())).trace == ()
+
+
 class CountingSystem:
     """A system that counts the enabled_actions calls per state."""
 
