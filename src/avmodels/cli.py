@@ -31,7 +31,7 @@ from .control_model import ControlScenario, build_control_composition
 from .grid_model import build_grid_composition
 from .kernel import ExplorationLimitError, ExplorationLimits, Lts, explore
 from .minimize import minimize
-from .perception import GridScenario, rect_cells
+from .perception import GridScenario, GridError, build_grid_map, rect_cells
 from .scenarios import load_scenario, read_json
 from .testgen import FoldError, SimScenario
 
@@ -166,27 +166,37 @@ def cmd_render(args) -> int:
         sim = SimScenario.from_json(read_json(args.sim))
     except FoldError as e:
         raise CliError(f"{args.sim}: {e}")
-    sizes = {ob.kind: (ob.w, ob.h) for ob in scn.mobile}
     anchors = {ob.kind: ob.anchor() for ob in scn.mobile}
     car = (scn.car.x, scn.car.y)
+    static = [(ob.kind, ob.transparent, ob.anchor(), ob.w, ob.h) for ob in scn.static]
 
-    def check_on_grid(i, what, cells):
-        for x, y in cells:
-            if not (0 <= x < scn.width and 0 <= y < scn.height):
-                raise CliError(f"{args.sim}: tick {i} puts {what} at ({x}, {y}), "
-                               f"off the {scn.width}x{scn.height} grid")
+    def fail(i, msg):
+        raise CliError(f"{args.sim}: tick {i}: {msg}")
+
+    def check_from(i, what, source, stands):
+        if source != stands:
+            fail(i, f"{what} moves from ({source[0]}, {source[1]}) "
+                    f"but stands at ({stands[0]}, {stands[1]})")
 
     frames = [_frame(scn, anchors, car)]  # all ticks are checked before any prints
     for i, tick in enumerate(sim.ticks, start=1):
         for mv in tick.obstacles:
             if mv.kind not in anchors:
-                raise CliError(f"{args.sim}: tick {i} moves unknown obstacle {mv.kind}")
-            w, h = sizes[mv.kind]
-            check_on_grid(i, mv.kind, rect_cells(mv.source, w, h) + rect_cells(mv.target, w, h))
+                fail(i, f"moves unknown obstacle {mv.kind}")
+            check_from(i, mv.kind, mv.source, anchors[mv.kind])
             anchors[mv.kind] = mv.target
+            try:
+                build_grid_map(scn.width, scn.height, static + [
+                    (ob.kind, ob.transparent, anchors[ob.kind], ob.w, ob.h)
+                    for ob in scn.mobile], None)
+            except GridError as e:
+                fail(i, e)
         if tick.car is not None:
-            check_on_grid(i, "the car", tick.car)
+            check_from(i, "the car", tick.car[0], car)
             car = tick.car[1]
+            if not (0 <= car[0] < scn.width and 0 <= car[1] < scn.height):
+                fail(i, f"puts the car at ({car[0]}, {car[1]}), "
+                        f"off the {scn.width}x{scn.height} grid")
         frames.append(_frame(scn, anchors, car))
     for i, frame in enumerate(frames):
         print(f"tick {i}" if i else "tick 0 (initial)")

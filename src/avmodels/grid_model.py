@@ -1,5 +1,6 @@
-"""Grid-world composition: obstacle manager, ground-truth map, car, lidar,
-scheduler and the random-move restraint.
+"""Grid-world composition of five components: obstacle manager,
+ground-truth map, car, lidar and the random-move restraint. The map
+(MAP_MANAGER) alone keeps the round order.
 
 Each round, every live obstacle announces itself (GRID_UPDATE !kind) and
 moves (OBSTACLE_POSITION), then the car moves (CAR_POSITION) or arrives, the
@@ -12,8 +13,8 @@ Only the actor that decides a move offers it: the manager offers each
 obstacle's scripted move (every resolution of a random one) and MOVE_CAR
 the car's. Everyone else receives the move that fires and keeps what it
 needs of it: the manager the car cell, the map and the lidar every actor's
-cells, the scheduler nothing but the round order, and the restraint the car
-cell, against which it refuses random moves that stray from the car.
+cells, and the restraint the car cell, against which it refuses random
+moves that stray from the car.
 """
 from __future__ import annotations
 
@@ -67,21 +68,17 @@ def build_grid_composition(scn: GridScenario, expose_grid: bool = False) -> Comp
 
     def obstacle_moves(view, i, scripted):
         """(action, resolved, new anchor) for each way obstacle i can carry
-        out its scripted move. Blocked moves stay in place but still resolve
-        their direction; random resolves to any in-bounds free direction, or
-        to none.
+        out its scripted move. A move onto an occupied or off-map cell stays
+        in place but still resolves its direction; random resolves to any
+        in-bounds free direction, or to none.
         """
         car, anchors, dirs = view
         ob = mobiles[i]
-        blocked = set(static_cells)
-        blocked.add(car)
-        for j in range(n):
-            if j != i:
-                blocked.update(rect_cells(anchors[j], mobiles[j].w, mobiles[j].h))
 
         def target(d):
             anchor = step_position(anchors[i], d, ob.speed, width, height)
-            if anchor is not None and all(0 <= x < width and 0 <= y < height and (x, y) not in blocked
+            if anchor is not None and all(0 <= x < width and 0 <= y < height and (x, y) != car
+                                          and occupant_kind(anchors, (x, y), skip=i) is None
                                           for x, y in rect_cells(anchor, ob.w, ob.h)):
                 return anchor
             return None
@@ -107,20 +104,15 @@ def build_grid_composition(scn: GridScenario, expose_grid: bool = False) -> Comp
                 cells.append(cell)
         return cells
 
-    def occupant_kind(anchors, cell):
+    def occupant_kind(anchors, cell, skip=None):
+        """Kind of the building or of the obstacle other than skip that
+        covers cell, or None."""
         if cell in static_cells:
             return static_cells[cell]
         for j in range(n):
-            if cell in rect_cells(anchors[j], mobiles[j].w, mobiles[j].h):
+            if j != skip and cell in rect_cells(anchors[j], mobiles[j].w, mobiles[j].h):
                 return kinds[j]
         return None
-
-    def receive_move_of(i, after):
-        """Receiver of obstacle i's moves; after(new anchor) is the next state."""
-        def accept(offers):
-            kind, anchor = decode_obstacle(offers[0])[:2]
-            return after(anchor) if kind == kinds[i] else None
-        return (Receive("OBSTACLE_POSITION"), accept)
 
     grid_update = {k: Action("GRID_UPDATE", (Sym(k),)) for k in kinds}
     end_obstacle = {k: Action("END_OBSTACLE", (Sym(k),)) for k in kinds}
@@ -170,26 +162,21 @@ def build_grid_composition(scn: GridScenario, expose_grid: bool = False) -> Comp
          mgr_scripts, mgr_norm(0, mgr_scripts), "say"),
         mgr_step)
 
-    # --- round slot order, walked by MAP_MANAGER and SCHEDULER alike
-    def next_slot(live, car_dead, j):
-        """Round phase from slot j on: the next live obstacle, then the car
-        while it runs, then TICK while any obstacle lives."""
+    # --- MAP_MANAGER: ground truth (car cell, obstacle anchors) and the
+    # round order
+    def map_norm(live, car_dead, j):
+        """Round phase from slot j on: the next live obstacle's "say" stage
+        (GRID_UPDATE or END_OBSTACLE), then the car while it runs, then TICK
+        while any obstacle lives."""
         while j < n and not live[j]:
             j += 1
         if j < n:
-            return ("obs", j)
+            return ("obs", j, "say")
         if not car_dead:
             return ("car",)
         if any(live):
             return ("tick",)
         return ("halted",)
-
-    # --- MAP_MANAGER: ground truth (car cell, obstacle anchors) and round
-    # phasing; an obstacle's slot opens with its "say" stage (GRID_UPDATE or
-    # END_OBSTACLE)
-    def map_norm(live, car_dead, j):
-        slot = next_slot(live, car_dead, j)
-        return slot + ("say",) if slot[0] == "obs" else slot
 
     def map_step(st):
         view, live, car_dead, phase = st
@@ -204,9 +191,13 @@ def build_grid_composition(scn: GridScenario, expose_grid: bool = False) -> Comp
                 out.append((end_obstacle[kinds[i]],
                             (view, live2, car_dead, map_norm(live2, car_dead, i + 1))))
             else:
-                out.append(receive_move_of(i, lambda anchor: (
-                    (car, with_anchor(anchors, i, anchor)), live, car_dead,
-                    map_norm(live, car_dead, i + 1))))
+                def obstacle_moved(offers):
+                    kind, anchor = decode_obstacle(offers[0])[:2]
+                    if kind != kinds[i]:
+                        return None
+                    return ((car, with_anchor(anchors, i, anchor)), live, car_dead,
+                            map_norm(live, car_dead, i + 1))
+                out.append((Receive("OBSTACLE_POSITION"), obstacle_moved))
         elif tag == "car":
             def car_moved(offers):
                 cell = cell_of(offers[1])
@@ -285,33 +276,6 @@ def build_grid_composition(scn: GridScenario, expose_grid: bool = False) -> Comp
         ((car0, anchors0), None, None, False),
         lidar_step)
 
-    # --- SCHEDULER: slot order, without the map's say/move granularity
-    def sched_step(st):
-        live, car_dead, phase = st
-        out = []
-        tag = phase[0]
-        if tag == "obs":
-            i = phase[1]
-            out.append(receive_move_of(i, lambda anchor: (
-                live, car_dead, next_slot(live, car_dead, i + 1))))
-            live2 = live[:i] + (False,) + live[i + 1:]
-            out.append((end_obstacle[kinds[i]],
-                        (live2, car_dead, next_slot(live2, car_dead, i + 1))))
-        elif tag == "car":
-            out.append((Receive("CAR_POSITION"), lambda offers: (live, car_dead, ("tick",))))
-            out.append((ARRIVAL, (live, True, ("tick",))))
-        elif tag == "tick":
-            out.append((Receive("COLLISION"), lambda offers: (live, True, ("tick",))))
-            out.append((TICK, (live, car_dead, next_slot(live, car_dead, 0))))
-        return out
-
-    scheduler = Component(
-        "SCHEDULER",
-        frozenset({"OBSTACLE_POSITION", "CAR_POSITION", "END_OBSTACLE",
-                   "ARRIVAL", "COLLISION", "TICK"}),
-        (map_init_live, False, next_slot(map_init_live, False, 0)),
-        sched_step)
-
     # --- RESTRAND: tracks the car cell, refuses random moves that wander
     # away from it
     def restrand_step(car):
@@ -332,4 +296,4 @@ def build_grid_composition(scn: GridScenario, expose_grid: bool = False) -> Comp
         car0,
         restrand_step)
 
-    return Composition([manager, map_manager, move_car, lidar, scheduler, restrand])
+    return Composition([manager, map_manager, move_car, lidar, restrand])

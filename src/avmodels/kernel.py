@@ -440,18 +440,10 @@ def search(system, goal: Callable[[Hashable], bool],
     """Explore system up to the first state meeting goal. Returns the
     explored part and a shortest trace to that state, or None when no
     reachable state meets the goal. Raises ExplorationLimitError on a limit.
-    The goal is tested once per discovered state.
+    The goal is tested once per discovered state and again on the last.
     """
-    met = []
-
-    def reached(node) -> bool:
-        if goal(node):
-            met.append(node)
-            return True
-        return False
-
-    explored = explore(system, limits, reached)
-    return explored, goal_trace(explored, met.__contains__)
+    explored = explore(system, limits, goal)
+    return explored, goal_trace(explored, goal)
 
 
 def goal_trace(lts: Lts, goal: Callable[[Hashable], bool]) -> Optional[tuple]:

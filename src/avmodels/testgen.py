@@ -21,7 +21,7 @@ from . import values
 from .kernel import (
     Action, ExplorationLimits, Lts, Monitor, Product, explore, goal_trace, search,
 )
-from .perception import GridScenario, decode_obstacle
+from .perception import DIRECTIONS, GridScenario, decode_obstacle
 from .grid_model import build_grid_composition
 
 WILDCARD = "*"
@@ -198,6 +198,9 @@ class SimScenario:
                 where = f"tick {i}: obstacles.{kind}"
                 if not isinstance(m, dict) or not {"from", "to", "direction"} <= m.keys():
                     raise FoldError(f"{where} must be an object with from, to and direction")
+                if m["direction"] not in DIRECTIONS:
+                    raise FoldError(f"{where}.direction: bad direction {m['direction']!r}: "
+                                    f"need one of {', '.join(DIRECTIONS)}")
                 moves.append(ObstacleMove(kind, _cell(m["from"], f"{where}.from"),
                                           _cell(m["to"], f"{where}.to"), m["direction"]))
             car = t.get("car")

@@ -401,6 +401,36 @@ def test_a_malformed_sim_exits_2_naming_the_file_and_the_tick(tmp_path, tick, me
     assert (code, out, err) == (2, "", f"error: {sim}: {message}\n")
 
 
+def pedestrian(source, target, direction="up"):
+    return {"Pedestrian": {"from": source, "to": target, "direction": direction}}
+
+
+@pytest.mark.parametrize("ticks, message", [
+    ([{"obstacles": pedestrian([0, 0], [8, 1])}],
+     "tick 1: Pedestrian moves from (0, 0) but stands at (3, 5)"),
+    ([{"obstacles": pedestrian([3, 5], [3, 4], 3)}],
+     "tick 1: obstacles.Pedestrian.direction: bad direction 3: "
+     "need one of up, down, left, right, none"),
+    ([{"obstacles": pedestrian([3, 5], [3, 3])}],
+     "tick 1: Pedestrian overlaps Building_NW at (3,3)"),
+    ([{"obstacles": pedestrian([3, 5], [10, 5], "right")}],
+     "tick 1: Pedestrian sticks out of the map at (10,5)"),
+    ([{"obstacles": {"Other_Car": {"from": [6, 7], "to": [6, 5], "direction": "up"},
+                     **pedestrian([3, 5], [6, 5], "right")}}],
+     "tick 1: Pedestrian overlaps Other_Car at (6,5)"),
+    ([{"obstacles": pedestrian([3, 5], [4, 5], "right")},
+      {"obstacles": pedestrian([3, 5], [4, 5], "right")}],
+     "tick 2: Pedestrian moves from (3, 5) but stands at (4, 5)"),
+    ([{"obstacles": {}, "car": {"from": [6, 8], "to": [6, 7]}}],
+     "tick 1: the car moves from (6, 8) but stands at (6, 9)"),
+], ids=["from-elsewhere", "direction-a-number", "into-a-building", "off-the-map",
+        "onto-an-obstacle", "from-the-old-cell", "car-from-elsewhere"])
+def test_render_rejects_a_move_the_model_cannot_make(tmp_path, ticks, message):
+    sim = write_json(tmp_path / "sim.json", {"ticks": ticks})
+    code, out, err = run_main(["render", "--scenario", str(CONFIGS / "grid.json"), "--sim", sim])
+    assert (code, out, err) == (2, "", f"error: {sim}: {message}\n")
+
+
 def test_non_ascii_aut_names_the_file_and_the_line(tmp_path, capsys):
     aut = tmp_path / "bad.aut"
     aut.write_bytes(b'des (0, 1, 2)\n(0, "caf\xd9", 1)\n')

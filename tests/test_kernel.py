@@ -1,11 +1,14 @@
 import collections
 import dataclasses
+import io
 import pathlib
 import random
 
 import pytest
 
+from avmodels.aut import export_aut
 from avmodels.control_model import build_control_composition
+from avmodels.grid_model import build_grid_composition
 from avmodels.kernel import (
     Action, Component, Composition, CompositionError, ExplorationLimitError,
     ExplorationLimits, INTERNAL, Lts, Monitor, Product, Receive, explore, parse_action,
@@ -17,6 +20,7 @@ from avmodels.values import Nat, Sym
 from oracles import brute_force_edges, lts_edge_set, random_composition, receiver_cases
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 
 def table_component(cid, sync, table, initial=0):
@@ -370,3 +374,21 @@ def test_alphabet_and_outgoing():
     out = lts.outgoing()
     assert [(a.text(), d) for a, d in out[0]] == [("a", 1), ("b", 0)]
     assert out[1] == []
+
+
+@pytest.mark.parametrize("name, build", [
+    ("grid_random_car.json", build_grid_composition),
+    ("control_tiny.json", build_control_composition),
+], ids=["grid", "control"])
+def test_every_component_constrains_its_model(name, build):
+    """Leaving out any one component changes the explored LTS: no component
+    only repeats what the others already enforce."""
+    def aut(comp):
+        sink = io.StringIO()
+        export_aut(explore(comp), sink)
+        return sink.getvalue()
+
+    full = build(load_scenario(GOLDEN / name))
+    want = aut(full)
+    for c in full.components:
+        assert aut(Composition([d for d in full.components if d is not c])) != want, c.id
