@@ -6,25 +6,35 @@
 One transition per line, sorted ascending by (source, label text, target) on
 export so equal LTSs serialize to identical bytes. Labels are written in the
 canonical action text form and parsed back into structured actions when they
-are canonical; anything else round-trips as an opaque label. Export writes
-each action object's text once; import parses each distinct label text once,
-and transitions with equal text share one action.
+are canonical; anything else round-trips as an opaque label. Export renders
+each label of the Lts's table once; import parses each distinct label text
+once, and transitions with equal text share one label id.
 
-Export sorts its rows once and writes them in chunks of _WRITE_LINES lines,
-so the file never exists whole in memory as one string or line list.
+Export writes per source. The Lts keeps its transitions sorted by source,
+so each run of about _WRITE_LINES of them, cut after a source's last one,
+is sorted by (source, rank of the label text, target) and written as one
+chunk: the file never exists whole in memory, as one string or as a list of
+rows.
 
-Import reads a file as export writes it in one pass over chunks of about
-_READ_CHUNK characters, each cut at a line end: the quotes split a chunk into
-labels and a label-free skeleton, which must be exactly one
-`(digits, "", digits)` line per transition. Anything else (other spacing,
-blank lines, other line breaks, no final newline, a count or range error)
-sends the whole text to the per-line reader, which accepts the same files
-and reports every error with its line; both readers give equal Lts.
+Import reads a stream as export writes it in one pass over chunks of about
+_READ_CHUNK characters, each cut at a line end, and fills the Lts's arrays
+chunk by chunk: the quotes split a chunk into labels and a label-free
+skeleton, which must be exactly one `(digits, "", digits)` line per
+transition. Label ids follow the order in which the texts first appear.
+Anything else (other spacing, blank lines, other line breaks, no final
+newline, a count or range error, a byte that is not ASCII) seeks back and
+reads the whole text again: a byte that is not ASCII is reported at its
+line, and any other text goes to the per-line reader, which accepts the
+same files and reports every error with its line; both readers give equal
+Lts. The fast reader takes a file in any transition order: the Lts sorts
+it once.
 """
 from __future__ import annotations
 
+import io
 import re
-from typing import IO, Dict, List, Optional, Tuple
+from array import array
+from typing import IO, Dict, List, Optional
 
 from . import values
 from .kernel import Action, Lts, parse_action
@@ -38,6 +48,7 @@ _WRITE_LINES = 4096
 # exported lines with their labels cut out
 _SKELETON_RE = re.compile(r'(?:\([0-9]+, "", [0-9]+\)\n)+')
 _NUMBER_SEPARATORS = str.maketrans('(,")\n', "     ")
+_MAX_STATES = 2**31 - 1  # a state number must fit an array('i') item
 
 
 class AutFormatError(ValueError):
@@ -53,39 +64,41 @@ def export_aut(lts: Lts, sink: IO) -> None:
     non-ASCII character, or if import_aut would refuse the header: no
     states, an initial state past the last, or more than 2T + 1 states for T
     transitions."""
-    nstates, ntrans = lts.num_states, len(lts.transitions)
+    nstates, ntrans = lts.num_states, len(lts.src)
     if not 0 <= lts.initial < nstates <= 2 * ntrans + 1:
         raise ValueError(f"header not representable in aut: initial state {lts.initial}"
                          f" of {nstates} states with {ntrans} transitions")
-    rows: List[Tuple[int, str, int]] = []
-    # id(action) -> its checked label text; lts keeps every action alive,
-    # and an id costs no hashing of offer values
-    labels: Dict[int, str] = {}
-    for src, act, dst in lts.transitions:
-        label = labels.get(id(act))
-        if label is None:
-            label = labels[id(act)] = act.text()
-            if '"' in label or not label.isascii():
-                raise ValueError(f"label not representable in aut: {label!r}")
-        rows.append((src, label, dst))
-    rows.sort()
+    texts = [act.text() for act in lts.labels]
+    for label in texts:
+        if '"' in label or not label.isascii():
+            raise ValueError(f"label not representable in aut: {label!r}")
+    ordered = sorted(set(texts))
+    rank = {label: r for r, label in enumerate(ordered)}
+    ranks = [rank[label] for label in texts]  # label id -> rank of its text
     if hasattr(sink, "buffer"):
         sink = sink.buffer  # text wrapper around a binary stream
-    header = f"des ({lts.initial}, {len(rows)}, {lts.num_states})\n"
+    header = f"des ({lts.initial}, {ntrans}, {nstates})\n"
     try:
         sink.write(header.encode("ascii"))
         encode = True
     except TypeError:
         sink.write(header)
         encode = False
-    for start in range(0, len(rows), _WRITE_LINES):
-        chunk = "".join(f'({src}, "{label}", {dst})\n'
-                        for src, label, dst in rows[start:start + _WRITE_LINES])
+    offsets, src, lab, dst = lts.offsets, lts.src, lts.lab, lts.dst
+    rank_of = ranks.__getitem__
+    start = 0
+    while start < ntrans:
+        # about _WRITE_LINES transitions, up to the last one of a source; the
+        # arrays are sorted by source, so sorting them sorts each source's group
+        end = offsets[src[min(start + _WRITE_LINES, ntrans) - 1] + 1]
+        rows = sorted(zip(src[start:end], map(rank_of, lab[start:end]), dst[start:end]))
+        chunk = "".join([f'({s}, "{ordered[r]}", {d})\n' for s, r, d in rows])
         sink.write(chunk.encode("ascii") if encode else chunk)
+        start = end
 
 
 def import_aut(source: IO) -> Lts:
-    """Read an .aut file back into an Lts.
+    """Read an .aut file back into an Lts from a binary or text stream.
 
     Canonical labels become structured actions; other labels stay opaque
     (gate = full label text, no offers). Raises AutFormatError with the
@@ -93,6 +106,14 @@ def import_aut(source: IO) -> Lts:
     mismatches, and at line 1 when the header promises more than 2T + 1
     states for T transitions, which leaves states no transition names.
     """
+    if not source.seekable():  # a pipe: read it whole into a stream that can seek back
+        data = source.read()
+        source = io.BytesIO(data) if isinstance(data, bytes) else io.StringIO(data)
+    start = source.tell()
+    lts = _import_exported(source)
+    if lts is not None:
+        return lts
+    source.seek(start)
     data = source.read()
     if isinstance(data, bytes):
         try:
@@ -102,54 +123,84 @@ def import_aut(source: IO) -> Lts:
             # for the byte appended, its last line is the byte's line
             line = len((data[:e.start].decode("ascii") + "?").splitlines())
             raise AutFormatError(f"not ascii: {e}", line)
-    lts = _import_exported(data)
-    return lts if lts is not None else _import_lines(data)
+    return _import_lines(data)
 
 
-def _import_exported(data: str) -> Optional[Lts]:
-    """The Lts of a file laid out exactly as export_aut writes it, read in
+def _import_exported(source: IO) -> Optional[Lts]:
+    """The Lts of a stream laid out exactly as export_aut writes it, read in
     chunks; None for any other text, valid or not."""
-    end = data.find("\n")
-    m = _EXPORTED_HEADER_RE.match(data, 0, end) if end >= 0 else None
-    if not m:
+    src, lab, dst = array("i"), array("i"), array("i")
+    labels: List[Action] = []
+    ids: Dict[str, int] = {}  # label text -> its label id
+    header = None
+    rest: List[str] = []  # the pieces of the unfinished line read so far
+    while True:
+        block = source.read(_READ_CHUNK)
+        if isinstance(block, bytes):
+            try:
+                block = block.decode("ascii")
+            except UnicodeDecodeError:
+                return None
+        if not block:
+            break
+        cut = block.rfind("\n") + 1
+        if not cut:
+            rest.append(block)
+            continue
+        text = "".join(rest) + block[:cut]
+        rest = [block[cut:]] if cut < len(block) else []
+        if header is None:
+            end = text.index("\n")
+            m = _EXPORTED_HEADER_RE.match(text, 0, end)
+            if not m:
+                return None
+            try:
+                header = initial, ntrans, nstates = tuple(int(g) for g in m.groups())
+            except ValueError:  # more digits than int() converts
+                return None
+            if nstates > min(2 * ntrans + 1, _MAX_STATES) or initial >= nstates:
+                return None
+            text = text[end + 1:]
+        if text and not _read_lines(text, nstates, src, lab, dst, labels, ids):
+            return None
+    if header is None or rest or len(src) != ntrans:
         return None
+    return Lts.from_arrays(nstates, initial, src, lab, dst, tuple(labels))
+
+
+def _read_lines(text: str, nstates: int, src: array, lab: array, dst: array,
+                labels: List[Action], ids: Dict[str, int]) -> bool:
+    """Append the transitions of whole exported lines to the arrays; False
+    if text is not laid out as export writes it."""
+    pieces = text.split('"')
+    if len(pieces) % 2 == 0:  # a quote opens a label the text never closes
+        return False
+    skeleton = '""'.join(pieces[::2])
+    if not _SKELETON_RE.fullmatch(skeleton):
+        return False
+    # the skeleton holds exactly two digit runs per line, one per label
+    numbers = skeleton.translate(_NUMBER_SEPARATORS).split()
     try:
-        initial, ntrans, nstates = (int(g) for g in m.groups())
+        numbers = list(map(int, numbers))
     except ValueError:  # more digits than int() converts
-        return None
-    if nstates > 2 * ntrans + 1 or initial >= nstates:
-        return None
-    transitions: List[Tuple[int, Action, int]] = []
-    actions: Dict[str, Action] = {}  # label text -> its action
-    pos = end + 1
-    while pos < len(data):
-        end = data.find("\n", pos + _READ_CHUNK)
-        end = len(data) if end < 0 else end + 1
-        pieces = data[pos:end].split('"')
-        pos = end
-        if len(pieces) % 2 == 0:  # a quote opens a label the chunk never closes
-            return None
-        skeleton = '""'.join(pieces[::2])
-        if not _SKELETON_RE.fullmatch(skeleton):
-            return None
-        # the skeleton holds exactly two digit runs per line, one per label
-        numbers = skeleton.translate(_NUMBER_SEPARATORS).split()
-        try:
-            numbers = list(map(int, numbers))
-        except ValueError:  # more digits than int() converts
-            return None
-        if max(numbers) >= nstates:
-            return None
-        labels = pieces[1::2]
-        for label in set(labels).difference(actions):
-            if label.splitlines() not in ([], [label]):
-                return None  # a line break inside the quotes
-            actions[label] = _parse_label(label)
-        transitions.extend(zip(numbers[::2], map(actions.__getitem__, labels),
-                               numbers[1::2]))
-    if len(transitions) != ntrans:
-        return None
-    return Lts(nstates, initial, tuple(transitions))
+        return False
+    if max(numbers) >= nstates:
+        return False
+    texts = pieces[1::2]
+    try:
+        label_ids = list(map(ids.__getitem__, texts))
+    except KeyError:  # new labels: number them in order of first appearance
+        for label in dict.fromkeys(texts):
+            if label not in ids:
+                if label.splitlines() not in ([], [label]):
+                    return False  # a line break inside the quotes
+                ids[label] = len(labels)
+                labels.append(_parse_label(label))
+        label_ids = list(map(ids.__getitem__, texts))
+    src.fromlist(numbers[::2])
+    lab.fromlist(label_ids)
+    dst.fromlist(numbers[1::2])
+    return True
 
 
 def _import_lines(data: str) -> Lts:

@@ -12,7 +12,7 @@ Exit codes: 0 success / property holds, 1 property violated or purpose
 inconclusive, 2 usage or input errors, 3 exploration limit hit.
 
 Each command runs with Python's cyclic garbage collector paused: what it
-builds (state tuples, transition lists, explore's index, the step cache, a
+builds (state tuples, transition arrays, explore's index, the step cache, a
 parsed .aut) holds no reference cycles, so reference counting frees all of
 it, and the collector would only rescan that growing heap. main restores the
 collector as it found it on every way out; library calls that do not go
@@ -83,10 +83,10 @@ def cmd_explore(args) -> int:
         _write_aut(e.partial, args.out)
         print(f"truncated: {e.reason}", file=sys.stderr)
         print(f"states={e.partial.num_states} "
-              f"transitions={len(e.partial.transitions)} (partial)")
+              f"transitions={len(e.partial.src)} (partial)")
         return EXIT_LIMIT
     _write_aut(lts, args.out)
-    print(f"states={lts.num_states} transitions={len(lts.transitions)}")
+    print(f"states={lts.num_states} transitions={len(lts.src)}")
     return 0
 
 
@@ -94,8 +94,8 @@ def cmd_minimize(args) -> int:
     lts = _read_aut(args.input)
     small = minimize(lts)
     _write_aut(small, args.output)
-    print(f"states={lts.num_states} transitions={len(lts.transitions)} -> "
-          f"states={small.num_states} transitions={len(small.transitions)}")
+    print(f"states={lts.num_states} transitions={len(lts.src)} -> "
+          f"states={small.num_states} transitions={len(small.src)}")
     return 0
 
 

@@ -38,23 +38,31 @@ explore is the one breadth-first search of the package. It walks any system
 with an initial_state and enabled_actions(state): a composition, an Lts, or a
 Product of either with a Monitor, optionally up to the first state meeting a
 goal; shortest_trace reads a shortest trace to any state back from the Lts
-it returns. A Product's states are (system state, monitor state) pairs, and
-the monitor's step cuts an edge by returning None; the property observers,
-the END_OBSTACLE count of the liveness checks, the testgen purpose and the
-replay of a folded scenario are all monitors. search explores up to a goal
-and returns the trace to it.
+it returns. An Lts stores its transitions as CADP's BCG files and mCRL2's
+LTS library do: three int arrays (source, label id, target) sorted by
+source, one table of labels, and the offset of each state's first
+transition. explore appends ints to those arrays as it goes, giving a label
+its id the first time it fires, so an explored system, products included,
+never holds a tuple per transition. A Product's states are (system state,
+monitor state) pairs, and the monitor's step cuts an edge by returning
+None; the property observers, the END_OBSTACLE count of the liveness
+checks, the testgen purpose and the replay of a folded scenario are all
+monitors. search explores up to a goal and returns the trace to it.
 """
 from __future__ import annotations
 
 import collections
 import itertools
+from array import array
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, List, Optional, Set, Tuple, Union
+from typing import Callable, Dict, Hashable, Iterable, List, Optional, Set, Tuple, Union
 
 from . import values
 from .values import Value
 
 INTERNAL_GATE = "i"
+# explore moves the transitions it makes into its arrays this many at a time
+_FLUSH = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -312,39 +320,112 @@ class ExplorationLimits:
             raise ValueError(f"max_depth must be >= 0, got {self.max_depth}")
 
 
-@dataclass
 class Lts:
-    """Explicit labelled transition system.
+    """Explicit labelled transition system, stored as three int arrays.
 
-    States are 0..num_states-1 with indices assigned in breadth-first
-    discovery order. state_payload, when present, maps indices back to the
+    States are 0..num_states-1. Transition k goes from src[k] to dst[k]
+    under labels[lab[k]]: src, lab and dst are array('i'), sorted by source,
+    and labels holds one Action per label id, equal actions sharing one id.
+    A state's transitions are those from offsets[state] to offsets[state +
+    1] (compressed sparse row), so no state keeps a list of its own. An Lts
+    built from (src, action, dst) triples in any order sorts them by source
+    once, stably, and numbers the labels in order of first appearance;
+    transitions and outgoing() rebuild the triples and the per-state edge
+    lists on demand. state_payload, when present, maps indices back to the
     states of the system they were explored from (a Composition's id tuples
     decode through its local_states). An Lts is itself a system that explore
     accepts.
     """
-    num_states: int
-    initial: int
-    transitions: Tuple[Tuple[int, Action, int], ...]
-    state_payload: Optional[tuple] = None
-    _out: Optional[list] = field(default=None, repr=False, compare=False)
+    __slots__ = ("num_states", "initial", "src", "lab", "dst", "labels", "offsets",
+                 "state_payload")
+
+    def __init__(self, num_states: int, initial: int,
+                 transitions: Iterable[Tuple[int, Action, int]] = (),
+                 state_payload: Optional[tuple] = None):
+        ids: Dict[Action, int] = {}
+        src, lab, dst = array("i"), array("i"), array("i")
+        for s, act, d in transitions:
+            src.append(s)
+            lab.append(ids.setdefault(act, len(ids)))
+            dst.append(d)
+        self._store(num_states, initial, src, lab, dst, tuple(ids), state_payload, None)
+
+    @classmethod
+    def from_arrays(cls, num_states: int, initial: int, src: array, lab: array, dst: array,
+                    labels: tuple, state_payload: Optional[tuple] = None,
+                    offsets: Optional[array] = None) -> "Lts":
+        """The Lts of the given arrays, which it keeps. Without offsets the
+        transitions are sorted by source here; with them they must already be."""
+        lts = cls.__new__(cls)
+        lts._store(num_states, initial, src, lab, dst, labels, state_payload, offsets)
+        return lts
+
+    def _store(self, num_states, initial, src, lab, dst, labels, state_payload, offsets):
+        if offsets is None:
+            src, lab, dst, offsets = _by_source(num_states, src, lab, dst)
+        self.num_states = num_states
+        self.initial = initial
+        self.src, self.lab, self.dst, self.offsets = src, lab, dst, offsets
+        self.labels = labels
+        self.state_payload = state_payload
 
     @property
     def initial_state(self) -> int:
         return self.initial
 
     def enabled_actions(self, state: int) -> List[Tuple[Action, int]]:
-        return self.outgoing()[state]
+        labels, lab, dst = self.labels, self.lab, self.dst
+        edges = []  # a loop: a comprehension's own frame costs more for a few edges
+        for k in range(self.offsets[state], self.offsets[state + 1]):
+            edges.append((labels[lab[k]], dst[k]))
+        return edges
+
+    @property
+    def transitions(self) -> Tuple[Tuple[int, Action, int], ...]:
+        return tuple(zip(self.src, map(self.labels.__getitem__, self.lab), self.dst))
 
     def outgoing(self) -> List[List[Tuple[Action, int]]]:
-        if self._out is None:
-            out: List[List[Tuple[Action, int]]] = [[] for _ in range(self.num_states)]
-            for src, act, dst in self.transitions:
-                out[src].append((act, dst))
-            self._out = out
-        return self._out
+        return [self.enabled_actions(s) for s in range(self.num_states)]
 
     def alphabet(self) -> Set[str]:
-        return {a.gate for _, a, _ in self.transitions}
+        return {a.gate for a in self.labels}
+
+    def __eq__(self, other):
+        """Equal sizes, payloads and transitions in the same order; the
+        label tables may number the actions differently."""
+        if not isinstance(other, Lts):
+            return NotImplemented
+        return ((self.num_states, self.initial, self.state_payload, self.src, self.dst)
+                == (other.num_states, other.initial, other.state_payload, other.src, other.dst)
+                and list(map(self.labels.__getitem__, self.lab))
+                == list(map(other.labels.__getitem__, other.lab)))
+
+    __hash__ = None
+
+    def __repr__(self):
+        return (f"Lts(num_states={self.num_states}, initial={self.initial}, "
+                f"transitions={len(self.src)}, labels={len(self.labels)})")
+
+
+def _by_source(n: int, src: array, lab: array, dst: array):
+    """The transitions stably sorted by source (a counting sort, skipped when
+    they already are), and the offsets of each state's first transition."""
+    counts = [0] * n  # a list: its items are quicker to add to than an array's
+    last, ordered = 0, True
+    for s in src:
+        counts[s] += 1
+        if s < last:
+            ordered = False
+        last = s
+    offsets = array("i", itertools.accumulate(counts, initial=0))
+    if ordered:
+        return src, lab, dst, offsets
+    order = array("i", [0]) * len(src)
+    free = offsets[:-1]
+    for k, s in enumerate(src):
+        order[free[s]] = k
+        free[s] += 1
+    return tuple(array("i", map(a.__getitem__, order)) for a in (src, lab, dst)) + (offsets,)
 
 
 class ExplorationLimitError(Exception):
@@ -365,29 +446,62 @@ def explore(system, limits: ExplorationLimits = ExplorationLimits(),
     """Breadth-first reachable-state enumeration with duplicate detection of
     any system with an initial_state and enabled_actions(state): a
     Composition, an Lts or a product over one. The payload keeps the states
-    in discovery order. An enabled (action, successor) pair that a state
-    lists twice gives one transition: its actions are compared only among
-    the edges into the same successor index. With a goal, the part explored
-    so far is returned right after the edge that discovers the first state
-    meeting it (the start included), which is then the last state, without
-    outgoing edges. Raises ExplorationLimitError when a limit cuts
-    exploration short.
+    in discovery order, and the transitions come out sorted by source. A
+    label gets its id the first time it fires; equal actions share one, and
+    an action object seen before is found by its id(), without hashing its
+    offers. An enabled (action, successor) pair that a state lists twice
+    gives one transition: edges into one successor are told apart by label
+    id. With a goal, the part explored so far is returned right after the
+    edge that discovers the first state meeting it (the start included),
+    which is then the last state, without outgoing edges. Raises
+    ExplorationLimitError when a limit cuts exploration short.
     """
     init = system.initial_state
     index: Dict[Hashable, int] = {init: 0}
     payload: List[Hashable] = [init]
-    transitions: List[Tuple[int, Action, int]] = []
+    into = [-1]  # per state: the last state that made a transition into it
+    src, lab, dst = array("i"), array("i"), array("i")
+    # the transitions of the last few states, in lists: an item goes onto a
+    # list faster than onto an array, and fromlist moves them in bulk
+    new_src: List[int] = []
+    new_lab: List[int] = []
+    new_dst: List[int] = []
+    offsets = array("i")  # the first transition of each state taken off the queue
+    labels: List[Action] = []
+    label_ids: Dict[Action, int] = {}
+    by_object: Dict[int, int] = {}  # id(action) -> label id, for the actions in labels
+
+    def label_id(act: Action) -> int:
+        lid = by_object.get(id(act))
+        if lid is None:
+            lid = label_ids.get(act)
+            if lid is None:
+                lid = label_ids[act] = by_object[id(act)] = len(labels)
+                labels.append(act)
+        return lid
+
+    def flush() -> None:
+        for whole, part in ((src, new_src), (lab, new_lab), (dst, new_dst)):
+            whole.fromlist(part)
+            part.clear()
 
     def explored() -> Lts:
-        return Lts(len(payload), 0, tuple(transitions), tuple(payload))
+        flush()
+        # the states not taken off the queue yet have no transitions
+        n = len(payload)
+        ends = array("i", [len(src)]) * (n + 1 - len(offsets))
+        return Lts.from_arrays(n, 0, src, lab, dst, tuple(labels), tuple(payload),
+                               offsets + ends)
 
-    # the queue holds the index objects that transitions share; states are
-    # numbered in BFS order, so a level's states run from one level end to
-    # the next
+    # states are numbered in BFS order, so they leave the queue in index
+    # order and a level's states run from one level end to the next
     queue = collections.deque([] if goal is not None and goal(init) else [0])
     depth, level_end = 0, 1
     while queue:
         si = queue.popleft()
+        if len(new_src) >= _FLUSH:
+            flush()
+        offsets.append(len(src) + len(new_src))
         if si == level_end:
             depth, level_end = depth + 1, len(payload)
         state = payload[si]
@@ -395,7 +509,6 @@ def explore(system, limits: ExplorationLimits = ExplorationLimits(),
             if system.enabled_actions(state):
                 raise ExplorationLimitError(explored(), "max_depth")
             continue
-        into: Dict[int, List[Action]] = {}  # successor index -> actions emitted into it
         for act, succ in system.enabled_actions(state):
             ti = index.get(succ)
             if ti is None:
@@ -404,17 +517,24 @@ def explore(system, limits: ExplorationLimits = ExplorationLimits(),
                 ti = len(payload)
                 index[succ] = ti
                 payload.append(succ)
+                into.append(-1)
                 if goal is not None and goal(succ):
-                    transitions.append((si, act, ti))
+                    new_src.append(si)
+                    new_lab.append(label_id(act))
+                    new_dst.append(ti)
                     return explored()
                 queue.append(ti)
-                into[ti] = [act]
-            else:
-                acts = into.setdefault(ti, [])
-                if act in acts:
-                    continue
-                acts.append(act)
-            transitions.append((si, act, ti))
+            lid = by_object.get(id(act))  # label_id(act), inlined for the common case
+            if lid is None:
+                lid = label_id(act)
+            if into[ti] != si:
+                into[ti] = si
+            elif any(new_dst[k] == ti and new_lab[k] == lid
+                     for k in range(offsets[-1] - len(src), len(new_dst))):
+                continue  # this state made the same transition already
+            new_src.append(si)
+            new_lab.append(lid)
+            new_dst.append(ti)
     return explored()
 
 
@@ -423,15 +543,18 @@ def shortest_trace(lts: Lts, state: int) -> tuple:
     that explore returned. Its states are numbered in breadth-first
     discovery order and the first transition into a state is the edge that
     discovered it, so walking those edges back reaches the initial state.
+    That edge leaves a state of a lower index, so for the states up to
+    state it lies before state's own transitions.
     """
-    via: List[Optional[tuple]] = [None] * lts.num_states
-    for src, act, dst in lts.transitions:
-        if via[dst] is None:
-            via[dst] = (src, act)
+    via = array("i", [-1]) * (state + 1)
+    for k, d in enumerate(itertools.islice(lts.dst, lts.offsets[state])):
+        if d <= state and via[d] < 0:
+            via[d] = k
     trace = []
     while state != lts.initial:
-        state, act = via[state]
-        trace.append(act)
+        k = via[state]
+        trace.append(lts.labels[lts.lab[k]])
+        state = lts.src[k]
     return tuple(reversed(trace))
 
 

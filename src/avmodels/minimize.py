@@ -21,30 +21,52 @@ states (after Paige & Tarjan, SIAM J. Comput. 1987, and Valmari & Lehtinen,
 STACS 2008); a settled block never becomes dirty. When no block is dirty,
 two states share a block iff they are strongly bisimilar. That coarsest
 partition is unique, and the blocks are renumbered by first occurrence in
-state order, so the result is deterministic. The quotient keeps one
-transition per (block, label, block) triple. Labels are numbered once, so
-signatures and the quotient's triples hold ints, not actions.
+state order, so the result is deterministic.
+
+Label ids come from the Lts, where equal actions share one, so signatures
+hold ints, not actions; the transitions are read off the Lts's arrays, and
+only the predecessor lists are built. The quotient takes each block's
+transitions from its first member, one per (label, block) pair, and keeps
+the label table of the Lts.
 """
 from __future__ import annotations
 
+import itertools
+import operator
+from array import array
 from typing import Dict, List, Tuple
 
-from .kernel import Action, Lts
+from .kernel import Lts
 
 
 def minimize(lts: Lts) -> Lts:
     if lts.num_states == 0:
         return Lts(0, 0, ())
-    label_ids = _label_ids(lts)
-    blocks = _refine(lts, label_ids)
-    seen = set()
-    quotient: List[Tuple[int, Action, int]] = []
-    for src, act, dst in lts.transitions:
-        t = (blocks[src], label_ids[id(act)], blocks[dst])
-        if t not in seen:
-            seen.add(t)
-            quotient.append((t[0], act, t[2]))
-    return Lts(max(blocks) + 1, blocks[lts.initial], tuple(quotient))
+    blocks = _refine(lts)
+    # the members of a block have the same (label, successor block) pairs, so
+    # the block's first member gives its transitions; blocks are numbered by
+    # first member, so the quotient comes out sorted by source
+    offsets, lab, dst = lts.offsets, lts.lab, lts.dst
+    q_src: List[int] = []
+    q_lab: List[int] = []
+    q_dst: List[int] = []
+    q_offsets = [0]
+    for s, b in enumerate(blocks):
+        if b < len(q_offsets) - 1:
+            continue  # not the block's first member
+        made = set()
+        start, end = offsets[s], offsets[s + 1]
+        for lid, d in zip(lab[start:end], dst[start:end]):
+            t = (lid, blocks[d])
+            if t not in made:
+                made.add(t)
+                q_src.append(b)
+                q_lab.append(lid)
+                q_dst.append(t[1])
+        q_offsets.append(len(q_src))
+    return Lts.from_arrays(len(q_offsets) - 1, blocks[lts.initial], array("i", q_src),
+                           array("i", q_lab), array("i", q_dst), lts.labels,
+                           offsets=array("i", q_offsets))
 
 
 def partition(lts: Lts) -> List[int]:
@@ -57,40 +79,30 @@ def partition(lts: Lts) -> List[int]:
     states in index order, so the numbering does not depend on the order of
     the sweep or of the splits.
     """
-    return _refine(lts, _label_ids(lts))
+    return _refine(lts)
 
 
-def _label_ids(lts: Lts) -> Dict[int, int]:
-    """id(action) -> label id for the actions of lts, which keeps them alive.
-    Equal actions share a label id, and each action object is hashed once,
-    however many transitions carry it."""
-    ids: Dict[Action, int] = {}
-    by_object: Dict[int, int] = {}
-    for _, act, _ in lts.transitions:
-        if id(act) not in by_object:
-            by_object[id(act)] = ids.setdefault(act, len(ids))
-    return by_object
-
-
-def _refine(lts: Lts, label_ids: Dict[int, int]) -> List[int]:
+def _refine(lts: Lts) -> List[int]:
     n = lts.num_states
-    out: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
+    offsets, lab, dst = lts.offsets, lts.lab, lts.dst
     pred: List[List[int]] = [[] for _ in range(n)]
-    for src, act, dst in lts.transitions:
-        out[src].append((label_ids[id(act)], dst))
-        pred[dst].append(src)
+    for s, d in zip(lts.src, dst):
+        pred[d].append(s)
     blocks = [-1] * n
 
     def signature(s: int) -> Tuple[int, ...]:
         # a block id is below n, so lid * n + block names one (label, block);
         # the sweep keeps one per settled block, so a tuple: a frozenset is 4x larger
-        return tuple(sorted({lid * n + blocks[d] for lid, d in out[s]}))
+        start, end = offsets[s], offsets[s + 1]
+        return tuple(sorted({lid * n + blocks[d]
+                             for lid, d in zip(lab[start:end], dst[start:end])}))
 
     # settle the states whose every path is finite, sinks first (Kahn's
     # order over pred): each one's successors already have their final block
     signatures: Dict[Tuple[int, ...], int] = {}
-    pending = [len(succs) for succs in out]  # edges to states not yet settled
-    ready = [s for s in range(n) if not out[s]]
+    # edges to states not yet settled
+    pending = list(map(operator.sub, itertools.islice(offsets, 1, None), offsets))
+    ready = [s for s in range(n) if not pending[s]]
     for s in ready:  # grows while it is walked
         blocks[s] = signatures.setdefault(signature(s), len(signatures))
         for p in pred[s]:

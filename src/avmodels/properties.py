@@ -150,12 +150,13 @@ def _escape(system, terminal_gates, end_obstacle_total):
     return product, None if trace is None else trace[:-1]
 
 
-def _find_cycle(out) -> Optional[tuple]:
-    """The smallest state on some cycle of an explored product with
-    adjacency out (iterative Tarjan for the SCCs), with a shortest cycle
+def _find_cycle(lts) -> Optional[tuple]:
+    """The smallest state on some cycle of an explored product (iterative
+    Tarjan for the SCCs over its transition arrays), with a shortest cycle
     through it. Returns (state, cycle labels) or None.
     """
-    n = len(out)
+    n = lts.num_states
+    offsets, dst = lts.offsets, lts.dst
     index = [-1] * n
     low = [0] * n
     on_stack = [False] * n
@@ -165,20 +166,24 @@ def _find_cycle(out) -> Optional[tuple]:
     for root in range(n):
         if index[root] >= 0:
             continue
-        work = [(root, iter(out[root]))]
+        work = [[root, offsets[root]]]  # each frame: node, its next transition
         index[root] = low[root] = counter
         counter += 1
         stack.append(root)
         on_stack[root] = True
         while work:
-            node, it = work[-1]
-            for _, nxt in it:
+            frame = work[-1]
+            node, k = frame
+            end = offsets[node + 1]
+            while k < end:
+                nxt = dst[k]
+                k += 1
                 if index[nxt] < 0:
                     index[nxt] = low[nxt] = counter
                     counter += 1
                     stack.append(nxt)
                     on_stack[nxt] = True
-                    work.append((nxt, iter(out[nxt])))
+                    work.append([nxt, offsets[nxt]])
                     break
                 if on_stack[nxt]:
                     low[node] = min(low[node], index[nxt])
@@ -195,8 +200,10 @@ def _find_cycle(out) -> Optional[tuple]:
                         comp.append(w)
                         if w == node:
                             break
-                    if len(comp) > 1 or any(nxt == node for _, nxt in out[node]):
+                    if len(comp) > 1 or node in dst[offsets[node]:end]:
                         cyclic.append(comp)
+                continue
+            frame[1] = k
     if not cyclic:
         return None
     members = set(min(cyclic, key=min))
@@ -205,7 +212,8 @@ def _find_cycle(out) -> Optional[tuple]:
     # searching from a fresh start (-1) with entry's edges makes the return
     # to entry a discovery, so the goal test finds it
     def within(node):
-        return [(act, nxt) for act, nxt in out[entry if node < 0 else node] if nxt in members]
+        return [(act, nxt) for act, nxt in lts.enabled_actions(entry if node < 0 else node)
+                if nxt in members]
 
     _, cycle = search(SimpleNamespace(initial_state=-1, enabled_actions=within),
                       lambda node: node == entry)
@@ -222,7 +230,7 @@ def check_inevitable_termination(system,
     product, trace = _escape(system, terminal_gates, end_obstacle_total)
     if trace is not None:
         return Verdict("inevitable-termination", "fail", trace)
-    hit = _find_cycle(product.outgoing())
+    hit = _find_cycle(product)
     if hit is not None:
         entry, cycle = hit
         return Verdict("inevitable-termination", "fail_lasso",

@@ -5,10 +5,12 @@ layouts than the package: rendezvous by trying every concretely offered
 value list on every participant, a naive greatest-fixpoint bisimulation,
 whole-partition signature refinement, a solved attacker/defender game, exact
 rational geometry for line-of-sight, subset replay of traces and
-level-by-level shortest distances.
+level-by-level shortest distances, and an .aut writer that sorts one row
+per transition.
 """
 from __future__ import annotations
 
+import copy
 import itertools
 import random
 from fractions import Fraction
@@ -476,6 +478,34 @@ def random_lts(rng: random.Random, max_states=200, labels=("a", "b", "c", "d")) 
         for _ in range(rng.randint(0, 3)):
             transitions.append((s, Action(rng.choice(labels)), rng.randrange(n)))
     return Lts(n, 0, tuple(transitions))
+
+
+ACTION_POOL = (Action("a"), Action("i"), Action("G", (Nat(7),)), Action("G", (Nat(7), Nat(7))),
+               Action("CAR_MOVE", (Sym("brakes"),)), Action("UPDATE_POSITION", (Pos(1, 2),)),
+               Action("not !a value"))
+
+
+def unsorted_triples(rng: random.Random, max_states=12, max_transitions=30):
+    """(num_states, initial, triples) with sources in random order, at most
+    2T + 1 states for T transitions, and about half the actions deep copies:
+    equal to a pool action, but distinct objects."""
+    ntrans = rng.randint(0, max_transitions)
+    n = rng.randint(1, min(max_states, 2 * ntrans + 1))
+    triples = []
+    for _ in range(ntrans):
+        act = rng.choice(ACTION_POOL)
+        if rng.random() < 0.5:
+            act = copy.deepcopy(act)
+        triples.append((rng.randrange(n), act, rng.randrange(n)))
+    return n, rng.randrange(n), triples
+
+
+def sorted_rows_aut(num_states: int, initial: int, triples) -> bytes:
+    """The .aut bytes of the triples: one (source, label text, target) row
+    per transition, all sorted together."""
+    rows = sorted((s, a.text(), d) for s, a, d in triples)
+    return "".join([f"des ({initial}, {len(rows)}, {num_states})\n"]
+                   + [f'({s}, "{text}", {d})\n' for s, text, d in rows]).encode("ascii")
 
 
 def mixed_lts(rng: random.Random, labels=("a", "b")) -> Lts:

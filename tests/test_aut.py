@@ -1,6 +1,11 @@
 import io
+import json
+import os
 import pathlib
 import random
+import subprocess
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -165,7 +170,8 @@ def test_import_reports_the_line_of_the_first_non_ascii_byte():
 def test_equal_label_texts_share_one_action():
     src = ('des (0, 4, 3)\n(0, "CAR_MOVE !brakes", 1)\n(1, "CAR_MOVE !brakes", 2)\n'
            '(2, "opaque text", 0)\n(0, "opaque text", 2)\n')
-    (_, a, _), (_, b, _), (_, c, _), (_, d, _) = import_aut(io.StringIO(src)).transitions
+    # the Lts sorts the transitions by source, stably
+    (_, a, _), (_, d, _), (_, b, _), (_, c, _) = import_aut(io.StringIO(src)).transitions
     assert a is b and c is d
     assert a == Action("CAR_MOVE", (Sym("brakes"),))
 
@@ -244,7 +250,7 @@ def test_import_matches_a_per_line_parse_across_chunk_cuts(monkeypatch, chunk):
         text = buf.getvalue()
         expected = _import_lines(text)
         assert import_aut(io.StringIO(text)) == expected
-        assert _import_exported(text) == expected
+        assert _import_exported(io.StringIO(text)) == expected
     assert refused  # these draws include Ltss whose header export refuses
 
 
@@ -269,8 +275,8 @@ CANONICAL = ('des (0, 4, 3)\n(0, "CAR_MOVE !brakes", 1)\n(1, "not !a value", 2)\
         "tight-header"])
 def test_other_layouts_take_the_per_line_path_and_parse_the_same(text):
     canonical = import_aut(io.StringIO(CANONICAL))
-    assert _import_exported(CANONICAL) == canonical
-    assert _import_exported(text) is None
+    assert _import_exported(io.StringIO(CANONICAL)) == canonical
+    assert _import_exported(io.StringIO(text)) is None
     assert import_aut(io.StringIO(text)) == canonical
     assert import_aut(io.BytesIO(text.encode("ascii"))) == canonical
 
@@ -284,7 +290,7 @@ def test_other_layouts_take_the_per_line_path_and_parse_the_same(text):
 def test_digits_or_quotes_out_of_place_take_the_per_line_path_and_fail_the_same(text):
     # each skeleton has the exported punctuation and the right number of
     # digit runs, but not each run in its slot
-    assert _import_exported(text) is None
+    assert _import_exported(io.StringIO(text)) is None
     with pytest.raises(AutFormatError) as exc:
         import_aut(io.StringIO(text))
     with pytest.raises(AutFormatError) as ref:
@@ -298,7 +304,7 @@ def test_digits_or_quotes_out_of_place_take_the_per_line_path_and_fail_the_same(
     ('des (0, 1, 2)\n(0, "a", ١)\n', 2),
 ], ids=["header", "source", "target"])
 def test_a_non_ascii_digit_in_a_text_stream_is_a_format_error_at_its_line(text, line):
-    assert _import_exported(text) is None
+    assert _import_exported(io.StringIO(text)) is None
     with pytest.raises(AutFormatError) as exc:
         import_aut(io.StringIO(text))
     assert exc.value.line == line
@@ -364,3 +370,55 @@ def test_a_digit_moved_elsewhere_reads_as_the_per_line_reader_reads_it(seed, dig
     text = data.decode("ascii")
     assert read_or_error(lambda: import_aut(io.BytesIO(bytes(data)))) == \
         read_or_error(lambda: _import_lines(text))
+
+
+def many_labels_aut(ntrans: int, nlabels: int = 50) -> bytes:
+    """An exported .aut of ntrans transitions, two per state, over nlabels labels."""
+    buf = io.BytesIO()
+    export_aut(Lts(ntrans // 2 + 1, 0, tuple(
+        (k // 2, Action("CAR_MOVE", (Nat(k * 7 % nlabels),)), k // 2 + 1 - k % 2)
+        for k in range(ntrans))), buf)
+    return buf.getvalue()
+
+
+READ_LABELS = """
+import json, sys
+from avmodels.aut import import_aut
+with open(sys.argv[1], "rb") as fh:
+    lts = import_aut(fh)
+print(json.dumps([[a.text() for a in lts.labels], *map(list, (lts.src, lts.lab, lts.dst))]))
+"""
+
+
+@pytest.mark.parametrize("layout", ["exported", "crlf"])
+def test_label_ids_do_not_depend_on_the_hash_seed(tmp_path, layout):
+    data = many_labels_aut(400)
+    if layout == "crlf":  # the per-line reader
+        data = data.replace(b"\n", b"\r\n")
+    path = tmp_path / "labels.aut"
+    path.write_bytes(data)
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        outputs.append(subprocess.run([sys.executable, "-c", READ_LABELS, str(path)], env=env,
+                                      capture_output=True, text=True, check=True).stdout)
+    assert outputs[0] == outputs[1]
+    labels, _, lab, _ = json.loads(outputs[0])
+    assert len(labels) == 50
+    assert labels == [labels[i] for i in dict.fromkeys(lab)]  # ids by first appearance
+
+
+def import_peak(data: bytes) -> int:
+    source = io.BytesIO(data)
+    tracemalloc.start()
+    try:
+        import_aut(source)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_import_memory_grows_by_at_most_40_bytes_per_transition():
+    small, large = many_labels_aut(20_000), many_labels_aut(80_000)
+    assert (import_peak(large) - import_peak(small)) / 60_000 <= 40

@@ -1,5 +1,6 @@
-"""Every module-level import of the package and of its tests is used, and
-every module-level definition of the package is used inside it or exported."""
+"""Every module-level import of the package and of its tests is used, every
+module-level definition of the package is used inside it or exported, and no
+package module uses the tuple views of an Lts."""
 import ast
 import pathlib
 
@@ -83,3 +84,33 @@ def test_the_guard_sees_a_dead_definition():
                "model": "from .kernel import step\nfrom . import kernel\n"
                         "def run():\n    return step(kernel.LIMIT)\n"}
     assert dead_definitions(modules, {"run"}) == [("kernel", "Cache"), ("kernel", "_NONE")]
+
+
+TUPLE_VIEWS = ("transitions", "outgoing")
+
+
+def tuple_view_uses(source: str) -> list:
+    """(line, name) of each use of Lts.transitions or Lts.outgoing in source,
+    apart from their definitions in a class Lts."""
+    tree = ast.parse(source)
+    defined = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and node.name == "Lts":
+            defined.update(id(n) for item in node.body
+                           if isinstance(item, ast.FunctionDef) and item.name in TUPLE_VIEWS
+                           for n in ast.walk(item))
+    return sorted((n.lineno, n.attr) for n in ast.walk(tree)
+                  if isinstance(n, ast.Attribute) and n.attr in TUPLE_VIEWS
+                  and id(n) not in defined)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_package_module_uses_the_tuple_views_of_an_lts(path):
+    assert tuple_view_uses(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_guard_sees_a_tuple_view():
+    source = ("class Lts:\n    @property\n    def transitions(self):\n"
+              "        return self.transitions\n"
+              "def count(lts):\n    return len(lts.transitions) + len(lts.outgoing()[0])\n")
+    assert tuple_view_uses(source) == [(6, "outgoing"), (6, "transitions")]

@@ -5,8 +5,9 @@ import pathlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from avmodels.aut import export_aut
+from avmodels.aut import export_aut, import_aut
 from avmodels.control_model import build_control_composition
 from avmodels.grid_model import build_grid_composition
 from avmodels.kernel import (
@@ -17,7 +18,10 @@ from avmodels.kernel import (
 from avmodels.scenarios import load_scenario
 from avmodels.values import Nat, Sym
 
-from oracles import brute_force_edges, lts_edge_set, random_composition, receiver_cases
+from oracles import (
+    brute_force_edges, lts_edge_set, random_composition, receiver_cases, sorted_rows_aut,
+    unsorted_triples,
+)
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -374,6 +378,27 @@ def test_alphabet_and_outgoing():
     out = lts.outgoing()
     assert [(a.text(), d) for a, d in out[0]] == [("a", 1), ("b", 0)]
     assert out[1] == []
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_lts_arrays_keep_the_triples_they_were_built_from(seed):
+    n, initial, triples = unsorted_triples(random.Random(seed))
+    lts = Lts(n, initial, triples)
+    # the stable sort by source keeps each state's edges in input order
+    for state in range(n):
+        assert lts.enabled_actions(state) == [(a, d) for s, a, d in triples if s == state]
+    # equal actions share one label id, numbered in order of first appearance
+    assert lts.labels == tuple(dict.fromkeys(a for _, a, _ in triples))
+    assert len(set(lts.labels)) == len(lts.labels)
+    data = io.BytesIO()
+    export_aut(lts, data)
+    assert data.getvalue() == sorted_rows_aut(n, initial, triples)
+    back = import_aut(io.BytesIO(data.getvalue()))
+    rows = Lts(n, initial, sorted(triples, key=lambda t: (t[0], t[1].text(), t[2])))
+    assert (back.num_states, back.initial) == (n, initial)
+    assert (back.src, back.lab, back.dst) == (rows.src, rows.lab, rows.dst)
+    assert back.labels == rows.labels
 
 
 @pytest.mark.parametrize("name, build", [
