@@ -15,8 +15,18 @@ the car's. Everyone else receives the move that fires and keeps what it
 needs of it: the manager the car cell, the map and the lidar every actor's
 cells, and the restraint the car cell, against which it refuses random
 moves that stray from the car.
+
+A composition builds each label value once: each OBSTACLE_POSITION action
+per obstacle, new anchor and direction, previous anchor and direction and
+scripted move, each GRID_CAR action per cell, each Obstacle record and each
+Sym, so that the kernel finds them by identity. The receivers decode a
+shared Obstacle record through a table keyed by its id(), which stays valid
+while the cache of records keeps the record alive, and any other value with
+decode_obstacle.
 """
 from __future__ import annotations
+
+import functools
 
 from .kernel import Action, Component, Composition, Receive
 from .perception import (
@@ -49,16 +59,31 @@ def build_grid_composition(scn: GridScenario, expose_grid: bool = False) -> Comp
     car0 = (scn.car.x, scn.car.y)
     anchors0 = tuple(ob.anchor() for ob in mobiles)
 
-    records = {}  # (obstacle index, anchor, direction) -> its one shared value
+    # each label value is built once per composition, so equal labels reach
+    # the kernel as one object: sym covers directions, kinds and perception cells
+    sym = functools.cache(Sym)
+    decoded = {}  # id(shared record) -> decode_obstacle of it; rec_value's cache keeps it alive
 
+    @functools.cache
     def rec_value(i: int, anchor, direction):
-        key = (i, anchor, direction)
-        v = records.get(key)
-        if v is None:
-            ob = mobiles[i]
-            v = records[key] = obstacle_value(ob.kind, anchor, ob.w, ob.h, ob.speed,
-                                              direction, ob.transparent)
+        ob = mobiles[i]
+        fields = (ob.kind, anchor, ob.w, ob.h, ob.speed, direction, ob.transparent)
+        v = obstacle_value(*fields)
+        decoded[id(v)] = fields
         return v
+
+    def decode(v) -> tuple:
+        """decode_obstacle(v), looked up for a shared record."""
+        fields = decoded.get(id(v))
+        return decode_obstacle(v) if fields is None else fields
+
+    @functools.cache
+    def move_action(i, anchor, direction, prev_anchor, prev_direction, scripted) -> Action:
+        return Action("OBSTACLE_POSITION", (rec_value(i, anchor, direction),
+                                            rec_value(i, prev_anchor, prev_direction),
+                                            sym(scripted)))
+
+    grid_car = functools.cache(lambda cell: Action("GRID_CAR", (position_value(cell),)))
 
     def with_anchor(anchors, i, anchor):
         return anchors[:i] + (anchor,) + anchors[i + 1:]
@@ -89,8 +114,7 @@ def build_grid_composition(scn: GridScenario, expose_grid: bool = False) -> Comp
             options.append(("none", anchors[i]))
         else:
             options = [(scripted, target(scripted) or anchors[i])]
-        prev = rec_value(i, anchors[i], dirs[i])
-        return [(Action("OBSTACLE_POSITION", (rec_value(i, anchor, d), prev, Sym(scripted))), d, anchor)
+        return [(move_action(i, anchor, d, anchors[i], dirs[i], scripted), d, anchor)
                 for d, anchor in options]
 
     def car_targets(car, scripted):
@@ -114,8 +138,8 @@ def build_grid_composition(scn: GridScenario, expose_grid: bool = False) -> Comp
                 return kinds[j]
         return None
 
-    grid_update = {k: Action("GRID_UPDATE", (Sym(k),)) for k in kinds}
-    end_obstacle = {k: Action("END_OBSTACLE", (Sym(k),)) for k in kinds}
+    grid_update = {k: Action("GRID_UPDATE", (sym(k),)) for k in kinds}
+    end_obstacle = {k: Action("END_OBSTACLE", (sym(k),)) for k in kinds}
     ARRIVAL = Action("ARRIVAL")
     TICK = Action("TICK")
 
@@ -192,7 +216,7 @@ def build_grid_composition(scn: GridScenario, expose_grid: bool = False) -> Comp
                             (view, live2, car_dead, map_norm(live2, car_dead, i + 1))))
             else:
                 def obstacle_moved(offers):
-                    kind, anchor = decode_obstacle(offers[0])[:2]
+                    kind, anchor = decode(offers[0])[:2]
                     if kind != kinds[i]:
                         return None
                     return ((car, with_anchor(anchors, i, anchor)), live, car_dead,
@@ -206,10 +230,9 @@ def build_grid_composition(scn: GridScenario, expose_grid: bool = False) -> Comp
             out.append((Receive("CAR_POSITION"), car_moved))
             out.append((ARRIVAL, (view, live, True, ("tick",))))
         elif tag == "coll":
-            out.append((Action("COLLISION", (Sym(phase[1]),)), (view, live, True, ("tick",))))
+            out.append((Action("COLLISION", (sym(phase[1]),)), (view, live, True, ("tick",))))
         elif tag == "grid_car":
-            out.append((Action("GRID_CAR", (position_value(car),)),
-                        (view, live, car_dead, ("tick",))))
+            out.append((grid_car(car), (view, live, car_dead, ("tick",))))
         elif tag == "tick":
             out.append((TICK, (view, live, car_dead, map_norm(live, car_dead, 0))))
         return out
@@ -246,10 +269,11 @@ def build_grid_composition(scn: GridScenario, expose_grid: bool = False) -> Comp
         car_step)
 
     # --- LIDAR_MANAGER: tracks the actors' cells, publishes the 5x5 perception
+    static_placed = [(ob.kind, ob.transparent, ob.anchor(), ob.w, ob.h) for ob in scn.static]
+
     def make_map(car, anchors):
-        placed = [(ob.kind, ob.transparent, ob.anchor(), ob.w, ob.h) for ob in scn.static]
-        placed.extend((mobiles[j].kind, mobiles[j].transparent, anchors[j],
-                       mobiles[j].w, mobiles[j].h) for j in range(n))
+        placed = static_placed + [(mobiles[j].kind, mobiles[j].transparent, anchors[j],
+                                   mobiles[j].w, mobiles[j].h) for j in range(n)]
         return build_grid_map(width, height, placed, car)
 
     def lidar_step(st):
@@ -257,17 +281,17 @@ def build_grid_composition(scn: GridScenario, expose_grid: bool = False) -> Comp
         car, anchors = view
         if duty:
             grid = compute_perception(make_map(car, anchors), prev, prev_car)
-            offers = (perception_value(grid),) if expose_grid else ()
+            offers = (perception_value(grid, sym),) if expose_grid else ()
             return [(Action("LIDAR_MAP", offers), (view, grid, car, False))]
 
         def obstacle_moved(offers):
-            kind, anchor = decode_obstacle(offers[0])[:2]
+            kind, anchor = decode(offers[0])[:2]
             return ((car, with_anchor(anchors, index[kind], anchor)), prev, prev_car, False)
 
         return [(Receive("OBSTACLE_POSITION"), obstacle_moved),
                 (Receive("CAR_POSITION"),
                  lambda offers: ((cell_of(offers[1]), anchors), prev, prev_car, False)),
-                (Action("GRID_CAR", (position_value(car),)), (view, prev, prev_car, True)),
+                (grid_car(car), (view, prev, prev_car, True)),
                 (TICK, st)]
 
     lidar = Component(
@@ -278,12 +302,14 @@ def build_grid_composition(scn: GridScenario, expose_grid: bool = False) -> Comp
 
     # --- RESTRAND: tracks the car cell, refuses random moves that wander
     # away from it
+    random_dir = sym(RANDOM_DIR)
+
     def restrand_step(car):
         def obstacle_moved(offers):
             new, prev, scripted = offers
-            speed, direction = decode_obstacle(new)[4:6]
-            if scripted == Sym(RANDOM_DIR) and not move_allowed(
-                    car, decode_obstacle(prev)[1], speed, direction, scn.dist_min):
+            speed, direction = decode(new)[4:6]
+            if scripted == random_dir and not move_allowed(
+                    car, decode(prev)[1], speed, direction, scn.dist_min):
                 return None
             return car
 

@@ -21,18 +21,23 @@ appear among the step outputs (the initial one is 0), and local_states
 decodes a state back to the tuple of local states. Component states must be
 hashable, since the numbering looks them up by equality. Each distinct label
 has one canonical Action, so equal labels of an explored LTS are one object;
-the rendezvous matches offers by identity and memoizes receivers' results
-per action id, without hashing nested values, and accept still gets the
-offers tuple itself. The step cache is a list per component indexed by
-local id, and each entry is frozen when it is built: the solo moves, one
-table of the synchronized gates where the local state offers or receives,
-and two bitmasks over the synchronized gates, the member gates missing from
-that table and the gates it offers concretely. Only a receiver's memo is
-added later, the first time its gate is tried. enabled_actions ORs the
-masks over a state's components and tries only the gates someone offers and
-no member blocks, which are the only ones that can fire. Ids follow first
-appearance, gates keep sync_map order and offers their first-seen order, so
-exploration order does not depend on them.
+a step output that is a canonical object is found by its id(), and only
+another object is hashed to find its equal (hash-consing: a model that
+builds each label once is never hashed again). The rendezvous matches offers
+by identity and memoizes receivers' results per action id, without hashing
+nested values, and accept still gets the offers tuple itself. The step cache
+is a list per component indexed by local id, and each entry is frozen when
+it is built: the solo moves, one table of the synchronized gates where the
+local state offers or receives, and two bitmasks over the synchronized
+gates, the member gates missing from that table and the gates it offers
+concretely. Only a receiver's memo is added later, the first time its gate
+is tried. enabled_actions ORs the masks over a state's components and tries
+only the gates someone offers and no member blocks, which are the only ones
+that can fire. A member with one alternative for an offer is written
+straight into the successor, and itertools.product runs only over the
+members with two or more, which gives the order of a product over all
+members. Ids follow first appearance, gates keep sync_map order and offers
+their first-seen order, so exploration order does not depend on them.
 
 explore is the one breadth-first search of the package. It walks any system
 with an initial_state and enabled_actions(state): a composition, an Lts, or a
@@ -163,11 +168,13 @@ class Composition:
         #   the component cannot take part;
         # - offered: gate mask of gates with a concrete offer.
         # _labels maps each distinct label to its one canonical Action, so
-        # offers match by identity
+        # offers match by identity, and _canonical maps the id() of each
+        # canonical Action, which _labels keeps alive, to the action itself
         self._locals: List[List[Hashable]] = [[c.initial] for c in self.components]
         self._local_ids: List[Dict[Hashable, int]] = [{c.initial: 0} for c in self.components]
         self._steps: List[List[Optional[tuple]]] = [[None] for _ in self.components]
         self._labels: Dict[Action, Action] = {}
+        self._canonical: Dict[int, Action] = {}
 
     @property
     def initial_state(self) -> tuple:
@@ -188,7 +195,7 @@ class Composition:
 
     def _component_steps(self, i: int, lid: int):
         comp = self.components[i]
-        labels = self._labels
+        labels, canonical = self._labels, self._canonical
         bits = self._gate_bits
         solo: Dict[Tuple[int, int], Tuple[Action, int]] = {}
         gates: Dict[str, Tuple[list, list]] = {}
@@ -197,7 +204,11 @@ class Composition:
             gate = act.gate
             receive = type(act) is Receive
             if not receive:
-                act = labels.setdefault(act, act)
+                known = canonical.get(id(act))
+                if known is None:  # not a canonical object: find its equal by hashing
+                    known = labels.setdefault(act, act)
+                    canonical[id(known)] = known
+                act = known
                 nxt = self._local_id(i, nxt)
                 if gate not in self.sync_map:
                     solo.setdefault((id(act), nxt), (act, nxt))
@@ -238,13 +249,18 @@ class Composition:
         offers concretely and where no member is blocked. A gate's offers
         are tried in the order of the shortest offer tuple among members
         with no receiver on it (the lowest index on ties), or when every
-        member receives, in member order over all concrete offers.
+        member receives, in member order over all concrete offers. An
+        offer's successors follow itertools.product over the members'
+        alternatives in member order: a member's concrete successors, then
+        its accepting receivers' results.
         """
         out: List[Tuple[Action, tuple]] = []
-        steps = self._steps
-        per_comp = [steps[i][s] or self._component_steps(i, s) for i, s in enumerate(state)]
+        per_comp = list(map(list.__getitem__, self._steps, state))
         blocked = offered = 0
-        for i, (solo, _, b, o) in enumerate(per_comp):
+        for i, entry in enumerate(per_comp):
+            if entry is None:
+                entry = per_comp[i] = self._component_steps(i, state[i])
+            solo, _, b, o = entry
             blocked |= b
             offered |= o
             for act, nxt in solo:
@@ -276,6 +292,9 @@ class Composition:
                         firsts.setdefault(id(offer[0]), offer)
                 source = firsts.values()
             for act, _ in source:
+                # a member with one alternative goes straight into succ; the
+                # product runs over the others, in member order
+                succ = list(state)
                 choices = []
                 for i, offers, accepts, accepted in parts:
                     alts = ()
@@ -286,26 +305,28 @@ class Composition:
                     if accepts:
                         got = accepted.get(id(act))
                         if got is None:
-                            got = accepted[id(act)] = tuple(
-                                self._local_id(i, nxt)
-                                for nxt in (accept(act.offers) for accept in accepts)
-                                if nxt is not None)
+                            got = []
+                            for accept in accepts:
+                                nxt = accept(act.offers)
+                                if nxt is not None:
+                                    got.append(self._local_id(i, nxt))
+                            got = accepted[id(act)] = tuple(got)
                         alts += got
-                    if not alts:
+                    if len(alts) == 1:
+                        succ[i] = alts[0]
+                    elif alts:
+                        choices.append((i, alts))
+                    else:
                         break
-                    choices.append((i, alts))
                 else:
-                    _emit_combos(out, state, act, choices)
+                    if not choices:
+                        out.append((act, tuple(succ)))
+                    else:
+                        for combo in itertools.product(*[alts for _, alts in choices]):
+                            for (i, _), nxt in zip(choices, combo):
+                                succ[i] = nxt
+                            out.append((act, tuple(succ)))
         return out
-
-
-def _emit_combos(out, state, act, choices):
-    # cartesian product over each member's alternative next states
-    for combo in itertools.product(*[alts for _, alts in choices]):
-        succ = list(state)
-        for (i, _), nxt in zip(choices, combo):
-            succ[i] = nxt
-        out.append((act, tuple(succ)))
 
 
 @dataclass(frozen=True)
@@ -497,6 +518,10 @@ def explore(system, limits: ExplorationLimits = ExplorationLimits(),
     # order and a level's states run from one level end to the next
     queue = collections.deque([] if goal is not None and goal(init) else [0])
     depth, level_end = 0, 1
+    # read once here, not once per state: flush() clears the lists in place
+    enabled, max_states, max_depth = system.enabled_actions, limits.max_states, limits.max_depth
+    index_get = index.get
+    add_src, add_lab, add_dst = new_src.append, new_lab.append, new_dst.append
     while queue:
         si = queue.popleft()
         if len(new_src) >= _FLUSH:
@@ -505,23 +530,23 @@ def explore(system, limits: ExplorationLimits = ExplorationLimits(),
         if si == level_end:
             depth, level_end = depth + 1, len(payload)
         state = payload[si]
-        if limits.max_depth and depth >= limits.max_depth:
-            if system.enabled_actions(state):
+        if max_depth and depth >= max_depth:
+            if enabled(state):
                 raise ExplorationLimitError(explored(), "max_depth")
             continue
-        for act, succ in system.enabled_actions(state):
-            ti = index.get(succ)
+        for act, succ in enabled(state):
+            ti = index_get(succ)
             if ti is None:
-                if len(payload) >= limits.max_states:
+                if len(payload) >= max_states:
                     raise ExplorationLimitError(explored(), "max_states")
                 ti = len(payload)
                 index[succ] = ti
                 payload.append(succ)
                 into.append(-1)
                 if goal is not None and goal(succ):
-                    new_src.append(si)
-                    new_lab.append(label_id(act))
-                    new_dst.append(ti)
+                    add_src(si)
+                    add_lab(label_id(act))
+                    add_dst(ti)
                     return explored()
                 queue.append(ti)
             lid = by_object.get(id(act))  # label_id(act), inlined for the common case
@@ -532,9 +557,9 @@ def explore(system, limits: ExplorationLimits = ExplorationLimits(),
             elif any(new_dst[k] == ti and new_lab[k] == lid
                      for k in range(offsets[-1] - len(src), len(new_dst))):
                 continue  # this state made the same transition already
-            new_src.append(si)
-            new_lab.append(lid)
-            new_dst.append(ti)
+            add_src(si)
+            add_lab(lid)
+            add_dst(ti)
     return explored()
 
 

@@ -340,5 +340,6 @@ def position_value(cell: Cell) -> Value:
     return Pos(cell[0], cell[1])
 
 
-def perception_value(grid: PerceptionGrid) -> Value:
-    return Rec("Grid", (Seq(tuple(Seq(tuple(Sym(c) for c in row)) for row in grid)),))
+def perception_value(grid: PerceptionGrid, sym=Sym) -> Value:
+    """The Grid record of a perception grid; sym(code) gives each cell's Sym."""
+    return Rec("Grid", (Seq(tuple(Seq(tuple(map(sym, row))) for row in grid)),))

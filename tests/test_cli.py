@@ -811,14 +811,18 @@ def test_a_command_leaves_almost_no_cyclic_garbage(tmp_path, capsys, restore_col
     assert "states=" in capsys.readouterr().out
 
 
-# explores every bundled scenario and generates every manifest witness into
-# the directory named by argv[2]
+# explores every bundled scenario, grid.json with exposed grids too, and
+# generates every manifest witness into the directory named by argv[2]; the
+# inconclusive testgen of a building collision, which exits 1, leaves its
+# exit code, stdout and stderr there
 EVERY_OUTPUT = """
 import contextlib, io, json, sys
 from avmodels.cli import main
 configs, out = sys.argv[1], sys.argv[2]
 runs = [["explore", "--scenario", f"{configs}/{name}.json", "--out", f"{out}/{name}.aut"]
         for name in ("free", "highway", "tcross", "crossroad", "grid")]
+runs.append(["explore", "--scenario", f"{configs}/grid.json", "--out", f"{out}/grid-exposed.aut",
+             "--expose-grid"])
 for i, entry in enumerate(json.load(open(f"{configs}/manifest.json"))):
     if entry["outcome"] == "witness":
         runs.append(["testgen", "--scenario", f"{configs}/{entry['scenario']}",
@@ -827,6 +831,12 @@ for i, entry in enumerate(json.load(open(f"{configs}/manifest.json"))):
 for argv in runs:
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0, argv
+stdout, stderr = io.StringIO(), io.StringIO()
+with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+    code = main(["testgen", "--scenario", f"{configs}/grid.json", "--purpose",
+                 f"{configs}/purpose_collision_building.json", "--out", f"{out}/building.sim.json"])
+with open(f"{out}/building.log", "w") as log:
+    log.write(f"exit {code}\\n-- stdout\\n{stdout.getvalue()}-- stderr\\n{stderr.getvalue()}")
 """
 
 
@@ -849,7 +859,10 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
             proc.kill()
     (one, _), (two, _) = runs
     names = sorted(p.name for p in one.iterdir())
-    assert len(names) == 5 + 9
+    assert len(names) == 5 + 1 + 9 + 1
+    assert (one / "building.log").read_text() == (
+        "exit 1\n-- stdout\ninconclusive: the purpose is not reachable in this scenario\n"
+        "-- stderr\n")
     assert names == sorted(p.name for p in two.iterdir())
     for name in names:
         assert (one / name).read_bytes() == (two / name).read_bytes(), name

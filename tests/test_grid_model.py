@@ -8,7 +8,7 @@ lidar frame from scratch out of the actions seen on the way there.
 import pytest
 
 from avmodels.grid_model import build_grid_composition
-from avmodels.kernel import explore
+from avmodels.kernel import Receive, explore, parse_action
 from avmodels.minimize import minimize
 from avmodels.perception import (
     CarSpec, GridScenario, ObstacleRec, build_grid_map, compute_perception,
@@ -18,6 +18,7 @@ from avmodels.properties import (
     VIOLATION, Monitor, check_deadlock_freedom, check_inevitable_termination,
     product_with_monitor,
 )
+from avmodels.values import Rec, Sym, ValueError_
 
 from oracles import trace_exists
 
@@ -198,6 +199,40 @@ def test_equal_obstacle_records_are_one_object(reference_exposed):
                 records += 1
                 assert shared.setdefault(v, v) is v
     assert records > 2 * len(shared) > 0
+
+
+def test_receivers_decode_equal_copies_of_shared_records_alike():
+    # the receivers look a shared record up by id(); an equal record parsed
+    # back from the label text is another object and goes through
+    # decode_obstacle, and must lead to the same next local state
+    scn = GridScenario(5, 5, static=(ObstacleRec("Wall", 0, 2),),
+                       mobile=(ObstacleRec("Walker", 2, 0, speed=1, moves=("random",) * 2),
+                               ObstacleRec("Cart", 4, 0, speed=1, moves=("down", "left"))),
+                       car=CarSpec(2, 4, moves=("random",) * 2), dist_min=1)
+    comp = build_grid_composition(scn)
+    lts = explore(comp)
+    moves = [a for a in lts.labels if a.gate == "OBSTACLE_POSITION"]
+    copies = [parse_action(a.text()) for a in moves]
+    assert copies == moves and all(c.offers[0] is not a.offers[0] and c.offers[1] is not a.offers[1]
+                                   for a, c in zip(moves, copies))
+    malformed = (Rec("Obstacle", (Sym("Walker"),)),) + moves[0].offers[1:]
+    results = set()
+    for state in lts.state_payload:
+        if not any(a.gate == "OBSTACLE_POSITION" for a, _ in comp.enabled_actions(state)):
+            continue
+        for c, local in zip(comp.components, comp.local_states(state)):
+            if c.id not in ("MAP_MANAGER", "LIDAR_MANAGER", "RESTRAND"):
+                continue
+            (accept,) = [f for r, f in c.step(local) if r == Receive("OBSTACLE_POSITION")]
+            for act, copy in zip(moves, copies):
+                got = accept(act.offers)
+                assert accept(copy.offers) == got
+                results.add((c.id, got is None))
+            with pytest.raises(ValueError_):
+                accept(malformed)
+    # every receiver accepted some move, and MAP_MANAGER and RESTRAND refused some
+    assert results == {("MAP_MANAGER", False), ("MAP_MANAGER", True), ("LIDAR_MANAGER", False),
+                       ("RESTRAND", False), ("RESTRAND", True)}
 
 
 # ---------------------------------------------------------------------------

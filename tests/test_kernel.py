@@ -364,6 +364,62 @@ def test_gate_fires_only_on_concrete_offers():
         ("g !1", (1, 3, 1)), ("g !1", (1, 3, 4))]
 
 
+def test_successors_follow_the_product_order_of_the_members_alternatives():
+    # B has two concrete successors, A one, C two accepting receivers (and
+    # one that refuses) and D one: the successors are
+    # itertools.product(B's, A's, C's, D's) in that order, B's varying slowest
+    g = Action("g", (Nat(1),))
+    b = table_component("B", {"g"}, {0: [(g, 1), (g, 2)]})
+    a = table_component("A", {"g"}, {0: [(g, 1)]})
+    c = Component("C", frozenset({"g"}), 0, lambda s: [
+        (Receive("g"), lambda offers: 5), (Receive("g"), lambda offers: None),
+        (Receive("g"), lambda offers: 6)] if s == 0 else [])
+    d = Component("D", frozenset({"g"}), 0, lambda s: [
+        (Receive("g"), lambda offers: 7)] if s == 0 else [])
+    comp = Composition((b, a, c, d))
+    acts = comp.enabled_actions(comp.initial_state)
+    assert [(act.text(), comp.local_states(s)) for act, s in acts] == [
+        ("g !1", (1, 1, 5, 7)), ("g !1", (1, 1, 6, 7)),
+        ("g !1", (2, 1, 5, 7)), ("g !1", (2, 1, 6, 7))]
+    assert len({act for act, _ in acts}) == 1
+
+
+class CountedHash:
+    """A hashable offer, equal to every other one, that counts the calls of
+    its __hash__."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __hash__(self):
+        self.calls += 1
+        return 7
+
+    def __eq__(self, other):
+        return isinstance(other, CountedHash)
+
+
+def test_a_canonical_label_is_found_by_identity_without_hashing():
+    # P offers one canonical action on every step but the third, where it
+    # offers an equal fresh copy
+    offer, fresh_offer = CountedHash(), CountedHash()
+    known = Action("g", (offer,))
+    comp = Composition((Component("P", frozenset(), 0, lambda s: [
+        (Action("g", (fresh_offer,)) if s == 2 else known, s + 1)] if s < 4 else []),))
+    state, fired = comp.initial_state, []
+    while comp.enabled_actions(state):
+        (act, state), = comp.enabled_actions(state)
+        fired.append(act)
+    assert fired == [known] * 4 and all(act is known for act in fired)
+    assert list(comp._labels.items()) == [(known, known)]
+    # the first step hashes known once to put it into the table; later
+    # steps find it by identity, and the copy is hashed once to find it
+    assert (offer.calls, fresh_offer.calls) == (1, 1)
+    lts = explore(comp)
+    assert lts.labels == (known,) and lts.labels[0] is known
+    assert list(lts.lab) == [0, 0, 0, 0]
+
+
 def test_receiving_unlisted_gate_is_an_error():
     p = table_component("P", {"g"}, {0: [(Action("g"), 1)]})
     rogue = Component("R", frozenset({"h"}), 0, lambda s: [(Receive("g"), lambda offers: 1)])
