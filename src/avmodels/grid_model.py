@@ -22,7 +22,10 @@ scripted move, each GRID_CAR action per cell, each Obstacle record and each
 Sym, so that the kernel finds them by identity. The receivers decode a
 shared Obstacle record through a table keyed by its id(), which stays valid
 while the cache of records keeps the record alive, and any other value with
-decode_obstacle.
+decode_obstacle. Each receiver is functools.partial(fn, local state), one fn
+per component and gate, and not a closure made per local state: the kernel's
+step cache keeps every receiver, a partial takes about a third of a
+closure's memory, and it adds no reference cycle.
 """
 from __future__ import annotations
 
@@ -99,11 +102,14 @@ def build_grid_composition(scn: GridScenario, expose_grid: bool = False) -> Comp
         """
         car, anchors, dirs = view
         ob = mobiles[i]
+        # the cells a move may not enter: the car's, the buildings' and the other obstacles'
+        taken = {car, *static_cells}.union(*(rect_cells(anchors[j], mobiles[j].w, mobiles[j].h)
+                                             for j in range(n) if j != i))
 
         def target(d):
             anchor = step_position(anchors[i], d, ob.speed, width, height)
-            if anchor is not None and all(0 <= x < width and 0 <= y < height and (x, y) != car
-                                          and occupant_kind(anchors, (x, y), skip=i) is None
+            if anchor is not None and all(0 <= x < width and 0 <= y < height
+                                          and (x, y) not in taken
                                           for x, y in rect_cells(anchor, ob.w, ob.h)):
                 return anchor
             return None
@@ -128,13 +134,12 @@ def build_grid_composition(scn: GridScenario, expose_grid: bool = False) -> Comp
                 cells.append(cell)
         return cells
 
-    def occupant_kind(anchors, cell, skip=None):
-        """Kind of the building or of the obstacle other than skip that
-        covers cell, or None."""
+    def occupant_kind(anchors, cell):
+        """Kind of the building or obstacle that covers cell, or None."""
         if cell in static_cells:
             return static_cells[cell]
         for j in range(n):
-            if j != skip and cell in rect_cells(anchors[j], mobiles[j].w, mobiles[j].h):
+            if cell in rect_cells(anchors[j], mobiles[j].w, mobiles[j].h):
                 return kinds[j]
         return None
 
@@ -152,10 +157,13 @@ def build_grid_composition(scn: GridScenario, expose_grid: bool = False) -> Comp
                 return j
         return None
 
+    def mgr_car_moved(st, offers):
+        view, scripts, idx, stage = st
+        return (cell_of(offers[1]),) + view[1:], scripts, idx, stage
+
     def mgr_step(st):
         view, scripts, idx, stage = st
-        out = [(Receive("CAR_POSITION"),
-                lambda offers: ((cell_of(offers[1]),) + view[1:], scripts, idx, stage))]
+        out = [(Receive("CAR_POSITION"), functools.partial(mgr_car_moved, st))]
         if idx is None:
             return out
         remaining = scripts[idx][0]
@@ -202,9 +210,22 @@ def build_grid_composition(scn: GridScenario, expose_grid: bool = False) -> Comp
             return ("tick",)
         return ("halted",)
 
+    def map_obstacle_moved(st, offers):
+        (car, anchors), live, car_dead, (_, i, _) = st
+        kind, anchor = decode(offers[0])[:2]
+        if kind != kinds[i]:
+            return None
+        return ((car, with_anchor(anchors, i, anchor)), live, car_dead,
+                map_norm(live, car_dead, i + 1))
+
+    def map_car_moved(st, offers):
+        (_, anchors), live, car_dead, _ = st
+        cell = cell_of(offers[1])
+        hit = occupant_kind(anchors, cell)
+        return (cell, anchors), live, car_dead, ("coll", hit) if hit else ("grid_car",)
+
     def map_step(st):
         view, live, car_dead, phase = st
-        car, anchors = view
         out = []
         tag = phase[0]
         if tag == "obs":
@@ -215,24 +236,15 @@ def build_grid_composition(scn: GridScenario, expose_grid: bool = False) -> Comp
                 out.append((end_obstacle[kinds[i]],
                             (view, live2, car_dead, map_norm(live2, car_dead, i + 1))))
             else:
-                def obstacle_moved(offers):
-                    kind, anchor = decode(offers[0])[:2]
-                    if kind != kinds[i]:
-                        return None
-                    return ((car, with_anchor(anchors, i, anchor)), live, car_dead,
-                            map_norm(live, car_dead, i + 1))
-                out.append((Receive("OBSTACLE_POSITION"), obstacle_moved))
+                out.append((Receive("OBSTACLE_POSITION"),
+                            functools.partial(map_obstacle_moved, st)))
         elif tag == "car":
-            def car_moved(offers):
-                cell = cell_of(offers[1])
-                hit = occupant_kind(anchors, cell)
-                return ((cell, anchors), live, car_dead, ("coll", hit) if hit else ("grid_car",))
-            out.append((Receive("CAR_POSITION"), car_moved))
+            out.append((Receive("CAR_POSITION"), functools.partial(map_car_moved, st)))
             out.append((ARRIVAL, (view, live, True, ("tick",))))
         elif tag == "coll":
             out.append((Action("COLLISION", (sym(phase[1]),)), (view, live, True, ("tick",))))
         elif tag == "grid_car":
-            out.append((grid_car(car), (view, live, car_dead, ("tick",))))
+            out.append((grid_car(view[0]), (view, live, car_dead, ("tick",))))
         elif tag == "tick":
             out.append((TICK, (view, live, car_dead, map_norm(live, car_dead, 0))))
         return out
@@ -246,11 +258,14 @@ def build_grid_composition(scn: GridScenario, expose_grid: bool = False) -> Comp
         map_step)
 
     # --- MOVE_CAR: the car's own script
+    def car_crashed(st, offers):
+        return st[0], st[1], True
+
     def car_step(st):
         pos, remaining, dead = st
         if dead:
             return []
-        out = [(Receive("COLLISION"), lambda offers: (pos, remaining, True))]
+        out = [(Receive("COLLISION"), functools.partial(car_crashed, st))]
         if remaining:
             rest = remaining[1:]
             if not rest and scn.car.cyclic:
@@ -276,6 +291,15 @@ def build_grid_composition(scn: GridScenario, expose_grid: bool = False) -> Comp
                                    mobiles[j].w, mobiles[j].h) for j in range(n)]
         return build_grid_map(width, height, placed, car)
 
+    def lidar_obstacle_moved(st, offers):
+        (car, anchors), prev, prev_car, _ = st
+        kind, anchor = decode(offers[0])[:2]
+        return (car, with_anchor(anchors, index[kind], anchor)), prev, prev_car, False
+
+    def lidar_car_moved(st, offers):
+        (_, anchors), prev, prev_car, _ = st
+        return (cell_of(offers[1]), anchors), prev, prev_car, False
+
     def lidar_step(st):
         view, prev, prev_car, duty = st
         car, anchors = view
@@ -283,14 +307,8 @@ def build_grid_composition(scn: GridScenario, expose_grid: bool = False) -> Comp
             grid = compute_perception(make_map(car, anchors), prev, prev_car)
             offers = (perception_value(grid, sym),) if expose_grid else ()
             return [(Action("LIDAR_MAP", offers), (view, grid, car, False))]
-
-        def obstacle_moved(offers):
-            kind, anchor = decode(offers[0])[:2]
-            return ((car, with_anchor(anchors, index[kind], anchor)), prev, prev_car, False)
-
-        return [(Receive("OBSTACLE_POSITION"), obstacle_moved),
-                (Receive("CAR_POSITION"),
-                 lambda offers: ((cell_of(offers[1]), anchors), prev, prev_car, False)),
+        return [(Receive("OBSTACLE_POSITION"), functools.partial(lidar_obstacle_moved, st)),
+                (Receive("CAR_POSITION"), functools.partial(lidar_car_moved, st)),
                 (grid_car(car), (view, prev, prev_car, True)),
                 (TICK, st)]
 
@@ -304,17 +322,20 @@ def build_grid_composition(scn: GridScenario, expose_grid: bool = False) -> Comp
     # away from it
     random_dir = sym(RANDOM_DIR)
 
-    def restrand_step(car):
-        def obstacle_moved(offers):
-            new, prev, scripted = offers
-            speed, direction = decode(new)[4:6]
-            if scripted == random_dir and not move_allowed(
-                    car, decode(prev)[1], speed, direction, scn.dist_min):
-                return None
-            return car
+    def restrand_obstacle_moved(car, offers):
+        new, prev, scripted = offers
+        speed, direction = decode(new)[4:6]
+        if scripted == random_dir and not move_allowed(
+                car, decode(prev)[1], speed, direction, scn.dist_min):
+            return None
+        return car
 
-        return [(Receive("OBSTACLE_POSITION"), obstacle_moved),
-                (Receive("CAR_POSITION"), lambda offers: cell_of(offers[1]))]
+    def restrand_car_moved(offers):
+        return cell_of(offers[1])
+
+    def restrand_step(car):
+        return [(Receive("OBSTACLE_POSITION"), functools.partial(restrand_obstacle_moved, car)),
+                (Receive("CAR_POSITION"), restrand_car_moved)]
 
     restrand = Component(
         "RESTRAND",

@@ -26,14 +26,16 @@ another object is hashed to find its equal (hash-consing: a model that
 builds each label once is never hashed again). The rendezvous matches offers
 by identity and memoizes receivers' results per action id, without hashing
 nested values, and accept still gets the offers tuple itself. The step cache
-is a list per component indexed by local id, and each entry is frozen when
-it is built: the solo moves, one table of the synchronized gates where the
-local state offers or receives, and two bitmasks over the synchronized
-gates, the member gates missing from that table and the gates it offers
-concretely. Only a receiver's memo is added later, the first time its gate
-is tried. enabled_actions ORs the masks over a state's components and tries
-only the gates someone offers and no member blocks, which are the only ones
-that can fire. A member with one alternative for an offer is written
+is a list per component indexed by local id, and each entry is one tuple
+built once: the solo moves, two bitmasks over the synchronized gates (the
+member gates where the local state neither offers nor receives, and the
+gates it offers concretely), then one slot per member gate, which holds the
+offers on it, or with receivers a list of the offers, the receivers' memo
+and their accept functions. That memo, made the first time the gate is
+tried, is all that changes later. A rendezvous reads each member's slot
+without a table lookup. enabled_actions ORs the masks over a state's
+components and tries only the gates someone offers and no member blocks,
+which are the only ones that can fire. A member with one alternative for an offer is written
 straight into the successor, and itertools.product runs only over the
 members with two or more, which gives the order of a product over all
 members. Ids follow first appearance, gates keep sync_map order and offers
@@ -144,29 +146,33 @@ class Composition:
         ids = [c.id for c in self.components]
         if len(set(ids)) != len(ids):
             raise CompositionError(f"duplicate component ids in {ids}")
-        sync_map: Dict[str, List[int]] = {}
-        for i, c in enumerate(self.components):
-            for g in sorted(c.sync_set):
-                sync_map.setdefault(g, []).append(i)
-        self.sync_map: Dict[str, Tuple[int, ...]] = {g: tuple(m) for g, m in sync_map.items()}
-        # bit k of a gate mask stands for the k-th gate of sync_map
-        self._gates: List[Tuple[str, Tuple[int, ...]]] = list(self.sync_map.items())
+        self._member_gates: List[tuple] = [tuple(sorted(c.sync_set)) for c in self.components]
+        sync_map: Dict[str, List[Tuple[int, int]]] = {}
+        for i, gates in enumerate(self._member_gates):
+            for slot, g in enumerate(gates, 3):
+                sync_map.setdefault(g, []).append((i, slot))
+        self.sync_map: Dict[str, Tuple[int, ...]] = {
+            g: tuple(i for i, _ in m) for g, m in sync_map.items()}
+        # bit k of a gate mask stands for the k-th gate of sync_map, and
+        # _gates[k] lists its members as (component, slot) pairs
+        self._gates: List[Tuple[Tuple[int, int], ...]] = [tuple(m) for m in sync_map.values()]
         self._gate_bits: Dict[str, int] = {g: 1 << k for k, g in enumerate(self.sync_map)}
         self._member_bits: List[int] = [
             sum(self._gate_bits[g] for g in c.sync_set) for c in self.components]
         # per component: local id -> local state, local state -> local id,
         # and the step cache, local id -> None or a frozen entry (solo,
-        # gates, blocked, offered):
+        # blocked, offered, part_0, part_1, ...):
         # - solo: tuple of (action, next id) on unsynchronized gates;
-        # - gates: synchronized gate -> (offers, accepts, accepted), for each
-        #   gate where the local state offers or receives: offers is a tuple
-        #   of (action, next ids tuple) in first-seen order, accepts the
-        #   receivers' accept functions and accepted their memo, id(action)
-        #   -> accepted next ids tuple, None until the gate is first tried
-        #   (most receivers never are) and always None without receivers;
-        # - blocked: gate mask of member gates with no entry in gates, where
-        #   the component cannot take part;
-        # - offered: gate mask of gates with a concrete offer.
+        # - blocked: gate mask of member gates where the local state neither
+        #   offers nor receives, so the component cannot take part;
+        # - offered: gate mask of gates with a concrete offer;
+        # - part_k, at slot 3 + k for the k-th gate of _member_gates[i]: None
+        #   if blocked; the offers, a tuple of (action, next ids tuple) in
+        #   first-seen order, if nothing receives there; else the entry's one
+        #   mutable object, the list [offers, accepted, accept, ...], where
+        #   accepted is the receivers' memo, id(action) -> accepted next ids
+        #   tuple, None until the gate is first tried (most receivers never
+        #   are), and the accept functions follow it.
         # _labels maps each distinct label to its one canonical Action, so
         # offers match by identity, and _canonical maps the id() of each
         # canonical Action, which _labels keeps alive, to the action itself
@@ -236,10 +242,9 @@ class Composition:
                 offers.append((act, (nxt,)))
             offered |= bits[gate]
         entry = self._steps[i][lid] = (
-            tuple(solo.values()),
-            {g: (tuple(offers), tuple(accepts), None) for g, (offers, accepts) in gates.items()},
-            self._member_bits[i] & ~member,
-            offered)
+            tuple(solo.values()), self._member_bits[i] & ~member, offered,
+            *(None if part is None else [tuple(part[0]), None] + part[1] if part[1]
+              else tuple(part[0]) for part in map(gates.get, self._member_gates[i])))
         return entry
 
     def enabled_actions(self, state: tuple) -> List[Tuple[Action, tuple]]:
@@ -260,10 +265,9 @@ class Composition:
         for i, entry in enumerate(per_comp):
             if entry is None:
                 entry = per_comp[i] = self._component_steps(i, state[i])
-            solo, _, b, o = entry
-            blocked |= b
-            offered |= o
-            for act, nxt in solo:
+            blocked |= entry[1]
+            offered |= entry[2]
+            for act, nxt in entry[0]:
                 succ = list(state)
                 succ[i] = nxt
                 out.append((act, tuple(succ)))
@@ -271,20 +275,21 @@ class Composition:
         while fire:
             bit = fire & -fire
             fire ^= bit
-            gate, members = self._gates[bit.bit_length() - 1]
-            # no member is blocked, so each has an entry for the gate
+            members = self._gates[bit.bit_length() - 1]
+            # no member is blocked, so each has a part for the gate
             parts = []
             source = None
-            for i in members:
-                table = per_comp[i][1]
-                offers, accepts, accepted = table[gate]
-                if not accepts:
-                    if source is None or len(offers) < len(source):
-                        source = offers
-                elif accepted is None:  # first try of this receiver's gate
-                    accepted = {}
-                    table[gate] = (offers, accepts, accepted)
-                parts.append((i, offers, accepts, accepted))
+            for i, slot in members:
+                part = per_comp[i][slot]
+                if type(part) is tuple:  # concrete offers, no receiver
+                    if source is None or len(part) < len(source):
+                        source = part
+                    parts.append((i, part, None, None))
+                    continue
+                accepted = part[1]
+                if accepted is None:  # first try of this receiver's gate
+                    accepted = part[1] = {}
+                parts.append((i, part[0], part, accepted))
             if source is None:
                 firsts = {}
                 for _, offers, _, _ in parts:
@@ -296,17 +301,17 @@ class Composition:
                 # product runs over the others, in member order
                 succ = list(state)
                 choices = []
-                for i, offers, accepts, accepted in parts:
+                for i, offers, part, accepted in parts:
                     alts = ()
                     for a, nxts in offers:
                         if a is act:
                             alts = nxts
                             break
-                    if accepts:
+                    if accepted is not None:
                         got = accepted.get(id(act))
                         if got is None:
                             got = []
-                            for accept in accepts:
+                            for accept in itertools.islice(part, 2, None):
                                 nxt = accept(act.offers)
                                 if nxt is not None:
                                     got.append(self._local_id(i, nxt))

@@ -5,6 +5,8 @@ bookkeeping: a round-structure monitor validates the protocol ordering on
 every reachable trace, and a perception replay recomputes each published
 lidar frame from scratch out of the actions seen on the way there.
 """
+import tracemalloc
+
 import pytest
 
 from avmodels.grid_model import build_grid_composition
@@ -12,14 +14,16 @@ from avmodels.kernel import Receive, explore, parse_action
 from avmodels.minimize import minimize
 from avmodels.perception import (
     CarSpec, GridScenario, ObstacleRec, build_grid_map, compute_perception,
-    perception_value,
+    perception_value, rect_cells,
 )
 from avmodels.properties import (
     VIOLATION, Monitor, check_deadlock_freedom, check_inevitable_termination,
     product_with_monitor,
 )
+from avmodels.scenarios import load_scenario
 from avmodels.values import Rec, Sym, ValueError_
 
+from conftest import CONFIGS
 from oracles import trace_exists
 
 
@@ -201,15 +205,18 @@ def test_equal_obstacle_records_are_one_object(reference_exposed):
     assert records > 2 * len(shared) > 0
 
 
+# two obstacles and a car with random moves, a wall and the restraint
+RANDOM_WALK = GridScenario(5, 5, static=(ObstacleRec("Wall", 0, 2),),
+                           mobile=(ObstacleRec("Walker", 2, 0, speed=1, moves=("random",) * 2),
+                                   ObstacleRec("Cart", 4, 0, speed=1, moves=("down", "left"))),
+                           car=CarSpec(2, 4, moves=("random",) * 2), dist_min=1)
+
+
 def test_receivers_decode_equal_copies_of_shared_records_alike():
     # the receivers look a shared record up by id(); an equal record parsed
     # back from the label text is another object and goes through
     # decode_obstacle, and must lead to the same next local state
-    scn = GridScenario(5, 5, static=(ObstacleRec("Wall", 0, 2),),
-                       mobile=(ObstacleRec("Walker", 2, 0, speed=1, moves=("random",) * 2),
-                               ObstacleRec("Cart", 4, 0, speed=1, moves=("down", "left"))),
-                       car=CarSpec(2, 4, moves=("random",) * 2), dist_min=1)
-    comp = build_grid_composition(scn)
+    comp = build_grid_composition(RANDOM_WALK)
     lts = explore(comp)
     moves = [a for a in lts.labels if a.gate == "OBSTACLE_POSITION"]
     copies = [parse_action(a.text()) for a in moves]
@@ -233,6 +240,61 @@ def test_receivers_decode_equal_copies_of_shared_records_alike():
     # every receiver accepted some move, and MAP_MANAGER and RESTRAND refused some
     assert results == {("MAP_MANAGER", False), ("MAP_MANAGER", True), ("LIDAR_MANAGER", False),
                        ("RESTRAND", False), ("RESTRAND", True)}
+
+
+def test_car_position_receivers_replace_only_the_car_cell():
+    # every CAR_POSITION receiver is bound to its local state; for any car
+    # move, the shared offer and an equal copy parsed back from its text,
+    # it keeps the rest of that state and takes the new car cell
+    scn = RANDOM_WALK
+
+    def occupant(anchors, cell):
+        placed = [(ob.kind, ob.anchor(), ob) for ob in scn.static]
+        placed += [(ob.kind, anchor, ob) for ob, anchor in zip(scn.mobile, anchors)]
+        return next((kind for kind, a, ob in placed if cell in rect_cells(a, ob.w, ob.h)), None)
+
+    def map_next(st, cell):
+        (_, anchors), live, car_dead, _ = st
+        hit = occupant(anchors, cell)
+        return (cell, anchors), live, car_dead, ("coll", hit) if hit else ("grid_car",)
+
+    expected = {
+        "OBSTACLES_MANAGER": lambda st, cell: ((cell,) + st[0][1:],) + st[1:],
+        "MAP_MANAGER": map_next,
+        "LIDAR_MANAGER": lambda st, cell: ((cell, st[0][1]), st[1], st[2], False),
+        "RESTRAND": lambda st, cell: cell,
+    }
+    comp = build_grid_composition(scn)
+    lts = explore(comp)
+    moves = [a for a in lts.labels if a.gate == "CAR_POSITION"]
+    copies = [parse_action(a.text()) for a in moves]
+    assert copies == moves and all(c.offers[1] is not a.offers[1] for a, c in zip(moves, copies))
+    outcomes = set()
+    for state in lts.state_payload:
+        for c, local in zip(comp.components, comp.local_states(state)):
+            for accept in [f for r, f in c.step(local) if r == Receive("CAR_POSITION")]:
+                for act, copy in zip(moves, copies):
+                    want = expected[c.id](local, (act.offers[1].x, act.offers[1].y))
+                    assert accept(act.offers) == want == accept(copy.offers)
+                    outcomes.add((c.id, want[3][0] if c.id == "MAP_MANAGER" else None))
+    assert outcomes == {("OBSTACLES_MANAGER", None), ("MAP_MANAGER", "coll"),
+                        ("MAP_MANAGER", "grid_car"), ("LIDAR_MANAGER", None), ("RESTRAND", None)}
+
+
+def test_exploring_the_exposed_grid_allocates_at_most_900_bytes_per_state():
+    # explore's memory on the exposed grid is mostly the kernel's step cache:
+    # with slot-indexed entries and receivers bound to their local state the
+    # tracemalloc peak is about 824 bytes per state (835 on Python 3.10); a
+    # dict of gates per entry and a closure per receiver take about 1,060
+    scn = load_scenario(str(CONFIGS / "grid.json"))
+    tracemalloc.start()
+    try:
+        lts = explore(build_grid_composition(scn, expose_grid=True))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lts.num_states == 22_983
+    assert peak / lts.num_states <= 900
 
 
 # ---------------------------------------------------------------------------
