@@ -39,9 +39,13 @@ class FoldError(ValueError):
 
 
 class ReplayError(ValueError):
-    def __init__(self, step: int, msg: str):
-        super().__init__(f"replay diverged at step {step}: {msg}")
+    """No explored run of the model matches a scenario's step-th step
+    (0-based): a move, TICK or terminal of its 1-based tick."""
+
+    def __init__(self, step: int, tick: int, msg: str):
+        super().__init__(f"tick {tick}: {msg}")
         self.step = step
+        self.tick = tick
 
 
 @dataclass(frozen=True)
@@ -304,10 +308,7 @@ def trace_to_scenario(trace: Sequence[Action]) -> SimScenario:
 
 
 def _matches_move(act: Action, mv: ObstacleMove) -> bool:
-    if act.gate != "OBSTACLE_POSITION":
-        return False
-    got = _decode_obstacle_move(act)
-    return (got.kind, got.target, got.direction) == (mv.kind, mv.target, mv.direction)
+    return act.gate == "OBSTACLE_POSITION" and _decode_obstacle_move(act) == mv
 
 
 def _matches_car(act: Action, car) -> bool:
@@ -321,24 +322,30 @@ def replay(scn: GridScenario, sim: SimScenario) -> List[Action]:
     """The complete label sequence, bookkeeping included, of the grid model's
     run along a folded scenario, found by a search of the model's product
     with a monitor of (steps matched, END_OBSTACLEs seen). The steps are
-    each tick's obstacle moves, car move and TICK (the folded trace may stop
-    mid-round, so the last tick does not close with one), then an ARRIVAL or
-    COLLISION terminal. A transition matching the next step advances the
-    monitor; bookkeeping leaves it in place, and so does TICK once an END
-    terminal only waits for every non-cyclic obstacle to end; every other
-    transition is cut. Raises ReplayError with the most steps any explored
-    run matched.
+    each tick's obstacle moves, in the scenario's mobile order, its car move
+    and TICK (the folded trace may stop mid-round, so the last tick does not
+    close with one), then an ARRIVAL or COLLISION terminal. A move matches
+    on its mover, source cell, target cell and direction. A transition
+    matching the next step advances the monitor; bookkeeping leaves it in
+    place, and so does TICK once an END terminal only waits for every
+    non-cyclic obstacle to end; every other transition is cut. Raises
+    ReplayError naming the first step no explored run matched and its tick;
+    a terminal, and the wait for the last END_OBSTACLE, belong to the last
+    tick.
     """
-    steps: List[Tuple[Callable[[Action], bool], str]] = []
-    for i, tick in enumerate(sim.ticks):
+    last = len(sim.ticks) or 1
+    steps: List[Tuple[Callable[[Action], bool], int, str]] = []
+    for i, tick in enumerate(sim.ticks, start=1):
         for mv in tick.obstacles:
-            steps.append((partial(_matches_move, mv=mv), f"{mv.kind} -> {mv.target}"))
+            steps.append((partial(_matches_move, mv=mv), i, f"{mv.kind} moves from "
+                          f"{mv.source} to {mv.target} {mv.direction}"))
         if tick.car is not None:
-            steps.append((partial(_matches_car, car=tick.car), f"car -> {tick.car[1]}"))
-        if i + 1 < len(sim.ticks):
-            steps.append((ActionPattern("TICK").matches, "TICK"))
+            steps.append((partial(_matches_car, car=tick.car), i,
+                          f"the car moves from {tick.car[0]} to {tick.car[1]}"))
+        if i < last:
+            steps.append((ActionPattern("TICK").matches, i, "TICK"))
     if sim.terminal in ("ARRIVAL", "COLLISION"):
-        steps.append((ActionPattern(sim.terminal).matches, sim.terminal))
+        steps.append((ActionPattern(sim.terminal).matches, last, sim.terminal))
     n = len(steps)
     wind_down = sim.terminal == "END"
     ends_wanted = scn.end_obstacle_total if wind_down else 0
@@ -357,6 +364,6 @@ def replay(scn: GridScenario, sim: SimScenario) -> List[Action]:
                              lambda node: node[1][0] == n and node[1][1] >= ends_wanted)
     if trace is None:
         at = max(seen[0] for _, seen in explored.state_payload)
-        raise ReplayError(at, "no run of the model matches "
-                              + (steps[at][1] if at < n else "the last END_OBSTACLE"))
+        tick, what = steps[at][1:] if at < n else (last, "the last END_OBSTACLE")
+        raise ReplayError(at, tick, f"{what}: no run of the model makes this move")
     return list(trace)

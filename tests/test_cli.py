@@ -401,30 +401,56 @@ def test_a_malformed_sim_exits_2_naming_the_file_and_the_tick(tmp_path, tick, me
     assert (code, out, err) == (2, "", f"error: {sim}: {message}\n")
 
 
-def pedestrian(source, target, direction="up"):
+def pedestrian(source, target, direction="right"):
     return {"Pedestrian": {"from": source, "to": target, "direction": direction}}
 
 
+def other_car(source, target, direction="up"):
+    return {"Other_Car": {"from": source, "to": target, "direction": direction}}
+
+
+# configs/grid.json's first two rounds: Other_Car and the Pedestrian follow
+# their scripts, the car's first move is none and its second up
+ROUND_1 = {"obstacles": {**other_car([6, 7], [6, 6]), **pedestrian([3, 5], [4, 5])},
+           "car": {"from": [6, 9], "to": [6, 9]}}
+ROUND_2_OBSTACLES = {**other_car([6, 6], [6, 5]), **pedestrian([4, 5], [5, 5])}
+
+
+# each sim is a run of the model up to the one fault its id names; before a
+# crash no script or random move of grid.json points an obstacle at a building
+# next to it, so the move into a building breaks Other_Car's script too
 @pytest.mark.parametrize("ticks, message", [
-    ([{"obstacles": pedestrian([0, 0], [8, 1])}],
-     "tick 1: Pedestrian moves from (0, 0) but stands at (3, 5)"),
-    ([{"obstacles": pedestrian([3, 5], [3, 4], 3)}],
+    ([{"obstacles": {**other_car([6, 7], [6, 6]), **pedestrian([0, 0], [4, 5])}}],
+     "tick 1: Pedestrian moves from (0, 0) to (4, 5) right: "
+     "no run of the model makes this move"),
+    ([{"obstacles": {**other_car([6, 7], [6, 6]), **pedestrian([3, 5], [4, 5], 3)}}],
      "tick 1: obstacles.Pedestrian.direction: bad direction 3: "
      "need one of up, down, left, right, none"),
-    ([{"obstacles": pedestrian([3, 5], [3, 3])}],
-     "tick 1: Pedestrian overlaps Building_NW at (3,3)"),
-    ([{"obstacles": pedestrian([3, 5], [10, 5], "right")}],
-     "tick 1: Pedestrian sticks out of the map at (10,5)"),
-    ([{"obstacles": {"Other_Car": {"from": [6, 7], "to": [6, 5], "direction": "up"},
-                     **pedestrian([3, 5], [6, 5], "right")}}],
-     "tick 1: Pedestrian overlaps Other_Car at (6,5)"),
-    ([{"obstacles": pedestrian([3, 5], [4, 5], "right")},
-      {"obstacles": pedestrian([3, 5], [4, 5], "right")}],
-     "tick 2: Pedestrian moves from (3, 5) but stands at (4, 5)"),
-    ([{"obstacles": {}, "car": {"from": [6, 8], "to": [6, 7]}}],
-     "tick 1: the car moves from (6, 8) but stands at (6, 9)"),
+    ([{"obstacles": other_car([6, 7], [7, 7], "right")}],
+     "tick 1: Other_Car moves from (6, 7) to (7, 7) right: "
+     "no run of the model makes this move"),
+    ([{"obstacles": ROUND_1["obstacles"], "car": {"from": [6, 9], "to": [6, 10]}}],
+     "tick 1: the car moves from (6, 9) to (6, 10): no run of the model makes this move"),
+    ([ROUND_1, {"obstacles": ROUND_2_OBSTACLES, "car": {"from": [6, 9], "to": [6, 8]}},
+      {"obstacles": {**other_car([6, 5], [6, 5], "none"), **pedestrian([5, 5], [6, 5])}}],
+     "tick 3: Pedestrian moves from (5, 5) to (6, 5) right: "
+     "no run of the model makes this move"),
+    ([ROUND_1, {"obstacles": {**other_car([6, 6], [6, 5]), **pedestrian([3, 5], [4, 5])}}],
+     "tick 2: Pedestrian moves from (3, 5) to (4, 5) right: "
+     "no run of the model makes this move"),
+    ([{"obstacles": ROUND_1["obstacles"], "car": {"from": [6, 8], "to": [6, 9]}}],
+     "tick 1: the car moves from (6, 8) to (6, 9): no run of the model makes this move"),
+    ([{"obstacles": other_car([6, 7], [6, 5], "left"), "car": {"from": [6, 9], "to": [2, 9]}}],
+     "tick 1: Other_Car moves from (6, 7) to (6, 5) left: "
+     "no run of the model makes this move"),
+    ([ROUND_1, {"obstacles": ROUND_2_OBSTACLES, "car": {"from": [6, 9], "to": [6, 7]}}],
+     "tick 2: the car moves from (6, 9) to (6, 7): no run of the model makes this move"),
+    ([{"obstacles": {**pedestrian([3, 5], [4, 5]), **other_car([6, 7], [6, 6])}}],
+     "tick 1: Pedestrian moves from (3, 5) to (4, 5) right: "
+     "no run of the model makes this move"),
 ], ids=["from-elsewhere", "direction-a-number", "into-a-building", "off-the-map",
-        "onto-an-obstacle", "from-the-old-cell", "car-from-elsewhere"])
+        "onto-an-obstacle", "from-the-old-cell", "car-from-elsewhere",
+        "jumps-and-turns", "car-beyond-its-speed", "out-of-mobile-order"])
 def test_render_rejects_a_move_the_model_cannot_make(tmp_path, ticks, message):
     sim = write_json(tmp_path / "sim.json", {"ticks": ticks})
     code, out, err = run_main(["render", "--scenario", str(CONFIGS / "grid.json"), "--sim", sim])

@@ -339,7 +339,24 @@ def test_replay_reports_where_it_diverged(reference):
     with pytest.raises(ReplayError) as err:
         replay(scn, impossible)
     assert err.value.step == 0
+    assert err.value.tick == 1
     assert "Other_Car" in str(err.value)
+
+
+def test_replay_matches_the_source_cell_of_a_move(reference):
+    # both moves are the model's first round but for Other_Car's source cell
+    scn, _ = reference
+    pedestrian = ObstacleMove("Pedestrian", (3, 5), (4, 5), "right")
+    moved = SimScenario((SimTick((ObstacleMove("Other_Car", (6, 7), (6, 6), "up"),
+                                  pedestrian)),))
+    assert trace_to_scenario(replay(scn, moved)) == moved
+    wrong_from = SimScenario((SimTick((ObstacleMove("Other_Car", (0, 0), (6, 6), "up"),
+                                       pedestrian)),))
+    with pytest.raises(ReplayError) as err:
+        replay(scn, wrong_from)
+    assert (err.value.step, err.value.tick) == (0, 1)
+    assert str(err.value) == ("tick 1: Other_Car moves from (0, 0) to (6, 6) up: "
+                              "no run of the model makes this move")
 
 
 def test_replay_error_counts_the_steps_every_run_matched(reference):
@@ -354,7 +371,9 @@ def test_replay_error_counts_the_steps_every_run_matched(reference):
         replay(scn, bad)
     steps_before = sum(len(t.obstacles) + (t.car is not None) + 1 for t in ticks)
     assert err.value.step == steps_before + len(last.obstacles)
-    assert "car -> (0, 0)" in str(err.value)
+    assert err.value.tick == len(sim.ticks)
+    assert str(err.value) == (f"tick {len(sim.ticks)}: the car moves from {last.car[0]} "
+                              "to (0, 0): no run of the model makes this move")
 
 
 def test_unreachable_purpose_is_inconclusive(reference):
