@@ -58,7 +58,6 @@ monitors. search explores up to a goal and returns the trace to it.
 """
 from __future__ import annotations
 
-import collections
 import itertools
 from array import array
 from dataclasses import dataclass, field
@@ -485,14 +484,16 @@ def explore(system, limits: ExplorationLimits = ExplorationLimits(),
     init = system.initial_state
     index: Dict[Hashable, int] = {init: 0}
     payload: List[Hashable] = [init]
-    into = [-1]  # per state: the last state that made a transition into it
+    # per state: the last state that made a transition into it; an array, as
+    # a list would keep alive an int object per state from enumerate below
+    into = array("i", [-1])
     src, lab, dst = array("i"), array("i"), array("i")
     # the transitions of the last few states, in lists: an item goes onto a
     # list faster than onto an array, and fromlist moves them in bulk
     new_src: List[int] = []
     new_lab: List[int] = []
     new_dst: List[int] = []
-    offsets = array("i")  # the first transition of each state taken off the queue
+    offsets = array("i")  # the first transition of each state walked so far
     labels: List[Action] = []
     label_ids: Dict[Action, int] = {}
     by_object: Dict[int, int] = {}  # id(action) -> label id, for the actions in labels
@@ -513,28 +514,28 @@ def explore(system, limits: ExplorationLimits = ExplorationLimits(),
 
     def explored() -> Lts:
         flush()
-        # the states not taken off the queue yet have no transitions
+        # the states not walked yet have no transitions
         n = len(payload)
         ends = array("i", [len(src)]) * (n + 1 - len(offsets))
         return Lts.from_arrays(n, 0, src, lab, dst, tuple(labels), tuple(payload),
                                offsets + ends)
 
-    # states are numbered in BFS order, so they leave the queue in index
-    # order and a level's states run from one level end to the next
-    queue = collections.deque([] if goal is not None and goal(init) else [0])
+    if goal is not None and goal(init):
+        return explored()
+    # states are numbered in BFS order, so the payload is the queue: it is
+    # walked in index order while it grows, and a level's states run from
+    # one level end to the next
     depth, level_end = 0, 1
     # read once here, not once per state: flush() clears the lists in place
     enabled, max_states, max_depth = system.enabled_actions, limits.max_states, limits.max_depth
     index_get = index.get
     add_src, add_lab, add_dst = new_src.append, new_lab.append, new_dst.append
-    while queue:
-        si = queue.popleft()
+    for si, state in enumerate(payload):
         if len(new_src) >= _FLUSH:
             flush()
         offsets.append(len(src) + len(new_src))
         if si == level_end:
             depth, level_end = depth + 1, len(payload)
-        state = payload[si]
         if max_depth and depth >= max_depth:
             if enabled(state):
                 raise ExplorationLimitError(explored(), "max_depth")
@@ -553,7 +554,6 @@ def explore(system, limits: ExplorationLimits = ExplorationLimits(),
                     add_lab(label_id(act))
                     add_dst(ti)
                     return explored()
-                queue.append(ti)
             lid = by_object.get(id(act))  # label_id(act), inlined for the common case
             if lid is None:
                 lid = label_id(act)

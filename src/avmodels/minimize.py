@@ -1,38 +1,41 @@
-"""Strong bisimulation minimization: a backward sweep over the states whose
-every path is finite, then dirty-block partition refinement of the rest.
+"""Strong bisimulation minimization: a depth-first sweep settles the states
+whose every path is finite, then dirty-block partition refinement splits
+the rest.
 
 A state's set of (label, successor block) pairs is its signature, which
-_refine's signature() alone computes. The sweep visits the states in Kahn's
-order from the sinks over the predecessor lists, so each state comes after
-all its successors; its signature is taken once, from their final blocks,
-and equal signatures share a block. On these well-founded states that
-settles strong bisimulation exactly, one rank at a time (Dovier, Piazza &
-Policriti, TCS 311, 2004). A state the sweep never reaches can reach a
-cycle, so it has an infinite path and is bisimilar to no settled state,
-and a settled state has no unsettled successor.
+_refine's signature() alone computes. The sweep is one iterative
+depth-first search over the Lts's forward arrays, from roots taken from the
+last state down. A state finishes in post-order, after all its successors,
+so its signature is taken once, from their final blocks, and equal
+signatures share a block. On these well-founded states that settles strong
+bisimulation exactly, one rank at a time (Dovier, Piazza & Policriti, TCS
+311, 2004). A state with a successor on the search path, or with one that
+reaches a cycle, reaches a cycle itself: it has an infinite path and is
+bisimilar to no settled state, and a settled state has no such successor.
+Each state on the path keeps a cursor at its first successor not yet
+settled, so the sweep reads each transition a bounded number of times.
 
-The unsettled states start as one block, marked dirty, and refinement works
-in rounds. Each round groups the members of every dirty block by signature,
-all taken against the block ids of the round before, then splits: the
-largest group keeps the block's id and every other group gets a new one.
-Only a state with a successor that got a new id can change its signature,
-so the next round's dirty blocks are those of the predecessors of the moved
-states (after Paige & Tarjan, SIAM J. Comput. 1987, and Valmari & Lehtinen,
-STACS 2008); a settled block never becomes dirty. When no block is dirty,
-two states share a block iff they are strongly bisimilar. That coarsest
-partition is unique, and the blocks are renumbered by first occurrence in
-state order, so the result is deterministic.
+The states that reach a cycle start as one block, marked dirty, and
+refinement works in rounds. Each round groups the members of every dirty
+block by signature, all taken against the block ids of the round before,
+then splits: the largest group keeps the block's id and every other group
+gets a new one. Only a state with a successor that got a new id can change
+its signature, so the next round's dirty blocks are those of the
+predecessors of the moved states (after Paige & Tarjan, SIAM J. Comput.
+1987, and Valmari & Lehtinen, STACS 2008). A settled state is never a
+predecessor of a moved one, so predecessor lists are built for the states
+that reach a cycle alone, and for none when every state settles. When no
+block is dirty, two states share a block iff they are strongly bisimilar.
+That coarsest partition is unique, and the blocks are renumbered by first
+occurrence in state order, so the result is deterministic.
 
 Label ids come from the Lts, where equal actions share one, so signatures
-hold ints, not actions; the transitions are read off the Lts's arrays, and
-only the predecessor lists are built. The quotient takes each block's
-transitions from its first member, one per (label, block) pair, and keeps
-the label table of the Lts.
+hold ints, not actions, and the transitions are read off the Lts's arrays.
+The quotient takes each block's transitions from its first member, one per
+(label, block) pair, and keeps the label table of the Lts.
 """
 from __future__ import annotations
 
-import itertools
-import operator
 from array import array
 from typing import Dict, List, Tuple
 
@@ -72,12 +75,14 @@ def minimize(lts: Lts) -> Lts:
 def partition(lts: Lts) -> List[int]:
     """Block index per state for the coarsest strong bisimulation partition.
 
-    The states with only finite paths are settled in one backward sweep.
-    Refinement of the rest re-signs only the dirty blocks, those holding a
-    predecessor of a state that moved to a new block in the last round. At
-    the fixpoint the blocks are renumbered by first occurrence scanning
-    states in index order, so the numbering does not depend on the order of
-    the sweep or of the splits.
+    The states with only finite paths are settled in one depth-first
+    post-order sweep over the successors. Refinement of the rest, the
+    states that reach a cycle and the only ones given predecessor lists,
+    re-signs only the dirty blocks, those holding a predecessor of a state
+    that moved to a new block in the last round. At the fixpoint the blocks
+    are renumbered by first occurrence scanning states in index order, so
+    the numbering does not depend on the order of the sweep or of the
+    splits.
     """
     return _refine(lts)
 
@@ -85,10 +90,10 @@ def partition(lts: Lts) -> List[int]:
 def _refine(lts: Lts) -> List[int]:
     n = lts.num_states
     offsets, lab, dst = lts.offsets, lts.lab, lts.dst
-    pred: List[List[int]] = [[] for _ in range(n)]
-    for s, d in zip(lts.src, dst):
-        pred[d].append(s)
-    blocks = [-1] * n
+    # per state: the settled block id, or a mark; the sweep marks a state
+    # unsettled when it enters it, and that stays if the state reaches a cycle
+    unseen, unsettled = -1, -2
+    blocks = [unseen] * n
 
     def signature(s: int) -> Tuple[int, ...]:
         # a block id is below n, so lid * n + block names one (label, block);
@@ -97,23 +102,47 @@ def _refine(lts: Lts) -> List[int]:
         return tuple(sorted({lid * n + blocks[d]
                              for lid, d in zip(lab[start:end], dst[start:end])}))
 
-    # settle the states whose every path is finite, sinks first (Kahn's
-    # order over pred): each one's successors already have their final block
+    # settle the states whose every path is finite in depth-first post-order:
+    # a state finishes after its successors, so it is signed against their
+    # final blocks; one that meets an unsettled successor, on the path or
+    # finished, reaches a cycle. Roots go from the last state down, and each
+    # state on the path keeps a cursor at its first successor not yet settled
     signatures: Dict[Tuple[int, ...], int] = {}
-    # edges to states not yet settled
-    pending = list(map(operator.sub, itertools.islice(offsets, 1, None), offsets))
-    ready = [s for s in range(n) if not pending[s]]
-    for s in ready:  # grows while it is walked
-        blocks[s] = signatures.setdefault(signature(s), len(signatures))
-        for p in pred[s]:
-            pending[p] -= 1
-            if not pending[p]:
-                ready.append(p)
+    path: List[int] = []
+    cursors: List[int] = []
+    for root in range(n - 1, -1, -1):
+        if blocks[root] != unseen:
+            continue
+        s, k = root, offsets[root]
+        blocks[s] = unsettled
+        while True:
+            end = offsets[s + 1]
+            while k < end and blocks[dst[k]] >= 0:
+                k += 1
+            if k == end:
+                blocks[s] = signatures.setdefault(signature(s), len(signatures))
+            elif blocks[dst[k]] == unseen:
+                path.append(s)
+                cursors.append(k)
+                s = dst[k]
+                k = offsets[s]
+                blocks[s] = unsettled
+                continue
+            if not path:
+                break
+            s, k = path.pop(), cursors.pop()
     # the rest can reach a cycle: one block for them all, refined against the
-    # settled blocks, which no longer change and so need no member list
-    rest = [s for s in range(n) if blocks[s] < 0]
+    # settled blocks, which no longer change and so need no member list. Only
+    # these states are ever re-signed, and a settled state has no unsettled
+    # successor, so predecessors are listed among them alone
+    rest = [s for s in range(n) if blocks[s] == unsettled]
     for s in rest:
         blocks[s] = len(signatures)
+    pred: Dict[int, List[int]] = {s: [] for s in rest}
+    for s in rest:
+        for d in dst[offsets[s]:offsets[s + 1]]:
+            if d in pred:
+                pred[d].append(s)
     members: Dict[int, List[int]] = {len(signatures): rest} if rest else {}
     dirty = set(members)
     while dirty:
@@ -136,5 +165,6 @@ def _refine(lts: Lts) -> List[int]:
                     blocks[s] = new
                 moved += group
         dirty = {blocks[p] for s in moved for p in pred[s]}
+    signatures.clear()  # dead now, and as large as the settled part
     renumber: Dict[int, int] = {}
     return [renumber.setdefault(b, len(renumber)) for b in blocks]

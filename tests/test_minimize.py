@@ -94,7 +94,7 @@ def test_partition_matches_whole_partition_refinement_on_random_lts():
 def test_partition_splits_a_labelled_chain_one_state_per_round():
     # state i is k-1-i "a"-steps from the end, so no two states are
     # bisimilar: k blocks. The chain is acyclic, so partition settles it in
-    # one backward sweep; whole-partition refinement splits off one state
+    # one depth-first sweep; whole-partition refinement splits off one state
     # per round and needs k rounds
     k = 40
     lts = Lts(k, 0, tuple((i, simple("a"), i + 1) for i in range(k - 1)))
@@ -138,8 +138,40 @@ def test_partition_matches_the_oracles_on_mixed_acyclic_and_cyclic_ltss():
 
 
 def test_a_sink_and_a_self_loop_on_the_same_label_stay_apart():
-    # 0 -a-> 1 ends, 2 -a-> 2 never does; 1 is settled by the backward
+    # 0 -a-> 1 ends, 2 -a-> 2 never does; 1 is settled by the depth-first
     # sweep, 2 can reach a cycle, so they start in different blocks
     lts = Lts(3, 0, ((0, simple("a"), 1), (2, simple("a"), 2)))
     assert partition(lts) == signature_refinement(lts) == [0, 1, 2]
     assert minimize(lts).num_states == 3
+
+
+def test_a_long_chain_downwards_is_settled_by_an_iterative_sweep():
+    # every edge goes to a lower state, so the sweep's first root, the last
+    # state, starts a depth-first path through the whole chain, far deeper
+    # than a recursive search could go
+    n = 100_000
+    chain = [(s, simple("a"), s - 1) for s in range(1, n)]
+    small = minimize(Lts(n, n - 1, chain))
+    assert (small.num_states, len(small.src)) == (n, n - 1)
+    # closed into a ring, every state has an infinite "a"-path: one block
+    ring = minimize(Lts(n, n - 1, chain + [(0, simple("a"), n - 1)]))
+    assert (ring.num_states, ring.initial, ring.transitions) == (1, 0, ((0, simple("a"), 0),))
+
+
+def test_partition_does_not_depend_on_the_state_numbering():
+    # the sweep visits states in an order that follows their numbers; the
+    # partition must not: renumbered states keep their blocks, which are
+    # then numbered by first occurrence again
+    rng = random.Random(311)
+    for k in range(200):
+        lts = mixed_lts(rng) if k % 2 else random_lts(rng, max_states=80, labels=("a", "b"))
+        n = lts.num_states
+        perm = list(range(n))
+        rng.shuffle(perm)
+        renumbered = Lts(n, perm[lts.initial],
+                         tuple((perm[s], a, perm[d]) for s, a, d in lts.transitions))
+        moved = [0] * n
+        for s, b in enumerate(partition(lts)):
+            moved[perm[s]] = b
+        first: dict = {}
+        assert partition(renumbered) == [first.setdefault(b, len(first)) for b in moved]
