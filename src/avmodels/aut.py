@@ -16,33 +16,31 @@ is sorted by (source, rank of the label text, target) and written as one
 chunk: the file never exists whole in memory, as one string or as a list of
 rows.
 
-Import reads a stream as export writes it in one pass over chunks of about
-_READ_CHUNK characters, each cut at a line end, and fills the Lts's arrays
-chunk by chunk: the quotes split a chunk into labels and a label-free
-skeleton, which must be exactly one `(digits, "", digits)` line per
-transition. Label ids follow the order in which the texts first appear.
-Anything else (other spacing, blank lines, other line breaks, no final
-newline, a count or range error, a byte that is not ASCII) seeks back and
-reads the whole text again: a byte that is not ASCII is reported at its
-line, and any other text goes to the per-line reader, which accepts the
-same files and reports every error with its line; both readers give equal
-Lts. The fast reader takes a file in any transition order: the Lts sorts
-it once.
+Import reads a stream in one pass over chunks of about _READ_CHUNK
+characters, each cut at a \n, and fills the Lts's arrays chunk by chunk; it
+never seeks, so a pipe reads as a file does. The header line is read with a
+grammar that accepts any spacing. A chunk laid out as export writes it is
+read whole: the quotes split it into labels and a label-free skeleton, which
+must be exactly one `(digits, "", digits)` line per transition. Any other
+chunk (other spacing, blank lines, other line breaks, no final newline, a
+range error) is read one line at a time with the transition grammar, which
+accepts any spacing and reports the first bad line; the line count is
+carried from chunk to chunk. A byte that is not ASCII is reported at its
+line when its chunk is read. Label ids follow the order in which the texts
+first appear. Import takes a file in any transition order: the Lts sorts it
+once.
 """
 from __future__ import annotations
 
-import io
 import re
 from array import array
-from typing import IO, Dict, List, Optional
+from typing import IO, Dict, List, Tuple
 
 from . import values
 from .kernel import Action, Lts, parse_action
 
 _HEADER_RE = re.compile(r"des\s*\(\s*([0-9]+)\s*,\s*([0-9]+)\s*,\s*([0-9]+)\s*\)\s*\Z")
 _TRANS_RE = re.compile(r"\(\s*([0-9]+)\s*,\s*\"([^\"]*)\"\s*,\s*([0-9]+)\s*\)\s*\Z")
-# the header exactly as export writes it
-_EXPORTED_HEADER_RE = re.compile(r"des \(([0-9]+), ([0-9]+), ([0-9]+)\)\Z")
 _READ_CHUNK = 1 << 18
 _WRITE_LINES = 4096
 # exported lines with their labels cut out
@@ -98,7 +96,8 @@ def export_aut(lts: Lts, sink: IO) -> None:
 
 
 def import_aut(source: IO) -> Lts:
-    """Read an .aut file back into an Lts from a binary or text stream.
+    """Read an .aut file in any layout back into an Lts from a binary or
+    text stream, in one pass that never seeks.
 
     Canonical labels become structured actions; other labels stay opaque
     (gate = full label text, no offers). Raises AutFormatError with the
@@ -106,66 +105,71 @@ def import_aut(source: IO) -> Lts:
     mismatches, and at line 1 when the header promises more than 2T + 1
     states for T transitions, which leaves states no transition names.
     """
-    if not source.seekable():  # a pipe: read it whole into a stream that can seek back
-        data = source.read()
-        source = io.BytesIO(data) if isinstance(data, bytes) else io.StringIO(data)
-    start = source.tell()
-    lts = _import_exported(source)
-    if lts is not None:
-        return lts
-    source.seek(start)
-    data = source.read()
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("ascii")
-        except UnicodeDecodeError as e:
-            # the text before the first bad byte is ASCII; with a stand-in
-            # for the byte appended, its last line is the byte's line
-            line = len((data[:e.start].decode("ascii") + "?").splitlines())
-            raise AutFormatError(f"not ascii: {e}", line)
-    return _import_lines(data)
-
-
-def _import_exported(source: IO) -> Optional[Lts]:
-    """The Lts of a stream laid out exactly as export_aut writes it, read in
-    chunks; None for any other text, valid or not."""
     src, lab, dst = array("i"), array("i"), array("i")
     labels: List[Action] = []
     ids: Dict[str, int] = {}  # label text -> its label id
-    header = None
+    line = 0  # the lines of the chunks read so far; 0 until the header is read
+    offset = 0  # the bytes read before this block
     rest: List[str] = []  # the pieces of the unfinished line read so far
     while True:
         block = source.read(_READ_CHUNK)
         if isinstance(block, bytes):
             try:
                 block = block.decode("ascii")
-            except UnicodeDecodeError:
-                return None
-        if not block:
-            break
+            except UnicodeDecodeError as e:
+                # the text before the bad byte is ASCII; with a stand-in for
+                # the byte appended, its last line is the byte's line
+                before = "".join(rest) + block[:e.start].decode("ascii") + "?"
+                raise AutFormatError(
+                    f"not ascii: 'ascii' codec can't decode byte 0x{block[e.start]:02x}"
+                    f" in position {offset + e.start}: {e.reason}",
+                    line + len(before.splitlines()))
+            offset += len(block)
         cut = block.rfind("\n") + 1
-        if not cut:
+        if block and not cut:
             rest.append(block)
             continue
-        text = "".join(rest) + block[:cut]
-        rest = [block[cut:]] if cut < len(block) else []
-        if header is None:
-            end = text.index("\n")
-            m = _EXPORTED_HEADER_RE.match(text, 0, end)
-            if not m:
-                return None
-            try:
-                header = initial, ntrans, nstates = tuple(int(g) for g in m.groups())
-            except ValueError:  # more digits than int() converts
-                return None
-            if nstates > min(2 * ntrans + 1, _MAX_STATES) or initial >= nstates:
-                return None
-            text = text[end + 1:]
-        if text and not _read_lines(text, nstates, src, lab, dst, labels, ids):
-            return None
-    if header is None or rest or len(src) != ntrans:
-        return None
+        text = "".join(rest) + block[:cut]  # at the end, whatever follows the last \n
+        rest = [block[cut:]]
+        if not line:
+            initial, ntrans, nstates, length = _read_header(text)
+            text, line = text[length:], 1
+        if _read_lines(text, nstates, src, lab, dst, labels, ids):
+            line += text.count("\n")
+        else:
+            line = _read_each_line(text, line, nstates, src, lab, dst, labels, ids)
+        if not block:
+            break
+    if len(src) != ntrans:
+        raise AutFormatError(f"header promises {ntrans} transitions, file has {len(src)}", line)
+    if nstates < 1 or initial >= nstates:
+        raise AutFormatError("initial state out of range", 1)
+    if nstates > _MAX_STATES:
+        raise AutFormatError(f"header promises {nstates} states, more than array('i') holds", 1)
     return Lts.from_arrays(nstates, initial, src, lab, dst, tuple(labels))
+
+
+def _read_header(text: str) -> Tuple[int, int, int, int]:
+    """The initial state, transition count and state count of the header
+    line that starts text, and the length of that line with its line break."""
+    # the first line ends at or before the first \n
+    first = text[:text.find("\n") + 1 or None].splitlines(keepends=True)
+    if not first:
+        raise AutFormatError("empty file", 1)
+    m = _HEADER_RE.match(first[0].strip())
+    if not m:
+        raise AutFormatError(f"bad header {first[0].splitlines()[0]!r}", 1)
+    try:
+        initial, ntrans, nstates = (int(g) for g in m.groups())
+    except ValueError as e:  # more digits than int() converts
+        raise AutFormatError(f"bad header: {e}", 1)
+    if nstates > 2 * ntrans + 1:
+        # T transitions and the initial state name at most 2T + 1 states;
+        # trusting a larger count would allocate per-state arrays for it
+        raise AutFormatError(
+            f"header promises {nstates} states, more than its {ntrans} transitions"
+            f" and the initial state can name ({2 * ntrans + 1})", 1)
+    return initial, ntrans, nstates, len(first[0])
 
 
 def _read_lines(text: str, nstates: int, src: array, lab: array, dst: array,
@@ -203,51 +207,31 @@ def _read_lines(text: str, nstates: int, src: array, lab: array, dst: array,
     return True
 
 
-def _import_lines(data: str) -> Lts:
-    """Read an .aut text line by line; the reference reader, and the one
-    that reports errors."""
-    lines = data.splitlines()
-    if not lines:
-        raise AutFormatError("empty file", 1)
-    m = _HEADER_RE.match(lines[0].strip())
-    if not m:
-        raise AutFormatError(f"bad header {lines[0]!r}", 1)
-    try:
-        initial, ntrans, nstates = (int(g) for g in m.groups())
-    except ValueError as e:  # more digits than int() converts
-        raise AutFormatError(f"bad header: {e}", 1)
-    if nstates > 2 * ntrans + 1:
-        # T transitions and the initial state name at most 2T + 1 states;
-        # trusting a larger count would allocate per-state lists for it
-        raise AutFormatError(
-            f"header promises {nstates} states, more than its {ntrans} transitions"
-            f" and the initial state can name ({2 * ntrans + 1})", 1)
-    transitions = []
-    actions: Dict[str, Action] = {}  # label text -> its action
-    for ln, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
+def _read_each_line(text: str, line: int, nstates: int, src: array, lab: array,
+                    dst: array, labels: List[Action], ids: Dict[str, int]) -> int:
+    """Append the transitions of text, read one line at a time in any
+    layout, to the arrays; the number of its last line, counting on from
+    line. Raises AutFormatError at the first bad line."""
+    for line, raw in enumerate(text.splitlines(), start=line + 1):
         m = _TRANS_RE.match(raw.strip())
         if not m:
-            raise AutFormatError(f"bad transition {raw!r}", ln)
+            if raw.strip():
+                raise AutFormatError(f"bad transition {raw!r}", line)
+            continue  # a blank line
+        s, label, d = m.groups()
         try:
-            src, label, dst = int(m.group(1)), m.group(2), int(m.group(3))
+            s, d = int(s), int(d)
         except ValueError as e:  # more digits than int() converts
-            raise AutFormatError(f"bad transition: {e}", ln)
-        if src >= nstates or dst >= nstates:
-            raise AutFormatError(f"state out of range in {raw!r}", ln)
-        act = actions.get(label)
-        if act is None:
-            act = actions[label] = _parse_label(label)
-        transitions.append((src, act, dst))
-    if len(transitions) != ntrans:
-        raise AutFormatError(
-            f"header promises {ntrans} transitions, file has {len(transitions)}",
-            len(lines),
-        )
-    if nstates < 1 or initial >= nstates:
-        raise AutFormatError("initial state out of range", 1)
-    return Lts(nstates, initial, tuple(transitions))
+            raise AutFormatError(f"bad transition: {e}", line)
+        if s >= nstates or d >= nstates:
+            raise AutFormatError(f"state out of range in {raw!r}", line)
+        if label not in ids:
+            ids[label] = len(labels)
+            labels.append(_parse_label(label))
+        src.append(s)
+        lab.append(ids[label])
+        dst.append(d)
+    return line
 
 
 def _parse_label(label: str) -> Action:

@@ -5,17 +5,19 @@ layouts than the package: rendezvous by trying every concretely offered
 value list on every participant, a naive greatest-fixpoint bisimulation,
 whole-partition signature refinement, a solved attacker/defender game, exact
 rational geometry for line-of-sight, subset replay of traces and
-level-by-level shortest distances, and an .aut writer that sorts one row
-per transition.
+level-by-level shortest distances, an .aut reader that splits the whole text
+into lines, and an .aut writer that sorts one row per transition.
 """
 from __future__ import annotations
 
 import copy
 import itertools
 import random
+import re
 from fractions import Fraction
 from typing import Dict, List, Optional, Set, Tuple
 
+from avmodels.aut import AutFormatError, _parse_label
 from avmodels.kernel import Action, Component, Composition, Lts, Receive
 from avmodels.scenarios import ScenarioError, scenario_from_json
 from avmodels.values import Bool, Nat, Pos, Sym
@@ -384,6 +386,59 @@ def trace_exists(lts: Lts, labels) -> bool:
         if not cur:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# .aut text, one whole text split into lines
+
+_HEADER_RE = re.compile(r"des\s*\(\s*([0-9]+)\s*,\s*([0-9]+)\s*,\s*([0-9]+)\s*\)\s*\Z")
+_TRANS_RE = re.compile(r"\(\s*([0-9]+)\s*,\s*\"([^\"]*)\"\s*,\s*([0-9]+)\s*\)\s*\Z")
+
+
+def import_aut_lines(data: str) -> Lts:
+    """Read a whole .aut text line by line into an Lts built from triples;
+    the reference for every layout import_aut reads and every error it
+    reports."""
+    lines = data.splitlines()
+    if not lines:
+        raise AutFormatError("empty file", 1)
+    m = _HEADER_RE.match(lines[0].strip())
+    if not m:
+        raise AutFormatError(f"bad header {lines[0]!r}", 1)
+    try:
+        initial, ntrans, nstates = (int(g) for g in m.groups())
+    except ValueError as e:  # more digits than int() converts
+        raise AutFormatError(f"bad header: {e}", 1)
+    if nstates > 2 * ntrans + 1:
+        raise AutFormatError(
+            f"header promises {nstates} states, more than its {ntrans} transitions"
+            f" and the initial state can name ({2 * ntrans + 1})", 1)
+    transitions = []
+    actions: Dict[str, Action] = {}  # label text -> its action
+    for ln, raw in enumerate(lines[1:], start=2):
+        if not raw.strip():
+            continue
+        m = _TRANS_RE.match(raw.strip())
+        if not m:
+            raise AutFormatError(f"bad transition {raw!r}", ln)
+        try:
+            src, label, dst = int(m.group(1)), m.group(2), int(m.group(3))
+        except ValueError as e:  # more digits than int() converts
+            raise AutFormatError(f"bad transition: {e}", ln)
+        if src >= nstates or dst >= nstates:
+            raise AutFormatError(f"state out of range in {raw!r}", ln)
+        act = actions.get(label)
+        if act is None:
+            act = actions[label] = _parse_label(label)
+        transitions.append((src, act, dst))
+    if len(transitions) != ntrans:
+        raise AutFormatError(
+            f"header promises {ntrans} transitions, file has {len(transitions)}",
+            len(lines),
+        )
+    if nstates < 1 or initial >= nstates:
+        raise AutFormatError("initial state out of range", 1)
+    return Lts(nstates, initial, tuple(transitions))
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from avmodels import aut
-from avmodels.aut import (
-    AutFormatError, _import_exported, _import_lines, _parse_label, export_aut, import_aut,
-)
+from avmodels.aut import AutFormatError, _parse_label, export_aut, import_aut
 from avmodels.kernel import Action, Lts
 from avmodels.values import Nat, Pos, Sym
 
-from oracles import random_lts
+from oracles import import_aut_lines, random_lts
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
@@ -138,7 +136,7 @@ def test_a_number_past_the_int_digit_limit_is_a_format_error_at_its_line(text, l
     with pytest.raises(AutFormatError, match="Exceeds the limit") as exc:
         import_aut(io.BytesIO(text.encode("ascii")))
     with pytest.raises(AutFormatError) as ref:
-        _import_lines(text)
+        import_aut_lines(text)
     assert (str(exc.value), exc.value.line) == (str(ref.value), ref.value.line)
     assert exc.value.line == line
 
@@ -156,7 +154,7 @@ def test_empty_lts_roundtrip():
     assert back.transitions == ()
 
 
-def test_import_reports_the_line_of_the_first_non_ascii_byte():
+def test_import_reports_the_line_of_the_first_non_ascii_byte(monkeypatch):
     src = 'des (0, 2, 2)\n(0, "a", 1)\n(1, "caf\u00e9", 0)\n'.encode("utf-8")
     with pytest.raises(AutFormatError) as exc:
         import_aut(io.BytesIO(src))
@@ -165,6 +163,11 @@ def test_import_reports_the_line_of_the_first_non_ascii_byte():
     with pytest.raises(AutFormatError) as exc:
         import_aut(io.BytesIO(b"des (0, 0, 1)\n\xd9"))
     assert exc.value.line == 2
+    # lines that end without a \n, read in chunks before the byte's own
+    monkeypatch.setattr(aut, "_READ_CHUNK", 7)
+    with pytest.raises(AutFormatError) as exc:
+        import_aut(io.BytesIO(src.replace(b"\n", b"\x0b")))
+    assert exc.value.line == 3
 
 
 def test_equal_label_texts_share_one_action():
@@ -236,9 +239,18 @@ def read_or_error(read):
         return str(e), e.line
 
 
+def layouts(text: str) -> dict:
+    """text as exported, with two spaces after each comma, with CRLF line
+    ends, and with a vertical tab before each \n, which ends a line too."""
+    return {"exported": text, "loose": text.replace(", ", ",  "),
+            "crlf": text.replace("\n", "\r\n"), "vt": text.replace("\n", "\x0b\n")}
+
+
 @pytest.mark.parametrize("chunk", [7, 64])
 def test_import_matches_a_per_line_parse_across_chunk_cuts(monkeypatch, chunk):
-    # small chunks cut each file many times, after every kind of line
+    # small chunks cut each file many times, after every kind of line, and
+    # between the \r and the \n of a CRLF line end; loose and CRLF chunks are
+    # read line by line, with the line count carried from chunk to chunk
     monkeypatch.setattr(aut, "_READ_CHUNK", chunk)
     rng = random.Random(12)
     refused = 0
@@ -247,10 +259,14 @@ def test_import_matches_a_per_line_parse_across_chunk_cuts(monkeypatch, chunk):
         if not export_random(random_lts(rng, max_states=40, labels=LABELS), buf):
             refused += 1
             continue
-        text = buf.getvalue()
-        expected = _import_lines(text)
-        assert import_aut(io.StringIO(text)) == expected
-        assert _import_exported(io.StringIO(text)) == expected
+        for text in layouts(buf.getvalue()).values():
+            expected = import_aut_lines(text)
+            assert import_aut(io.StringIO(text)) == expected
+            assert import_aut(io.BytesIO(text.encode("ascii"))) == expected
+            # one transition too many: the count error names the last line
+            extra = text + '(0, "a", 0)\n'
+            assert read_or_error(lambda: import_aut(io.StringIO(extra))) == \
+                read_or_error(lambda: import_aut_lines(extra))
     assert refused  # these draws include Ltss whose header export refuses
 
 
@@ -275,8 +291,7 @@ CANONICAL = ('des (0, 4, 3)\n(0, "CAR_MOVE !brakes", 1)\n(1, "not !a value", 2)\
         "tight-header"])
 def test_other_layouts_take_the_per_line_path_and_parse_the_same(text):
     canonical = import_aut(io.StringIO(CANONICAL))
-    assert _import_exported(io.StringIO(CANONICAL)) == canonical
-    assert _import_exported(io.StringIO(text)) is None
+    assert import_aut_lines(CANONICAL) == canonical
     assert import_aut(io.StringIO(text)) == canonical
     assert import_aut(io.BytesIO(text.encode("ascii"))) == canonical
 
@@ -290,11 +305,10 @@ def test_other_layouts_take_the_per_line_path_and_parse_the_same(text):
 def test_digits_or_quotes_out_of_place_take_the_per_line_path_and_fail_the_same(text):
     # each skeleton has the exported punctuation and the right number of
     # digit runs, but not each run in its slot
-    assert _import_exported(io.StringIO(text)) is None
     with pytest.raises(AutFormatError) as exc:
         import_aut(io.StringIO(text))
     with pytest.raises(AutFormatError) as ref:
-        _import_lines(text)
+        import_aut_lines(text)
     assert (str(exc.value), exc.value.line) == (str(ref.value), ref.value.line)
 
 
@@ -304,10 +318,12 @@ def test_digits_or_quotes_out_of_place_take_the_per_line_path_and_fail_the_same(
     ('des (0, 1, 2)\n(0, "a", ١)\n', 2),
 ], ids=["header", "source", "target"])
 def test_a_non_ascii_digit_in_a_text_stream_is_a_format_error_at_its_line(text, line):
-    assert _import_exported(io.StringIO(text)) is None
     with pytest.raises(AutFormatError) as exc:
         import_aut(io.StringIO(text))
     assert exc.value.line == line
+    with pytest.raises(AutFormatError) as ref:
+        import_aut_lines(text)
+    assert (str(exc.value), exc.value.line) == (str(ref.value), ref.value.line)
 
 
 def long_chain(k: int) -> str:
@@ -331,7 +347,7 @@ def test_an_error_past_the_first_chunk_reports_the_per_line_readers_line(line, b
         import_aut(io.BytesIO(text.encode("ascii")))
     assert exc.value.line == len(lines) + 1 + line
     with pytest.raises(AutFormatError) as ref:
-        _import_lines(text)
+        import_aut_lines(text)
     assert (str(exc.value), exc.value.line) == (str(ref.value), ref.value.line)
 
 
@@ -354,7 +370,7 @@ def test_a_one_byte_mutation_reads_as_the_per_line_reader_reads_it(seed, where, 
         data[at] = byte
     text = data.decode("ascii")
     assert read_or_error(lambda: import_aut(io.BytesIO(bytes(data)))) == \
-        read_or_error(lambda: _import_lines(text))
+        read_or_error(lambda: import_aut_lines(text))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -369,7 +385,7 @@ def test_a_digit_moved_elsewhere_reads_as_the_per_line_reader_reads_it(seed, dig
     data.insert(to % (len(data) + 1), moved)
     text = data.decode("ascii")
     assert read_or_error(lambda: import_aut(io.BytesIO(bytes(data)))) == \
-        read_or_error(lambda: _import_lines(text))
+        read_or_error(lambda: import_aut_lines(text))
 
 
 def many_labels_aut(ntrans: int, nlabels: int = 50) -> bytes:
@@ -393,7 +409,7 @@ print(json.dumps([[a.text() for a in lts.labels], *map(list, (lts.src, lts.lab, 
 @pytest.mark.parametrize("layout", ["exported", "crlf"])
 def test_label_ids_do_not_depend_on_the_hash_seed(tmp_path, layout):
     data = many_labels_aut(400)
-    if layout == "crlf":  # the per-line reader
+    if layout == "crlf":  # read line by line
         data = data.replace(b"\n", b"\r\n")
     path = tmp_path / "labels.aut"
     path.write_bytes(data)
@@ -409,8 +425,52 @@ def test_label_ids_do_not_depend_on_the_hash_seed(tmp_path, layout):
     assert labels == [labels[i] for i in dict.fromkeys(lab)]  # ids by first appearance
 
 
-def import_peak(data: bytes) -> int:
-    source = io.BytesIO(data)
+class Pipe(io.BufferedReader):
+    """A binary stream that reads like a pipe: it cannot seek or tell."""
+
+    def __init__(self, data: bytes):
+        super().__init__(io.BytesIO(data))
+
+    def seekable(self):
+        return False
+
+    def seek(self, *args):
+        raise io.UnsupportedOperation("seek")
+
+    def tell(self):
+        raise io.UnsupportedOperation("tell")
+
+
+def test_a_stream_that_cannot_seek_reads_as_a_file_does():
+    for text in layouts(long_chain(20000)).values():
+        assert import_aut(Pipe(text.encode("ascii"))) == import_aut_lines(text)
+    bad = 'des (0, 1, 2)\n(0, "a", 2)\n'
+    with pytest.raises(AutFormatError, match="state out of range") as exc:
+        import_aut(Pipe(bad.encode("ascii")))
+    assert exc.value.line == 2
+
+
+def test_a_bad_line_before_the_first_non_ascii_chunk_is_reported_first():
+    lines = long_chain(20000).splitlines(keepends=True)
+    lines[1] = '(0, "a" 1)\n'
+    lines[-1] = '(19999, "caf\u00e9", 20000)\n'
+    data = "".join(lines).encode("utf-8")
+    assert data.index(b"\xc3") > aut._READ_CHUNK
+    with pytest.raises(AutFormatError, match="bad transition") as exc:
+        import_aut(io.BytesIO(data))
+    assert exc.value.line == 2
+    # without the bad line, the byte is reported at its line and its position
+    # in the whole file
+    lines[1] = '(0, "a", 1)\n'
+    data = "".join(lines).encode("utf-8")
+    with pytest.raises(AutFormatError, match="not ascii") as exc:
+        import_aut(io.BytesIO(data))
+    assert exc.value.line == len(lines)
+    position = data.index("\u00e9".encode("utf-8"))
+    assert f"byte 0xc3 in position {position}:" in str(exc.value)
+
+
+def import_peak(source) -> int:
     tracemalloc.start()
     try:
         import_aut(source)
@@ -419,6 +479,12 @@ def import_peak(data: bytes) -> int:
         tracemalloc.stop()
 
 
-def test_import_memory_grows_by_at_most_40_bytes_per_transition():
-    small, large = many_labels_aut(20_000), many_labels_aut(80_000)
-    assert (import_peak(large) - import_peak(small)) / 60_000 <= 40
+@pytest.mark.parametrize("layout", ["exported", "loose", "crlf", "pipe"])
+def test_import_memory_grows_by_at_most_40_bytes_per_transition(layout):
+    def peak(ntrans: int) -> int:
+        data = many_labels_aut(ntrans)
+        if layout in ("loose", "crlf"):
+            data = layouts(data.decode("ascii"))[layout].encode("ascii")
+        return import_peak(Pipe(data) if layout == "pipe" else io.BytesIO(data))
+
+    assert (peak(80_000) - peak(20_000)) / 60_000 <= 40

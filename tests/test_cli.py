@@ -468,6 +468,23 @@ def test_non_ascii_aut_names_the_file_and_the_line(tmp_path, capsys):
         assert str(aut) in err and "line 2" in err
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+def test_minimize_reads_an_aut_from_a_pipe(tmp_path, capsys):
+    # a pipe cannot seek back; the city's .aut is read from it in chunks
+    city, expected = tmp_path / "city.aut", tmp_path / "city_min.aut"
+    assert main(["explore", "--scenario", str(CONFIGS / "crossroad.json"),
+                 "--out", str(city)]) == 0
+    assert main(["minimize", str(city), str(expected)]) == 0
+    data = city.read_bytes()
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    for layout, text in (("exported", data), ("loose", data.replace(b", ", b",  "))):
+        out = tmp_path / f"{layout}_min.aut"
+        subprocess.run([sys.executable, "-m", "avmodels.cli", "minimize", "/dev/stdin",
+                        str(out)], input=text, env=env, check=True, timeout=300)
+        assert out.read_bytes() == expected.read_bytes(), layout
+
+
 def test_a_header_promising_a_million_states_exits_2_at_once(tmp_path, capsys):
     aut = tmp_path / "lie.aut"
     aut.write_text("des (0, 0, 1000000)\n")
