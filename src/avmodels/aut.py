@@ -103,7 +103,8 @@ def import_aut(source: IO) -> Lts:
     (gate = full label text, no offers). Raises AutFormatError with the
     offending line number on malformed input, non-ASCII bytes or count
     mismatches, and at line 1 when the header promises more than 2T + 1
-    states for T transitions, which leaves states no transition names.
+    states for T transitions, which leaves states no transition names, or
+    more states than an array('i') numbers.
     """
     src, lab, dst = array("i"), array("i"), array("i")
     labels: List[Action] = []
@@ -144,8 +145,6 @@ def import_aut(source: IO) -> Lts:
         raise AutFormatError(f"header promises {ntrans} transitions, file has {len(src)}", line)
     if nstates < 1 or initial >= nstates:
         raise AutFormatError("initial state out of range", 1)
-    if nstates > _MAX_STATES:
-        raise AutFormatError(f"header promises {nstates} states, more than array('i') holds", 1)
     return Lts.from_arrays(nstates, initial, src, lab, dst, tuple(labels))
 
 
@@ -169,6 +168,8 @@ def _read_header(text: str) -> Tuple[int, int, int, int]:
         raise AutFormatError(
             f"header promises {nstates} states, more than its {ntrans} transitions"
             f" and the initial state can name ({2 * ntrans + 1})", 1)
+    if nstates > _MAX_STATES:  # before a state number could overflow an array
+        raise AutFormatError(f"header promises {nstates} states, more than array('i') holds", 1)
     return initial, ntrans, nstates, len(first[0])
 
 

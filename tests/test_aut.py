@@ -100,6 +100,18 @@ def test_import_rejects_more_states_than_the_transitions_can_name():
     assert exc.value.line == 1
 
 
+@pytest.mark.parametrize("text", [
+    'des (0, 1073741824, 2147483649)\n(0, "a", 2147483648)\n',
+    'des (0, 1073741824, 2147483649)\n(0,  "a", 2147483648)\n',
+], ids=["exported", "loose"])
+def test_a_state_count_past_array_i_is_a_format_error_at_the_header(text):
+    # 2147483648 is in range for the header but does not fit an array('i') item
+    for source in (io.StringIO(text), io.BytesIO(text.encode("ascii"))):
+        with pytest.raises(AutFormatError, match="2147483649 states") as exc:
+            import_aut(source)
+        assert exc.value.line == 1
+
+
 def test_import_rejects_count_mismatch():
     src = 'des (0, 2, 2)\n(0, "a", 1)\n'
     with pytest.raises(AutFormatError):
