@@ -10,34 +10,37 @@ are canonical; anything else round-trips as an opaque label. Export renders
 each label of the Lts's table once; import parses each distinct label text
 once, and transitions with equal text share one label id.
 
-Export writes per source. The Lts keeps its transitions sorted by source,
-so each run of about _WRITE_LINES of them, cut after a source's last one,
-is sorted by (source, rank of the label text, target) and written as one
-chunk: the file never exists whole in memory, as one string or as a list of
-rows.
+Export writes per source. The Lts keeps its transitions grouped by
+source, so each run of whole states that holds about _WRITE_LINES
+transitions is sorted by (source, rank of the label text, target) and
+written as one chunk, with the sources read off the Lts's offsets: the file
+never exists whole in memory, as one string or as a list of rows.
 
 Import reads a stream in one pass over chunks of about _READ_CHUNK
-characters, each cut at a \n, and fills the Lts's arrays chunk by chunk; it
-never seeks, so a pipe reads as a file does. The header line is read with a
-grammar that accepts any spacing. A chunk laid out as export writes it is
-read whole: the quotes split it into labels and a label-free skeleton, which
-must be exactly one `(digits, "", digits)` line per transition. Any other
-chunk (other spacing, blank lines, other line breaks, no final newline, a
-range error) is read one line at a time with the transition grammar, which
-accepts any spacing and reports the first bad line; the line count is
-carried from chunk to chunk. A byte that is not ASCII is reported at its
-line when its chunk is read. Label ids follow the order in which the texts
-first appear. Import takes a file in any transition order: the Lts sorts it
-once.
+characters, each cut at its last \n or \r, and fills the Lts's arrays chunk
+by chunk; it never seeks, so a pipe reads as a file does. A \r that ends a
+block waits for the next one, as it may be the first half of a \r\n. The
+header line is read with a grammar that accepts any spacing. A chunk laid
+out as export writes it is read whole: the quotes split it into labels and
+a label-free skeleton, which must be exactly one `(digits, "", digits)`
+line per transition. Any other chunk (other spacing, blank lines, other
+line breaks, no final newline, a range error) is read one line at a time
+with the transition grammar, which accepts any spacing and reports the
+first bad line; the line count is carried from chunk to chunk. A byte
+that is not ASCII is reported at its line when its chunk is read. Label ids
+follow the order in which the texts first appear. Import takes a file in
+any transition order: the sources are read into a temporary array, and the
+transitions are sorted by them once.
 """
 from __future__ import annotations
 
 import re
 from array import array
+from bisect import bisect_left
 from typing import IO, Dict, List, Tuple
 
 from . import values
-from .kernel import Action, Lts, parse_action
+from .kernel import Action, Lts, _by_source, _sources, parse_action
 
 _HEADER_RE = re.compile(r"des\s*\(\s*([0-9]+)\s*,\s*([0-9]+)\s*,\s*([0-9]+)\s*\)\s*\Z")
 _TRANS_RE = re.compile(r"\(\s*([0-9]+)\s*,\s*\"([^\"]*)\"\s*,\s*([0-9]+)\s*\)\s*\Z")
@@ -62,7 +65,7 @@ def export_aut(lts: Lts, sink: IO) -> None:
     non-ASCII character, or if import_aut would refuse the header: no
     states, an initial state past the last, or more than 2T + 1 states for T
     transitions."""
-    nstates, ntrans = lts.num_states, len(lts.src)
+    nstates, ntrans = lts.num_states, len(lts.dst)
     if not 0 <= lts.initial < nstates <= 2 * ntrans + 1:
         raise ValueError(f"header not representable in aut: initial state {lts.initial}"
                          f" of {nstates} states with {ntrans} transitions")
@@ -82,17 +85,20 @@ def export_aut(lts: Lts, sink: IO) -> None:
     except TypeError:
         sink.write(header)
         encode = False
-    offsets, src, lab, dst = lts.offsets, lts.src, lts.lab, lts.dst
+    offsets, lab, dst = lts.offsets, lts.lab, lts.dst
     rank_of = ranks.__getitem__
-    start = 0
+    state = start = 0  # the first state and transition not written yet
     while start < ntrans:
-        # about _WRITE_LINES transitions, up to the last one of a source; the
-        # arrays are sorted by source, so sorting them sorts each source's group
-        end = offsets[src[min(start + _WRITE_LINES, ntrans) - 1] + 1]
-        rows = sorted(zip(src[start:end], map(rank_of, lab[start:end]), dst[start:end]))
+        # whole states, up to the one that holds transition start +
+        # _WRITE_LINES - 1; the sources ascend, so sorting the rows sorts
+        # each source's group
+        stop = bisect_left(offsets, start + _WRITE_LINES, state + 1, nstates)
+        end = offsets[stop]
+        rows = sorted(zip(_sources(offsets, state, stop), map(rank_of, lab[start:end]),
+                          dst[start:end]))
         chunk = "".join([f'({s}, "{ordered[r]}", {d})\n' for s, r, d in rows])
         sink.write(chunk.encode("ascii") if encode else chunk)
-        start = end
+        state, start = stop, end
 
 
 def import_aut(source: IO) -> Lts:
@@ -126,11 +132,12 @@ def import_aut(source: IO) -> Lts:
                     f" in position {offset + e.start}: {e.reason}",
                     line + len(before.splitlines()))
             offset += len(block)
-        cut = block.rfind("\n") + 1
+        end = len(block) - block.endswith("\r")  # a last \r may start a \r\n
+        cut = max(block.rfind("\n", 0, end), block.rfind("\r", 0, end)) + 1
         if block and not cut:
             rest.append(block)
             continue
-        text = "".join(rest) + block[:cut]  # at the end, whatever follows the last \n
+        text = "".join(rest) + block[:cut]  # at the end, whatever follows the last cut
         rest = [block[cut:]]
         if not line:
             initial, ntrans, nstates, length = _read_header(text)
@@ -145,7 +152,8 @@ def import_aut(source: IO) -> Lts:
         raise AutFormatError(f"header promises {ntrans} transitions, file has {len(src)}", line)
     if nstates < 1 or initial >= nstates:
         raise AutFormatError("initial state out of range", 1)
-    return Lts.from_arrays(nstates, initial, src, lab, dst, tuple(labels))
+    offsets, lab, dst = _by_source(nstates, src, lab, dst)
+    return Lts.from_arrays(nstates, initial, offsets, lab, dst, tuple(labels))
 
 
 def _read_header(text: str) -> Tuple[int, int, int, int]:

@@ -83,10 +83,10 @@ def cmd_explore(args) -> int:
         _write_aut(e.partial, args.out)
         print(f"truncated: {e.reason}", file=sys.stderr)
         print(f"states={e.partial.num_states} "
-              f"transitions={len(e.partial.src)} (partial)")
+              f"transitions={len(e.partial.dst)} (partial)")
         return EXIT_LIMIT
     _write_aut(lts, args.out)
-    print(f"states={lts.num_states} transitions={len(lts.src)}")
+    print(f"states={lts.num_states} transitions={len(lts.dst)}")
     return 0
 
 
@@ -94,8 +94,8 @@ def cmd_minimize(args) -> int:
     lts = _read_aut(args.input)
     small = minimize(lts)
     _write_aut(small, args.output)
-    print(f"states={lts.num_states} transitions={len(lts.src)} -> "
-          f"states={small.num_states} transitions={len(small.src)}")
+    print(f"states={lts.num_states} transitions={len(lts.dst)} -> "
+          f"states={small.num_states} transitions={len(small.dst)}")
     return 0
 
 

@@ -38,28 +38,33 @@ components and tries only the gates someone offers and no member blocks,
 which are the only ones that can fire. A member with one alternative for an offer is written
 straight into the successor, and itertools.product runs only over the
 members with two or more, which gives the order of a product over all
-members. Ids follow first appearance, gates keep sync_map order and offers
-their first-seen order, so exploration order does not depend on them.
+members. Ids follow first appearance, gates are numbered by their first
+member (each component's gates in name order) and offers keep their
+first-seen order, so exploration order does not depend on them.
 
 explore is the one breadth-first search of the package. It walks any system
 with an initial_state and enabled_actions(state): a composition, an Lts, or a
 Product of either with a Monitor, optionally up to the first state meeting a
 goal; shortest_trace reads a shortest trace to any state back from the Lts
 it returns. An Lts stores its transitions as CADP's BCG files and mCRL2's
-LTS library do: three int arrays (source, label id, target) sorted by
-source, one table of labels, and the offset of each state's first
-transition. explore appends ints to those arrays as it goes, giving a label
-its id the first time it fires, so an explored system, products included,
-never holds a tuple per transition. A Product's states are (system state,
-monitor state) pairs, and the monitor's step cuts an edge by returning
-None; the property observers, the END_OBSTACLE count of the liveness
-checks, the testgen purpose and the replay of a folded scenario are all
-monitors. search explores up to a goal and returns the trace to it.
+LTS library do: grouped by source, with the offset of each state's first
+transition (compressed sparse row), two int arrays (label id, target) and
+one table of labels. The source of a transition is where it lies between
+the offsets, so no array holds it. explore appends ints to those arrays as
+it goes, giving a label its id the first time it fires, so an explored
+system, products included, never holds a tuple per transition. A Product's
+states are (system state, monitor state) pairs, and the monitor's step cuts
+an edge by returning None; the property observers, the END_OBSTACLE count
+of the liveness checks, the testgen purpose and the replay of a folded
+scenario are all monitors. search explores up to a goal and returns the
+trace to it.
 """
 from __future__ import annotations
 
 import itertools
+import operator
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Hashable, Iterable, List, Optional, Set, Tuple, Union
 
@@ -67,8 +72,6 @@ from . import values
 from .values import Value
 
 INTERNAL_GATE = "i"
-# explore moves the transitions it makes into its arrays this many at a time
-_FLUSH = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -146,16 +149,15 @@ class Composition:
         if len(set(ids)) != len(ids):
             raise CompositionError(f"duplicate component ids in {ids}")
         self._member_gates: List[tuple] = [tuple(sorted(c.sync_set)) for c in self.components]
-        sync_map: Dict[str, List[Tuple[int, int]]] = {}
+        members: Dict[str, List[Tuple[int, int]]] = {}
         for i, gates in enumerate(self._member_gates):
             for slot, g in enumerate(gates, 3):
-                sync_map.setdefault(g, []).append((i, slot))
-        self.sync_map: Dict[str, Tuple[int, ...]] = {
-            g: tuple(i for i, _ in m) for g, m in sync_map.items()}
-        # bit k of a gate mask stands for the k-th gate of sync_map, and
-        # _gates[k] lists its members as (component, slot) pairs
-        self._gates: List[Tuple[Tuple[int, int], ...]] = [tuple(m) for m in sync_map.values()]
-        self._gate_bits: Dict[str, int] = {g: 1 << k for k, g in enumerate(self.sync_map)}
+                members.setdefault(g, []).append((i, slot))
+        # bit k of a gate mask stands for the k-th synchronized gate, in the
+        # order of first members, and _gates[k] lists its members as
+        # (component, slot) pairs
+        self._gates: List[Tuple[Tuple[int, int], ...]] = [tuple(m) for m in members.values()]
+        self._gate_bits: Dict[str, int] = {g: 1 << k for k, g in enumerate(members)}
         self._member_bits: List[int] = [
             sum(self._gate_bits[g] for g in c.sync_set) for c in self.components]
         # per component: local id -> local state, local state -> local id,
@@ -215,7 +217,7 @@ class Composition:
                     canonical[id(known)] = known
                 act = known
                 nxt = self._local_id(i, nxt)
-                if gate not in self.sync_map:
+                if gate not in bits:
                     solo.setdefault((id(act), nxt), (act, nxt))
                     continue
             if gate not in comp.sync_set:
@@ -249,14 +251,14 @@ class Composition:
     def enabled_actions(self, state: tuple) -> List[Tuple[Action, tuple]]:
         """All enabled (action, successor) pairs, in deterministic order.
 
-        Gates are tried in sync_map order, and only those that some member
-        offers concretely and where no member is blocked. A gate's offers
-        are tried in the order of the shortest offer tuple among members
-        with no receiver on it (the lowest index on ties), or when every
-        member receives, in member order over all concrete offers. An
-        offer's successors follow itertools.product over the members'
-        alternatives in member order: a member's concrete successors, then
-        its accepting receivers' results.
+        Gates are tried in the order of their bits, and only those that
+        some member offers concretely and where no member is blocked. A
+        gate's offers are tried in the order of the shortest offer tuple
+        among members with no receiver on it (the lowest index on ties), or
+        when every member receives, in member order over all concrete
+        offers. An offer's successors follow itertools.product over the
+        members' alternatives in member order: a member's concrete
+        successors, then its accepting receivers' results.
         """
         out: List[Tuple[Action, tuple]] = []
         per_comp = list(map(list.__getitem__, self._steps, state))
@@ -346,23 +348,23 @@ class ExplorationLimits:
 
 
 class Lts:
-    """Explicit labelled transition system, stored as three int arrays.
+    """Explicit labelled transition system, stored as int arrays.
 
-    States are 0..num_states-1. Transition k goes from src[k] to dst[k]
-    under labels[lab[k]]: src, lab and dst are array('i'), sorted by source,
-    and labels holds one Action per label id, equal actions sharing one id.
-    A state's transitions are those from offsets[state] to offsets[state +
-    1] (compressed sparse row), so no state keeps a list of its own. An Lts
-    built from (src, action, dst) triples in any order sorts them by source
-    once, stably, and numbers the labels in order of first appearance;
-    transitions and outgoing() rebuild the triples and the per-state edge
-    lists on demand. state_payload, when present, maps indices back to the
-    states of the system they were explored from (a Composition's id tuples
-    decode through its local_states). An Lts is itself a system that explore
-    accepts.
+    States are 0..num_states-1. A state's transitions are those from
+    offsets[state] to offsets[state + 1] (compressed sparse row), and
+    transition k goes under labels[lab[k]] to dst[k]: lab and dst are
+    array('i'), grouped by source, and labels holds one Action per label
+    id, equal actions sharing one id. The source of transition k is the
+    state whose range holds k, so no array stores it and no state keeps a
+    list of its own. An Lts built from (src, action, dst) triples in any
+    order sorts them by source once, stably, and numbers the labels in order
+    of first appearance; transitions and outgoing() rebuild the triples and
+    the per-state edge lists on demand. state_payload, when present, maps
+    indices back to the states of the system they were explored from (a
+    Composition's id tuples decode through its local_states). An Lts is
+    itself a system that explore accepts.
     """
-    __slots__ = ("num_states", "initial", "src", "lab", "dst", "labels", "offsets",
-                 "state_payload")
+    __slots__ = ("num_states", "initial", "offsets", "lab", "dst", "labels", "state_payload")
 
     def __init__(self, num_states: int, initial: int,
                  transitions: Iterable[Tuple[int, Action, int]] = (),
@@ -373,24 +375,23 @@ class Lts:
             src.append(s)
             lab.append(ids.setdefault(act, len(ids)))
             dst.append(d)
-        self._store(num_states, initial, src, lab, dst, tuple(ids), state_payload, None)
+        offsets, lab, dst = _by_source(num_states, src, lab, dst)
+        self._store(num_states, initial, offsets, lab, dst, tuple(ids), state_payload)
 
     @classmethod
-    def from_arrays(cls, num_states: int, initial: int, src: array, lab: array, dst: array,
-                    labels: tuple, state_payload: Optional[tuple] = None,
-                    offsets: Optional[array] = None) -> "Lts":
-        """The Lts of the given arrays, which it keeps. Without offsets the
-        transitions are sorted by source here; with them they must already be."""
+    def from_arrays(cls, num_states: int, initial: int, offsets: array, lab: array, dst: array,
+                    labels: tuple, state_payload: Optional[tuple] = None) -> "Lts":
+        """The Lts of the given arrays, which it keeps: lab and dst grouped
+        by source, and offsets, num_states + 1 long, where each state's
+        transitions start."""
         lts = cls.__new__(cls)
-        lts._store(num_states, initial, src, lab, dst, labels, state_payload, offsets)
+        lts._store(num_states, initial, offsets, lab, dst, labels, state_payload)
         return lts
 
-    def _store(self, num_states, initial, src, lab, dst, labels, state_payload, offsets):
-        if offsets is None:
-            src, lab, dst, offsets = _by_source(num_states, src, lab, dst)
+    def _store(self, num_states, initial, offsets, lab, dst, labels, state_payload):
         self.num_states = num_states
         self.initial = initial
-        self.src, self.lab, self.dst, self.offsets = src, lab, dst, offsets
+        self.offsets, self.lab, self.dst = offsets, lab, dst
         self.labels = labels
         self.state_payload = state_payload
 
@@ -407,7 +408,8 @@ class Lts:
 
     @property
     def transitions(self) -> Tuple[Tuple[int, Action, int], ...]:
-        return tuple(zip(self.src, map(self.labels.__getitem__, self.lab), self.dst))
+        return tuple(zip(_sources(self.offsets, 0, self.num_states),
+                         map(self.labels.__getitem__, self.lab), self.dst))
 
     def outgoing(self) -> List[List[Tuple[Action, int]]]:
         return [self.enabled_actions(s) for s in range(self.num_states)]
@@ -420,8 +422,9 @@ class Lts:
         label tables may number the actions differently."""
         if not isinstance(other, Lts):
             return NotImplemented
-        return ((self.num_states, self.initial, self.state_payload, self.src, self.dst)
-                == (other.num_states, other.initial, other.state_payload, other.src, other.dst)
+        return ((self.num_states, self.initial, self.state_payload, self.offsets, self.dst)
+                == (other.num_states, other.initial, other.state_payload, other.offsets,
+                    other.dst)
                 and list(map(self.labels.__getitem__, self.lab))
                 == list(map(other.labels.__getitem__, other.lab)))
 
@@ -429,12 +432,13 @@ class Lts:
 
     def __repr__(self):
         return (f"Lts(num_states={self.num_states}, initial={self.initial}, "
-                f"transitions={len(self.src)}, labels={len(self.labels)})")
+                f"transitions={len(self.dst)}, labels={len(self.labels)})")
 
 
 def _by_source(n: int, src: array, lab: array, dst: array):
-    """The transitions stably sorted by source (a counting sort, skipped when
-    they already are), and the offsets of each state's first transition."""
+    """The offsets of each state's first transition, and lab and dst stably
+    sorted by their sources (a counting sort, skipped when they already
+    are). src is left as it was."""
     counts = [0] * n  # a list: its items are quicker to add to than an array's
     last, ordered = 0, True
     for s in src:
@@ -444,13 +448,20 @@ def _by_source(n: int, src: array, lab: array, dst: array):
         last = s
     offsets = array("i", itertools.accumulate(counts, initial=0))
     if ordered:
-        return src, lab, dst, offsets
+        return offsets, lab, dst
     order = array("i", [0]) * len(src)
     free = offsets[:-1]
     for k, s in enumerate(src):
         order[free[s]] = k
         free[s] += 1
-    return tuple(array("i", map(a.__getitem__, order)) for a in (src, lab, dst)) + (offsets,)
+    return (offsets, *(array("i", map(a.__getitem__, order)) for a in (lab, dst)))
+
+
+def _sources(offsets: array, first: int, stop: int) -> Iterable[int]:
+    """The source of each transition of the states first..stop-1, in order."""
+    return itertools.chain.from_iterable(map(
+        itertools.repeat, range(first, stop),
+        map(operator.sub, offsets[first + 1:stop + 1], offsets[first:stop])))
 
 
 class ExplorationLimitError(Exception):
@@ -461,17 +472,13 @@ class ExplorationLimitError(Exception):
         self.partial = partial
         self.reason = reason
 
-    @property
-    def discovered(self) -> int:
-        return self.partial.num_states
-
 
 def explore(system, limits: ExplorationLimits = ExplorationLimits(),
             goal: Optional[Callable[[Hashable], bool]] = None) -> Lts:
     """Breadth-first reachable-state enumeration with duplicate detection of
     any system with an initial_state and enabled_actions(state): a
     Composition, an Lts or a product over one. The payload keeps the states
-    in discovery order, and the transitions come out sorted by source. A
+    in discovery order, and the transitions come out grouped by source. A
     label gets its id the first time it fires; equal actions share one, and
     an action object seen before is found by its id(), without hashing its
     offers. An enabled (action, successor) pair that a state lists twice
@@ -487,12 +494,7 @@ def explore(system, limits: ExplorationLimits = ExplorationLimits(),
     # per state: the last state that made a transition into it; an array, as
     # a list would keep alive an int object per state from enumerate below
     into = array("i", [-1])
-    src, lab, dst = array("i"), array("i"), array("i")
-    # the transitions of the last few states, in lists: an item goes onto a
-    # list faster than onto an array, and fromlist moves them in bulk
-    new_src: List[int] = []
-    new_lab: List[int] = []
-    new_dst: List[int] = []
+    lab, dst = array("i"), array("i")
     offsets = array("i")  # the first transition of each state walked so far
     labels: List[Action] = []
     label_ids: Dict[Action, int] = {}
@@ -507,18 +509,11 @@ def explore(system, limits: ExplorationLimits = ExplorationLimits(),
                 labels.append(act)
         return lid
 
-    def flush() -> None:
-        for whole, part in ((src, new_src), (lab, new_lab), (dst, new_dst)):
-            whole.fromlist(part)
-            part.clear()
-
     def explored() -> Lts:
-        flush()
         # the states not walked yet have no transitions
         n = len(payload)
-        ends = array("i", [len(src)]) * (n + 1 - len(offsets))
-        return Lts.from_arrays(n, 0, src, lab, dst, tuple(labels), tuple(payload),
-                               offsets + ends)
+        offsets.extend(array("i", [len(dst)]) * (n + 1 - len(offsets)))
+        return Lts.from_arrays(n, 0, offsets, lab, dst, tuple(labels), tuple(payload))
 
     if goal is not None and goal(init):
         return explored()
@@ -526,14 +521,12 @@ def explore(system, limits: ExplorationLimits = ExplorationLimits(),
     # walked in index order while it grows, and a level's states run from
     # one level end to the next
     depth, level_end = 0, 1
-    # read once here, not once per state: flush() clears the lists in place
+    # read once here, not once per state
     enabled, max_states, max_depth = system.enabled_actions, limits.max_states, limits.max_depth
     index_get = index.get
-    add_src, add_lab, add_dst = new_src.append, new_lab.append, new_dst.append
+    add_lab, add_dst = lab.append, dst.append
     for si, state in enumerate(payload):
-        if len(new_src) >= _FLUSH:
-            flush()
-        offsets.append(len(src) + len(new_src))
+        offsets.append(len(dst))
         if si == level_end:
             depth, level_end = depth + 1, len(payload)
         if max_depth and depth >= max_depth:
@@ -550,7 +543,6 @@ def explore(system, limits: ExplorationLimits = ExplorationLimits(),
                 payload.append(succ)
                 into.append(-1)
                 if goal is not None and goal(succ):
-                    add_src(si)
                     add_lab(label_id(act))
                     add_dst(ti)
                     return explored()
@@ -559,10 +551,8 @@ def explore(system, limits: ExplorationLimits = ExplorationLimits(),
                 lid = label_id(act)
             if into[ti] != si:
                 into[ti] = si
-            elif any(new_dst[k] == ti and new_lab[k] == lid
-                     for k in range(offsets[-1] - len(src), len(new_dst))):
+            elif any(dst[k] == ti and lab[k] == lid for k in range(offsets[-1], len(dst))):
                 continue  # this state made the same transition already
-            add_src(si)
             add_lab(lid)
             add_dst(ti)
     return explored()
@@ -574,7 +564,9 @@ def shortest_trace(lts: Lts, state: int) -> tuple:
     discovery order and the first transition into a state is the edge that
     discovered it, so walking those edges back reaches the initial state.
     That edge leaves a state of a lower index, so for the states up to
-    state it lies before state's own transitions.
+    state it lies before state's own transitions. The source of edge k is
+    the last state whose transitions start at or before k: states without
+    transitions share their offset with the next state.
     """
     via = array("i", [-1]) * (state + 1)
     for k, d in enumerate(itertools.islice(lts.dst, lts.offsets[state])):
@@ -584,7 +576,7 @@ def shortest_trace(lts: Lts, state: int) -> tuple:
     while state != lts.initial:
         k = via[state]
         trace.append(lts.labels[lts.lab[k]])
-        state = lts.src[k]
+        state = bisect_right(lts.offsets, k) - 1
     return tuple(reversed(trace))
 
 

@@ -3,7 +3,7 @@ whose every path is finite, then dirty-block partition refinement splits
 the rest.
 
 A state's set of (label, successor block) pairs is its signature, which
-_refine's signature() alone computes. The sweep is one iterative
+partition's signature() alone computes. The sweep is one iterative
 depth-first search over the Lts's forward arrays, from roots taken from the
 last state down. A state finishes in post-order, after all its successors,
 so its signature is taken once, from their final blocks, and equal
@@ -45,15 +45,12 @@ from .kernel import Lts
 def minimize(lts: Lts) -> Lts:
     if lts.num_states == 0:
         return Lts(0, 0, ())
-    blocks = _refine(lts)
+    blocks = partition(lts)
     # the members of a block have the same (label, successor block) pairs, so
     # the block's first member gives its transitions; blocks are numbered by
-    # first member, so the quotient comes out sorted by source
+    # first member, so the quotient comes out grouped by source
     offsets, lab, dst = lts.offsets, lts.lab, lts.dst
-    q_src: List[int] = []
-    q_lab: List[int] = []
-    q_dst: List[int] = []
-    q_offsets = [0]
+    q_lab, q_dst, q_offsets = array("i"), array("i"), array("i", [0])
     for s, b in enumerate(blocks):
         if b < len(q_offsets) - 1:
             continue  # not the block's first member
@@ -63,13 +60,11 @@ def minimize(lts: Lts) -> Lts:
             t = (lid, blocks[d])
             if t not in made:
                 made.add(t)
-                q_src.append(b)
                 q_lab.append(lid)
                 q_dst.append(t[1])
-        q_offsets.append(len(q_src))
-    return Lts.from_arrays(len(q_offsets) - 1, blocks[lts.initial], array("i", q_src),
-                           array("i", q_lab), array("i", q_dst), lts.labels,
-                           offsets=array("i", q_offsets))
+        q_offsets.append(len(q_dst))
+    return Lts.from_arrays(len(q_offsets) - 1, blocks[lts.initial], q_offsets, q_lab, q_dst,
+                           lts.labels)
 
 
 def partition(lts: Lts) -> List[int]:
@@ -84,10 +79,6 @@ def partition(lts: Lts) -> List[int]:
     the numbering does not depend on the order of the sweep or of the
     splits.
     """
-    return _refine(lts)
-
-
-def _refine(lts: Lts) -> List[int]:
     n = lts.num_states
     offsets, lab, dst = lts.offsets, lts.lab, lts.dst
     # per state: the settled block id, or a mark; the sweep marks a state

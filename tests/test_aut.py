@@ -15,7 +15,7 @@ from avmodels.aut import AutFormatError, _parse_label, export_aut, import_aut
 from avmodels.kernel import Action, Lts
 from avmodels.values import Nat, Pos, Sym
 
-from oracles import import_aut_lines, random_lts
+from oracles import import_aut_lines, random_lts, sorted_rows_aut
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
@@ -133,6 +133,34 @@ def test_export_refuses_a_header_import_refuses_and_writes_nothing(lts, sink):
     with pytest.raises(ValueError, match="header not representable"):
         export_aut(lts, sink)
     assert not sink.getvalue()
+
+
+@pytest.mark.parametrize("lines", [1, 2, 7])
+def test_export_in_chunks_of_any_size_writes_the_same_bytes(monkeypatch, lines):
+    # each chunk holds whole states, found on the offsets, where states with
+    # no transitions repeat their successor's offset, and one state of each
+    # Lts has more transitions than a chunk holds
+    rng = random.Random(lines)
+    labels = [Action(g) for g in "abc"] + [Action("G", (Nat(k),)) for k in (2, 10)]
+    cases = []
+    for _ in range(60):
+        n = rng.randint(1, 12)
+        triples = [(s, rng.choice(labels), rng.randrange(n))
+                   for s in range(n) for _ in range(rng.choice((0, 0, 1, 3)))]
+        wide = rng.randrange(n)
+        triples += [(wide, rng.choice(labels), rng.randrange(n)) for _ in range(8)]
+        rng.shuffle(triples)
+        lts = Lts(n, rng.randrange(n), triples)
+        buf = io.BytesIO()
+        export_aut(lts, buf)
+        cases.append((lts, triples, buf.getvalue()))
+    assert any(lts.offsets[s] == lts.offsets[s + 1] < len(lts.dst)
+               for lts, _, _ in cases for s in range(lts.num_states))
+    monkeypatch.setattr(aut, "_WRITE_LINES", lines)
+    for lts, triples, default in cases:
+        buf = io.BytesIO()
+        export_aut(lts, buf)
+        assert buf.getvalue() == default == sorted_rows_aut(lts.num_states, lts.initial, triples)
 
 
 LONG = "1" * 5000  # more digits than int() converts by default
@@ -253,16 +281,18 @@ def read_or_error(read):
 
 def layouts(text: str) -> dict:
     """text as exported, with two spaces after each comma, with CRLF line
-    ends, and with a vertical tab before each \n, which ends a line too."""
+    ends, with CR line ends, and with a vertical tab before each \n, which
+    ends a line too."""
     return {"exported": text, "loose": text.replace(", ", ",  "),
-            "crlf": text.replace("\n", "\r\n"), "vt": text.replace("\n", "\x0b\n")}
+            "crlf": text.replace("\n", "\r\n"), "cr": text.replace("\n", "\r"),
+            "vt": text.replace("\n", "\x0b\n")}
 
 
 @pytest.mark.parametrize("chunk", [7, 64])
 def test_import_matches_a_per_line_parse_across_chunk_cuts(monkeypatch, chunk):
     # small chunks cut each file many times, after every kind of line, and
-    # between the \r and the \n of a CRLF line end; loose and CRLF chunks are
-    # read line by line, with the line count carried from chunk to chunk
+    # between the \r and the \n of a CRLF line end; loose, CRLF and CR chunks
+    # are read line by line, with the line count carried from chunk to chunk
     monkeypatch.setattr(aut, "_READ_CHUNK", chunk)
     rng = random.Random(12)
     refused = 0
@@ -414,7 +444,7 @@ import json, sys
 from avmodels.aut import import_aut
 with open(sys.argv[1], "rb") as fh:
     lts = import_aut(fh)
-print(json.dumps([[a.text() for a in lts.labels], *map(list, (lts.src, lts.lab, lts.dst))]))
+print(json.dumps([[a.text() for a in lts.labels], *map(list, (lts.offsets, lts.lab, lts.dst))]))
 """
 
 
@@ -491,11 +521,11 @@ def import_peak(source) -> int:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("layout", ["exported", "loose", "crlf", "pipe"])
+@pytest.mark.parametrize("layout", ["exported", "loose", "crlf", "cr", "pipe"])
 def test_import_memory_grows_by_at_most_40_bytes_per_transition(layout):
     def peak(ntrans: int) -> int:
         data = many_labels_aut(ntrans)
-        if layout in ("loose", "crlf"):
+        if layout in ("loose", "crlf", "cr"):
             data = layouts(data.decode("ascii"))[layout].encode("ascii")
         return import_peak(Pipe(data) if layout == "pipe" else io.BytesIO(data))
 

@@ -131,7 +131,7 @@ def test_explore_max_states_truncates_with_partial():
     with pytest.raises(ExplorationLimitError) as exc:
         explore(comp, ExplorationLimits(max_states=4))
     assert exc.value.reason == "max_states"
-    assert exc.value.partial.num_states == exc.value.discovered == 4
+    assert exc.value.partial.num_states == 4
 
 
 def test_explore_max_depth_only_flags_real_cutoffs():
@@ -233,7 +233,7 @@ def test_random_compositions_match_brute_force_oracle():
 
 def gate_cases(comp, reachable, edges):
     """Which gate situations the reachable states of a composition show, by
-    the position of the gate in sync_map: a gate past the eighth that fires
+    the position of the gate's bit: a gate past the eighth that fires
     and one before it, a fired gate where every member receives, a gate where every member only
     receives, a gate nobody offers concretely while some member has nothing
     on it, and an offered gate that a member with nothing on it blocks."""
@@ -241,7 +241,9 @@ def gate_cases(comp, reachable, edges):
     cases = set()
     for st in reachable:
         per = [c.step(s) for c, s in zip(comp.components, st)]
-        for k, (gate, members) in enumerate(comp.sync_map.items()):
+        for gate, bit in comp._gate_bits.items():
+            k = bit.bit_length() - 1
+            members = [i for i, c in enumerate(comp.components) if gate in c.sync_set]
             offers = [any(not isinstance(a, Receive) and a.gate == gate for a, _ in per[i])
                       for i in members]
             receives = [any(isinstance(a, Receive) and a.gate == gate for a, _ in per[i])
@@ -453,7 +455,7 @@ def test_lts_arrays_keep_the_triples_they_were_built_from(seed):
     back = import_aut(io.BytesIO(data.getvalue()))
     rows = Lts(n, initial, sorted(triples, key=lambda t: (t[0], t[1].text(), t[2])))
     assert (back.num_states, back.initial) == (n, initial)
-    assert (back.src, back.lab, back.dst) == (rows.src, rows.lab, rows.dst)
+    assert (back.offsets, back.lab, back.dst) == (rows.offsets, rows.lab, rows.dst)
     assert back.labels == rows.labels
 
 

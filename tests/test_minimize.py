@@ -152,7 +152,7 @@ def test_a_long_chain_downwards_is_settled_by_an_iterative_sweep():
     n = 100_000
     chain = [(s, simple("a"), s - 1) for s in range(1, n)]
     small = minimize(Lts(n, n - 1, chain))
-    assert (small.num_states, len(small.src)) == (n, n - 1)
+    assert (small.num_states, len(small.dst)) == (n, n - 1)
     # closed into a ring, every state has an infinite "a"-path: one block
     ring = minimize(Lts(n, n - 1, chain + [(0, simple("a"), n - 1)]))
     assert (ring.num_states, ring.initial, ring.transitions) == (1, 0, ((0, simple("a"), 0),))
