@@ -17,20 +17,23 @@ written as one chunk, with the sources read off the Lts's offsets: the file
 never exists whole in memory, as one string or as a list of rows.
 
 Import reads a stream in one pass over chunks of about _READ_CHUNK
-characters, each cut at its last \n or \r, and fills the Lts's arrays chunk
-by chunk; it never seeks, so a pipe reads as a file does. A \r that ends a
-block waits for the next one, as it may be the first half of a \r\n. The
-header line is read with a grammar that accepts any spacing. A chunk laid
-out as export writes it is read whole: the quotes split it into labels and
-a label-free skeleton, which must be exactly one `(digits, "", digits)`
-line per transition. Any other chunk (other spacing, blank lines, other
-line breaks, no final newline, a range error) is read one line at a time
-with the transition grammar, which accepts any spacing and reports the
-first bad line; the line count is carried from chunk to chunk. A byte
-that is not ASCII is reported at its line when its chunk is read. Label ids
-follow the order in which the texts first appear. Import takes a file in
-any transition order: the sources are read into a temporary array, and the
-transitions are sorted by them once.
+characters, each cut at its last \n or \r (or, in a block with neither, at
+its last other line break: \x0b, \x0c or \x1c-\x1e), and fills the Lts's
+arrays chunk by chunk; it never seeks, so a pipe reads as a file does. A \r
+that ends a block waits for the next one, as it may be the first half of a
+\r\n. The header line is read with a grammar that accepts any spacing. A
+chunk laid out as export writes it is read whole: the quotes split it into
+labels and a label-free skeleton, which must be exactly one
+`(digits, "", digits)` line per transition. Any other chunk (other spacing,
+blank lines, other line breaks, no final newline, a range error, a label
+that is not ASCII) is read one line at a time with the transition grammar,
+which accepts any spacing and reports the first bad line; the line count is
+carried from chunk to chunk. A byte that is not ASCII is reported at its
+line when its chunk is read, and a label text that is not ASCII, which a
+text stream can hold, at its line. Label ids follow the order in which the
+texts first appear. Import takes a file in any transition order: the
+sources are read into a temporary array, and the transitions are sorted by
+them once.
 """
 from __future__ import annotations
 
@@ -49,6 +52,7 @@ _WRITE_LINES = 4096
 # exported lines with their labels cut out
 _SKELETON_RE = re.compile(r'(?:\([0-9]+, "", [0-9]+\)\n)+')
 _NUMBER_SEPARATORS = str.maketrans('(,")\n', "     ")
+_OTHER_BREAKS = "\x0b\x0c\x1c\x1d\x1e"  # the ASCII line breaks of str.splitlines past \n and \r
 _MAX_STATES = 2**31 - 1  # a state number must fit an array('i') item
 
 
@@ -107,8 +111,8 @@ def import_aut(source: IO) -> Lts:
 
     Canonical labels become structured actions; other labels stay opaque
     (gate = full label text, no offers). Raises AutFormatError with the
-    offending line number on malformed input, non-ASCII bytes or count
-    mismatches, and at line 1 when the header promises more than 2T + 1
+    offending line number on malformed input, non-ASCII bytes or labels,
+    count mismatches, and at line 1 when the header promises more than 2T + 1
     states for T transitions, which leaves states no transition names, or
     more states than an array('i') numbers.
     """
@@ -134,6 +138,8 @@ def import_aut(source: IO) -> Lts:
             offset += len(block)
         end = len(block) - block.endswith("\r")  # a last \r may start a \r\n
         cut = max(block.rfind("\n", 0, end), block.rfind("\r", 0, end)) + 1
+        if not cut:
+            cut = max(map(block.rfind, _OTHER_BREAKS)) + 1
         if block and not cut:
             rest.append(block)
             continue
@@ -205,8 +211,8 @@ def _read_lines(text: str, nstates: int, src: array, lab: array, dst: array,
     except KeyError:  # new labels: number them in order of first appearance
         for label in dict.fromkeys(texts):
             if label not in ids:
-                if label.splitlines() not in ([], [label]):
-                    return False  # a line break inside the quotes
+                if label.splitlines() not in ([], [label]) or not label.isascii():
+                    return False  # a line break inside the quotes, or a label to refuse
                 ids[label] = len(labels)
                 labels.append(_parse_label(label))
         label_ids = list(map(ids.__getitem__, texts))
@@ -235,6 +241,8 @@ def _read_each_line(text: str, line: int, nstates: int, src: array, lab: array,
         if s >= nstates or d >= nstates:
             raise AutFormatError(f"state out of range in {raw!r}", line)
         if label not in ids:
+            if not label.isascii():  # export_aut could not write it back
+                raise AutFormatError(f"not ascii: label {label!r}", line)
             ids[label] = len(labels)
             labels.append(_parse_label(label))
         src.append(s)

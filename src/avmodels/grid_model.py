@@ -1,6 +1,6 @@
-"""Grid-world composition of five components: obstacle manager,
-ground-truth map, car, lidar and the random-move restraint. The map
-(MAP_MANAGER) alone keeps the round order.
+"""Grid-world composition of four components: obstacle manager,
+ground-truth map, car and lidar. The map (MAP_MANAGER) alone keeps the round
+order, and the manager alone restrains random moves.
 
 Each round, every live obstacle announces itself (GRID_UPDATE !kind) and
 moves (OBSTACLE_POSITION), then the car moves (CAR_POSITION) or arrives, the
@@ -10,11 +10,10 @@ car move raises COLLISION !kind instead of the lidar handshake; an obstacle
 out of moves emits END_OBSTACLE !kind in place of its slot, once.
 
 Only the actor that decides a move offers it: the manager offers each
-obstacle's scripted move (every resolution of a random one) and MOVE_CAR
-the car's. Everyone else receives the move that fires and keeps what it
-needs of it: the manager the car cell, the map and the lidar every actor's
-cells, and the restraint the car cell, against which it refuses random
-moves that stray from the car.
+obstacle's scripted move (every resolution of a random one that keeps to the
+distance rule of move_allowed) and MOVE_CAR the car's. Everyone else
+receives the move that fires and keeps what it needs of it: the manager the
+car cell, the map and the lidar every actor's cells.
 
 A composition builds each label value once: each OBSTACLE_POSITION action
 per obstacle, new anchor and direction, previous anchor and direction and
@@ -98,7 +97,8 @@ def build_grid_composition(scn: GridScenario, expose_grid: bool = False) -> Comp
         """(action, resolved, new anchor) for each way obstacle i can carry
         out its scripted move. A move onto an occupied or off-map cell stays
         in place but still resolves its direction; random resolves to any
-        in-bounds free direction, or to none.
+        in-bounds free direction, or to none, that move_allowed permits
+        from the car cell.
         """
         car, anchors, dirs = view
         ob = mobiles[i]
@@ -115,9 +115,9 @@ def build_grid_composition(scn: GridScenario, expose_grid: bool = False) -> Comp
             return None
 
         if scripted == RANDOM_DIR:
-            options = [(d, anchor) for d, anchor in ((d, target(d)) for d in STEP_DIRS)
-                       if anchor is not None]
-            options.append(("none", anchors[i]))
+            resolutions = [(d, target(d)) for d in STEP_DIRS] + [("none", anchors[i])]
+            options = [(d, anchor) for d, anchor in resolutions if anchor is not None
+                       and move_allowed(car, anchors[i], ob.speed, d, scn.dist_min)]
         else:
             options = [(scripted, target(scripted) or anchors[i])]
         return [(move_action(i, anchor, d, anchors[i], dirs[i], scripted), d, anchor)
@@ -158,32 +158,32 @@ def build_grid_composition(scn: GridScenario, expose_grid: bool = False) -> Comp
         return None
 
     def mgr_car_moved(st, offers):
-        view, scripts, idx, stage = st
-        return (cell_of(offers[1]),) + view[1:], scripts, idx, stage
+        view, scripts, idx = st
+        return (cell_of(offers[1]),) + view[1:], scripts, idx
 
     def mgr_step(st):
-        view, scripts, idx, stage = st
+        """An obstacle with moves left offers GRID_UPDATE, which keeps the
+        state, and its moves; MAP_MANAGER's phase puts the announcement
+        first. One out of moves offers END_OBSTACLE."""
+        view, scripts, idx = st
         out = [(Receive("CAR_POSITION"), functools.partial(mgr_car_moved, st))]
         if idx is None:
             return out
         remaining = scripts[idx][0]
         kind = kinds[idx]
-        if stage == "say":
-            if not remaining:
-                scripts2 = scripts[:idx] + ((remaining, True),) + scripts[idx + 1:]
-                out.append((end_obstacle[kind],
-                            (view, scripts2, mgr_norm(idx + 1, scripts2), "say")))
-            else:
-                out.append((grid_update[kind], (view, scripts, idx, "move")))
-        else:
-            rest = remaining[1:]
-            if not rest and mobiles[idx].cyclic:
-                rest = tuple(mobiles[idx].moves)
-            scripts2 = scripts[:idx] + ((rest, False),) + scripts[idx + 1:]
-            car, anchors, dirs = view
-            for act, resolved, anchor in obstacle_moves(view, idx, remaining[0]):
-                view2 = (car, with_anchor(anchors, idx, anchor), with_anchor(dirs, idx, resolved))
-                out.append((act, (view2, scripts2, mgr_norm(idx + 1, scripts2), "say")))
+        if not remaining:
+            scripts2 = scripts[:idx] + ((remaining, True),) + scripts[idx + 1:]
+            out.append((end_obstacle[kind], (view, scripts2, mgr_norm(idx + 1, scripts2))))
+            return out
+        out.append((grid_update[kind], st))
+        rest = remaining[1:]
+        if not rest and mobiles[idx].cyclic:
+            rest = tuple(mobiles[idx].moves)
+        scripts2 = scripts[:idx] + ((rest, False),) + scripts[idx + 1:]
+        car, anchors, dirs = view
+        for act, resolved, anchor in obstacle_moves(view, idx, remaining[0]):
+            view2 = (car, with_anchor(anchors, idx, anchor), with_anchor(dirs, idx, resolved))
+            out.append((act, (view2, scripts2, mgr_norm(idx + 1, scripts2))))
         return out
 
     mgr_scripts = tuple((tuple(ob.moves), False) for ob in mobiles)
@@ -191,7 +191,7 @@ def build_grid_composition(scn: GridScenario, expose_grid: bool = False) -> Comp
         "OBSTACLES_MANAGER",
         frozenset({"GRID_UPDATE", "OBSTACLE_POSITION", "END_OBSTACLE", "CAR_POSITION"}),
         ((car0, anchors0, tuple(ob.direction for ob in mobiles)),
-         mgr_scripts, mgr_norm(0, mgr_scripts), "say"),
+         mgr_scripts, mgr_norm(0, mgr_scripts)),
         mgr_step)
 
     # --- MAP_MANAGER: ground truth (car cell, obstacle anchors) and the
@@ -318,29 +318,4 @@ def build_grid_composition(scn: GridScenario, expose_grid: bool = False) -> Comp
         ((car0, anchors0), None, None, False),
         lidar_step)
 
-    # --- RESTRAND: tracks the car cell, refuses random moves that wander
-    # away from it
-    random_dir = sym(RANDOM_DIR)
-
-    def restrand_obstacle_moved(car, offers):
-        new, prev, scripted = offers
-        speed, direction = decode(new)[4:6]
-        if scripted == random_dir and not move_allowed(
-                car, decode(prev)[1], speed, direction, scn.dist_min):
-            return None
-        return car
-
-    def restrand_car_moved(offers):
-        return cell_of(offers[1])
-
-    def restrand_step(car):
-        return [(Receive("OBSTACLE_POSITION"), functools.partial(restrand_obstacle_moved, car)),
-                (Receive("CAR_POSITION"), restrand_car_moved)]
-
-    restrand = Component(
-        "RESTRAND",
-        frozenset({"OBSTACLE_POSITION", "CAR_POSITION"}),
-        car0,
-        restrand_step)
-
-    return Composition([manager, map_manager, move_car, lidar, restrand])
+    return Composition([manager, map_manager, move_car, lidar])

@@ -429,6 +429,8 @@ def import_aut_lines(data: str) -> Lts:
             raise AutFormatError(f"state out of range in {raw!r}", ln)
         act = actions.get(label)
         if act is None:
+            if not label.isascii():
+                raise AutFormatError(f"not ascii: label {label!r}", ln)
             act = actions[label] = _parse_label(label)
         transitions.append((src, act, dst))
     if len(transitions) != ntrans:

@@ -210,6 +210,25 @@ def test_import_reports_the_line_of_the_first_non_ascii_byte(monkeypatch):
     assert exc.value.line == 3
 
 
+@pytest.mark.parametrize("text, line", [
+    ('des (0, 1, 2)\n(0, "\u00e9", 1)\n', 2),
+    ('des (0, 2, 3)\n(0, "a", 1)\n(1, "caf\u00e9", 2)\n', 3),
+    ('des (0, 2, 3)\n(0,  "a", 1)\n(1, "a\u00e9", 2)\n', 3),
+    ('des (0, 2, 3)\x0c(0, "a", 1)\x0c(1, "caf\u00e9", 2)\x0c', 3),
+], ids=["exported", "later-line", "loose", "ff"])
+def test_a_non_ascii_label_in_a_text_stream_is_refused_at_its_line(text, line):
+    # export_aut cannot write such a label; the per-line reader refuses it
+    # alike, and the same text read as bytes is refused at the same line
+    with pytest.raises(AutFormatError, match="not ascii") as exc:
+        import_aut(io.StringIO(text))
+    with pytest.raises(AutFormatError) as ref:
+        import_aut_lines(text)
+    assert (str(exc.value), exc.value.line) == (str(ref.value), line)
+    with pytest.raises(AutFormatError, match="not ascii") as exc:
+        import_aut(io.BytesIO(text.encode("utf-8")))
+    assert exc.value.line == line
+
+
 def test_equal_label_texts_share_one_action():
     src = ('des (0, 4, 3)\n(0, "CAR_MOVE !brakes", 1)\n(1, "CAR_MOVE !brakes", 2)\n'
            '(2, "opaque text", 0)\n(0, "opaque text", 2)\n')
@@ -281,11 +300,11 @@ def read_or_error(read):
 
 def layouts(text: str) -> dict:
     """text as exported, with two spaces after each comma, with CRLF line
-    ends, with CR line ends, and with a vertical tab before each \n, which
-    ends a line too."""
+    ends, with CR line ends, with a vertical tab before each \n, which ends
+    a line too, and with form feed line ends."""
     return {"exported": text, "loose": text.replace(", ", ",  "),
             "crlf": text.replace("\n", "\r\n"), "cr": text.replace("\n", "\r"),
-            "vt": text.replace("\n", "\x0b\n")}
+            "vt": text.replace("\n", "\x0b\n"), "ff": text.replace("\n", "\x0c")}
 
 
 @pytest.mark.parametrize("chunk", [7, 64])
@@ -521,11 +540,11 @@ def import_peak(source) -> int:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("layout", ["exported", "loose", "crlf", "cr", "pipe"])
+@pytest.mark.parametrize("layout", ["exported", "loose", "crlf", "cr", "ff", "pipe"])
 def test_import_memory_grows_by_at_most_40_bytes_per_transition(layout):
     def peak(ntrans: int) -> int:
         data = many_labels_aut(ntrans)
-        if layout in ("loose", "crlf", "cr"):
+        if layout in ("loose", "crlf", "cr", "ff"):
             data = layouts(data.decode("ascii"))[layout].encode("ascii")
         return import_peak(Pipe(data) if layout == "pipe" else io.BytesIO(data))
 

@@ -14,7 +14,7 @@ from avmodels.kernel import Receive, explore, parse_action
 from avmodels.minimize import minimize
 from avmodels.perception import (
     CarSpec, GridScenario, ObstacleRec, build_grid_map, compute_perception,
-    perception_value, rect_cells,
+    move_allowed, perception_value, rect_cells,
 )
 from avmodels.properties import (
     VIOLATION, Monitor, check_deadlock_freedom, check_inevitable_termination,
@@ -228,7 +228,7 @@ def test_receivers_decode_equal_copies_of_shared_records_alike():
         if not any(a.gate == "OBSTACLE_POSITION" for a, _ in comp.enabled_actions(state)):
             continue
         for c, local in zip(comp.components, comp.local_states(state)):
-            if c.id not in ("MAP_MANAGER", "LIDAR_MANAGER", "RESTRAND"):
+            if c.id not in ("MAP_MANAGER", "LIDAR_MANAGER"):
                 continue
             (accept,) = [f for r, f in c.step(local) if r == Receive("OBSTACLE_POSITION")]
             for act, copy in zip(moves, copies):
@@ -237,9 +237,41 @@ def test_receivers_decode_equal_copies_of_shared_records_alike():
                 results.add((c.id, got is None))
             with pytest.raises(ValueError_):
                 accept(malformed)
-    # every receiver accepted some move, and MAP_MANAGER and RESTRAND refused some
-    assert results == {("MAP_MANAGER", False), ("MAP_MANAGER", True), ("LIDAR_MANAGER", False),
-                       ("RESTRAND", False), ("RESTRAND", True)}
+    # every receiver accepted some move, and MAP_MANAGER refused some
+    assert results == {("MAP_MANAGER", False), ("MAP_MANAGER", True), ("LIDAR_MANAGER", False)}
+
+
+def test_manager_offers_only_the_random_moves_the_distance_rule_allows():
+    # the manager alone restrains random moves: in every reached manager
+    # state it offers exactly the in-bounds free resolutions (and none) that
+    # move_allowed permits from its car cell, and it leaves some free ones out
+    scn = RANDOM_WALK
+    comp = build_grid_composition(scn)
+    lts = explore(comp)
+    k = [c.id for c in comp.components].index("OBSTACLES_MANAGER")
+    walls = {cell for ob in scn.static for cell in rect_cells(ob.anchor(), ob.w, ob.h)}
+    random_states = left_out = 0
+    for local in {comp.local_states(state)[k] for state in lts.state_payload}:
+        offered = {a.offers[0].fields[3].name for a, _ in comp.components[k].step(local)
+                   if a.gate == "OBSTACLE_POSITION" and a.offers[2] == Sym("random")}
+        if not offered:
+            continue
+        random_states += 1
+        (car, anchors, _), _, i = local
+        ob = scn.mobile[i]
+        taken = walls | {car} | {cell for j, other in enumerate(scn.mobile) if j != i
+                                 for cell in rect_cells(anchors[j], other.w, other.h)}
+        free = {"none"}
+        for d, (dx, dy) in (("up", (0, -1)), ("down", (0, 1)),
+                            ("left", (-1, 0)), ("right", (1, 0))):
+            x, y = anchors[i][0] + dx * ob.speed, anchors[i][1] + dy * ob.speed
+            if all(0 <= cx < scn.width and 0 <= cy < scn.height and (cx, cy) not in taken
+                   for cx, cy in rect_cells((x, y), ob.w, ob.h)):
+                free.add(d)
+        allowed = {d for d in free if move_allowed(car, anchors[i], ob.speed, d, scn.dist_min)}
+        assert offered == allowed
+        left_out += len(free - allowed)
+    assert random_states > 0 and left_out > 0
 
 
 def test_car_position_receivers_replace_only_the_car_cell():
@@ -262,7 +294,6 @@ def test_car_position_receivers_replace_only_the_car_cell():
         "OBSTACLES_MANAGER": lambda st, cell: ((cell,) + st[0][1:],) + st[1:],
         "MAP_MANAGER": map_next,
         "LIDAR_MANAGER": lambda st, cell: ((cell, st[0][1]), st[1], st[2], False),
-        "RESTRAND": lambda st, cell: cell,
     }
     comp = build_grid_composition(scn)
     lts = explore(comp)
@@ -278,14 +309,14 @@ def test_car_position_receivers_replace_only_the_car_cell():
                     assert accept(act.offers) == want == accept(copy.offers)
                     outcomes.add((c.id, want[3][0] if c.id == "MAP_MANAGER" else None))
     assert outcomes == {("OBSTACLES_MANAGER", None), ("MAP_MANAGER", "coll"),
-                        ("MAP_MANAGER", "grid_car"), ("LIDAR_MANAGER", None), ("RESTRAND", None)}
+                        ("MAP_MANAGER", "grid_car"), ("LIDAR_MANAGER", None)}
 
 
 def test_exploring_the_exposed_grid_allocates_at_most_900_bytes_per_state():
     # explore's memory on the exposed grid is mostly the kernel's step cache:
     # with slot-indexed entries and receivers bound to their local state the
-    # tracemalloc peak is about 824 bytes per state (835 on Python 3.10); a
-    # dict of gates per entry and a closure per receiver take about 1,060
+    # tracemalloc peak is 760 bytes per state (770 on Python 3.10); a dict
+    # of gates per entry and a closure per receiver take about 1,060
     scn = load_scenario(str(CONFIGS / "grid.json"))
     tracemalloc.start()
     try:
