@@ -25,15 +25,14 @@ that ends a block waits for the next one, as it may be the first half of a
 chunk laid out as export writes it is read whole: the quotes split it into
 labels and a label-free skeleton, which must be exactly one
 `(digits, "", digits)` line per transition. Any other chunk (other spacing,
-blank lines, other line breaks, no final newline, a range error, a label
-that is not ASCII) is read one line at a time with the transition grammar,
-which accepts any spacing and reports the first bad line; the line count is
-carried from chunk to chunk. A byte that is not ASCII is reported at its
-line when its chunk is read, and a label text that is not ASCII, which a
-text stream can hold, at its line. Label ids follow the order in which the
-texts first appear. Import takes a file in any transition order: the
-sources are read into a temporary array, and the transitions are sorted by
-them once.
+blank lines, other line breaks, no final newline, a range error) is read one
+line at a time with the transition grammar, which accepts any spacing and
+reports the first bad line; the line count is carried from chunk to chunk.
+The first byte or character that is not ASCII, from a binary or a text
+stream alike, is reported at its line when its chunk is read. Label ids
+follow the order in which the texts first appear. Import takes a file in any
+transition order: the sources are read into a temporary array, and the
+transitions are sorted by them once.
 """
 from __future__ import annotations
 
@@ -111,7 +110,7 @@ def import_aut(source: IO) -> Lts:
 
     Canonical labels become structured actions; other labels stay opaque
     (gate = full label text, no offers). Raises AutFormatError with the
-    offending line number on malformed input, non-ASCII bytes or labels,
+    offending line number on malformed input, non-ASCII bytes or characters,
     count mismatches, and at line 1 when the header promises more than 2T + 1
     states for T transitions, which leaves states no transition names, or
     more states than an array('i') numbers.
@@ -124,18 +123,19 @@ def import_aut(source: IO) -> Lts:
     rest: List[str] = []  # the pieces of the unfinished line read so far
     while True:
         block = source.read(_READ_CHUNK)
-        if isinstance(block, bytes):
-            try:
-                block = block.decode("ascii")
-            except UnicodeDecodeError as e:
-                # the text before the bad byte is ASCII; with a stand-in for
-                # the byte appended, its last line is the byte's line
-                before = "".join(rest) + block[:e.start].decode("ascii") + "?"
-                raise AutFormatError(
-                    f"not ascii: 'ascii' codec can't decode byte 0x{block[e.start]:02x}"
-                    f" in position {offset + e.start}: {e.reason}",
-                    line + len(before.splitlines()))
-            offset += len(block)
+        raw = isinstance(block, bytes)
+        block = block.decode("latin-1") if raw else block  # one character per byte
+        if not block.isascii():
+            # the text before the first other character is ASCII; with a
+            # stand-in for it appended, its last line is that character's line
+            k = next(k for k, c in enumerate(block) if c > "\x7f")
+            before = "".join(rest) + block[:k] + "?"
+            what = f"decode byte 0x{ord(block[k]):02x}" if raw else \
+                f"encode character {ascii(block[k])}"
+            raise AutFormatError(f"not ascii: 'ascii' codec can't {what} in position"
+                                 f" {offset + k}: ordinal not in range(128)",
+                                 line + len(before.splitlines()))
+        offset += len(block)
         end = len(block) - block.endswith("\r")  # a last \r may start a \r\n
         cut = max(block.rfind("\n", 0, end), block.rfind("\r", 0, end)) + 1
         if not cut:
@@ -211,8 +211,8 @@ def _read_lines(text: str, nstates: int, src: array, lab: array, dst: array,
     except KeyError:  # new labels: number them in order of first appearance
         for label in dict.fromkeys(texts):
             if label not in ids:
-                if label.splitlines() not in ([], [label]) or not label.isascii():
-                    return False  # a line break inside the quotes, or a label to refuse
+                if label.splitlines() not in ([], [label]):
+                    return False  # a line break inside the quotes
                 ids[label] = len(labels)
                 labels.append(_parse_label(label))
         label_ids = list(map(ids.__getitem__, texts))
@@ -241,8 +241,6 @@ def _read_each_line(text: str, line: int, nstates: int, src: array, lab: array,
         if s >= nstates or d >= nstates:
             raise AutFormatError(f"state out of range in {raw!r}", line)
         if label not in ids:
-            if not label.isascii():  # export_aut could not write it back
-                raise AutFormatError(f"not ascii: label {label!r}", line)
             ids[label] = len(labels)
             labels.append(_parse_label(label))
         src.append(s)

@@ -24,7 +24,8 @@ is invalid at the car's real street.
 The side that produces a value offers it; the side that only follows it
 receives it: RADAR the grid, GPS the street, DECISION the grid to plan
 against and the position to plan from (it computes the itinerary then),
-ACTION the current grid and the itinerary, and the map any path request.
+ACTION the current grid and the itinerary, and the map any path request,
+each with one function per component and gate, fn(local state, offers).
 """
 from __future__ import annotations
 
@@ -212,9 +213,12 @@ def build_control_composition(scn: ControlScenario) -> Composition:
     gmap = scn.gmap
 
     # --- RADAR: tracks the map's grid, reports changes to ACTION
+    def radar_updated(st, offers):
+        return decode_grid(offers[0]), st[1]
+
     def radar_step(st):
         known, last_sent = st
-        out = [(Receive("UPDATE_GRID"), lambda offers: (decode_grid(offers[0]), last_sent))]
+        out = [(Receive("UPDATE_GRID"), radar_updated)]
         if known is not None and known != last_sent:
             out.append((Action("CURRENT_GRID", (grid_value(known),)), (known, known)))
         return out
@@ -223,11 +227,14 @@ def build_control_composition(scn: ControlScenario) -> Composition:
                       (None, None), radar_step)
 
     # --- GPS: tracks the exact street, answers position requests
+    def gps_updated(st, offers):
+        return offers[0].name, False
+
     def gps_step(st):
         street, answering = st
         if answering:
             return [(Action("CURRENT_POSITION", (Sym(street),)), (street, False))]
-        return [(Receive("UPDATE_POSITION"), lambda offers: (offers[0].name, False)),
+        return [(Receive("UPDATE_POSITION"), gps_updated),
                 (Action("REQUEST_POSITION"), (street, True))]
 
     gps = Component("GPS",
@@ -235,19 +242,23 @@ def build_control_composition(scn: ControlScenario) -> Composition:
                     (scn.car_street, False), gps_step)
 
     # --- DECISION: turns (position, perceived grid) into an itinerary
+    def asked(st, offers):
+        return "asked", decode_grid(offers[0])
+
+    def plan(st, offers):
+        street = offers[0].name
+        if street == scn.destination:
+            return ("arrival",)
+        it = compute_itinerary(gmap, street, scn.destination, frozenset(st[1]))
+        return "reply", itinerary_value(it)
+
     def decision_step(st):
         tag = st[0]
         if tag == "idle":
-            return [(Receive("REQUEST_PATH"), lambda offers: ("asked", decode_grid(offers[0])))]
+            return [(Receive("REQUEST_PATH"), asked)]
         if tag == "asked":
             return [(Action("REQUEST_POSITION"), ("awaiting", st[1]))]
         if tag == "awaiting":
-            def plan(offers):
-                street = offers[0].name
-                if street == scn.destination:
-                    return ("arrival",)
-                it = compute_itinerary(gmap, street, scn.destination, frozenset(st[1]))
-                return ("reply", itinerary_value(it))
             return [(Receive("CURRENT_POSITION"), plan)]
         if tag == "arrival":
             return [(Action("ARRIVAL"), ("done",))]
@@ -261,31 +272,31 @@ def build_control_composition(scn: ControlScenario) -> Composition:
                          ("idle",), decision_step)
 
     # --- ACTION: drives, braking when perception changed under its feet
+    def changed(st, offers):
+        g2 = decode_grid(offers[0])
+        if st[0] == "awaiting":
+            return "awaiting", st[1], g2
+        return None if st[0] == "wait" and g2 == st[1] else ("request", g2)
+
+    def follow(st, offers):
+        _, g_sent, g_now = st
+        steps = offers[0].items
+        if not steps:
+            return ("wait", g_now)
+        if g_now != g_sent:
+            return ("brake", g_now)
+        return ("move", steps[0], g_now)
+
     def action_step(st):
         tag = st[0]
         out = []
         if tag != "halted":
             out.append((Action("COLLISION"), ("halted",)))
-        if tag == "wait":
-            def changed(offers):
-                g2 = decode_grid(offers[0])
-                return None if g2 == st[1] else ("request", g2)
+        if tag in ("wait", "request", "awaiting"):
             out.append((Receive("CURRENT_GRID"), changed))
-        elif tag == "request":
-            out.append((Receive("CURRENT_GRID"), lambda offers: ("request", decode_grid(offers[0]))))
+        if tag == "request":
             out.append((Action("REQUEST_PATH", (grid_value(st[1]),)), ("awaiting", st[1], st[1])))
         elif tag == "awaiting":
-            _, g_sent, g_now = st
-
-            def follow(offers):
-                steps = offers[0].items
-                if not steps:
-                    return ("wait", g_now)
-                if g_now != g_sent:
-                    return ("brake", g_now)
-                return ("move", steps[0], g_now)
-            out.append((Receive("CURRENT_GRID"),
-                        lambda offers: ("awaiting", g_sent, decode_grid(offers[0]))))
             out.append((Receive("CURRENT_PATH"), follow))
         elif tag == "brake":
             out.append((Action("CAR_MOVE", (control_value(BRAKES),)), ("request", st[1])))
@@ -328,6 +339,9 @@ def build_control_composition(scn: ControlScenario) -> Composition:
                           obstacles_init, obstacles_step)
 
     # --- MAP_MANAGEMENT: ground truth, validity filter, update pushes
+    def unchanged(st, offers):
+        return st
+
     def grid_of(obst):
         return tuple(sorted(s for s in obst if s is not None))
 
@@ -361,7 +375,7 @@ def build_control_composition(scn: ControlScenario) -> Composition:
                 nxt = "collision" if target in occupied else "push_pos"
                 out.append((Action("CAR_MOVE", (control_value(Turn(k)),)),
                             (nxt, target, obst, live)))
-            out.append((Receive("REQUEST_PATH"), lambda offers: st))
+            out.append((Receive("REQUEST_PATH"), unchanged))
             out.append((Action("ARRIVAL"), ("halted", car, obst, live)))
         elif phase == "push_pos":
             out.append((Action("UPDATE_POSITION", (Sym(car),)), ("push_grid", car, obst, live)))

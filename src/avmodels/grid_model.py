@@ -21,10 +21,8 @@ scripted move, each GRID_CAR action per cell, each Obstacle record and each
 Sym, so that the kernel finds them by identity. The receivers decode a
 shared Obstacle record through a table keyed by its id(), which stays valid
 while the cache of records keeps the record alive, and any other value with
-decode_obstacle. Each receiver is functools.partial(fn, local state), one fn
-per component and gate, and not a closure made per local state: the kernel's
-step cache keeps every receiver, a partial takes about a third of a
-closure's memory, and it adds no reference cycle.
+decode_obstacle. Each receiver is one function per component and gate, made
+once per composition; the kernel hands it the local state with the offers.
 """
 from __future__ import annotations
 
@@ -166,7 +164,7 @@ def build_grid_composition(scn: GridScenario, expose_grid: bool = False) -> Comp
         state, and its moves; MAP_MANAGER's phase puts the announcement
         first. One out of moves offers END_OBSTACLE."""
         view, scripts, idx = st
-        out = [(Receive("CAR_POSITION"), functools.partial(mgr_car_moved, st))]
+        out = [(Receive("CAR_POSITION"), mgr_car_moved)]
         if idx is None:
             return out
         remaining = scripts[idx][0]
@@ -236,10 +234,9 @@ def build_grid_composition(scn: GridScenario, expose_grid: bool = False) -> Comp
                 out.append((end_obstacle[kinds[i]],
                             (view, live2, car_dead, map_norm(live2, car_dead, i + 1))))
             else:
-                out.append((Receive("OBSTACLE_POSITION"),
-                            functools.partial(map_obstacle_moved, st)))
+                out.append((Receive("OBSTACLE_POSITION"), map_obstacle_moved))
         elif tag == "car":
-            out.append((Receive("CAR_POSITION"), functools.partial(map_car_moved, st)))
+            out.append((Receive("CAR_POSITION"), map_car_moved))
             out.append((ARRIVAL, (view, live, True, ("tick",))))
         elif tag == "coll":
             out.append((Action("COLLISION", (sym(phase[1]),)), (view, live, True, ("tick",))))
@@ -265,7 +262,7 @@ def build_grid_composition(scn: GridScenario, expose_grid: bool = False) -> Comp
         pos, remaining, dead = st
         if dead:
             return []
-        out = [(Receive("COLLISION"), functools.partial(car_crashed, st))]
+        out = [(Receive("COLLISION"), car_crashed)]
         if remaining:
             rest = remaining[1:]
             if not rest and scn.car.cyclic:
@@ -307,8 +304,8 @@ def build_grid_composition(scn: GridScenario, expose_grid: bool = False) -> Comp
             grid = compute_perception(make_map(car, anchors), prev, prev_car)
             offers = (perception_value(grid, sym),) if expose_grid else ()
             return [(Action("LIDAR_MAP", offers), (view, grid, car, False))]
-        return [(Receive("OBSTACLE_POSITION"), functools.partial(lidar_obstacle_moved, st)),
-                (Receive("CAR_POSITION"), functools.partial(lidar_car_moved, st)),
+        return [(Receive("OBSTACLE_POSITION"), lidar_obstacle_moved),
+                (Receive("CAR_POSITION"), lidar_car_moved),
                 (grid_car(car), (view, prev, prev_car, True)),
                 (TICK, st)]
 

@@ -3,8 +3,8 @@
 A component's step function lists its moves from a local state. A move is
 either (action, next-state), which offers the action's values concretely,
 or (Receive(gate), accept), which takes whatever values fire on the gate:
-accept(offers) returns the next local state, or None to refuse them, like
-LNT's `G (?x) where guard`.
+accept(local_state, offers) returns the next local state, or None to refuse
+them, like LNT's `G (?x) where guard` in the receiver's current state.
 
 Offers o fire on a synchronized gate g iff at least one component that lists
 g in its sync set offers (g, o) concretely, and every such component either
@@ -29,18 +29,22 @@ nested values, and accept still gets the offers tuple itself. The step cache
 is a list per component indexed by local id, and each entry is one tuple
 built once: the solo moves, two bitmasks over the synchronized gates (the
 member gates where the local state neither offers nor receives, and the
-gates it offers concretely), then one slot per member gate, which holds the
-offers on it, or with receivers a list of the offers, the receivers' memo
-and their accept functions. That memo, made the first time the gate is
-tried, is all that changes later. A rendezvous reads each member's slot
-without a table lookup. enabled_actions ORs the masks over a state's
-components and tries only the gates someone offers and no member blocks,
-which are the only ones that can fire. A member with one alternative for an offer is written
-straight into the successor, and itertools.product runs only over the
-members with two or more, which gives the order of a product over all
-members. Ids follow first appearance, gates are numbered by their first
-member (each component's gates in name order) and offers keep their
-first-seen order, so exploration order does not depend on them.
+gates it offers concretely), then one slot per member gate (None if
+blocked). A slot holds the offers on the gate, each (action, next id), or
+(action, next ids tuple) for two or more successors; with receivers it is a
+list of the offers, the receivers' memo and their accept functions. The
+memo, made the first time the gate is tried (most receivers never are), is
+all that changes later; on a miss, accept gets the member's local state, so
+one accept function per component and gate serves every local state. A
+rendezvous reads each member's slot without a table lookup. enabled_actions
+ORs the masks over a state's components and tries only the gates someone
+offers and no member blocks, which are the only ones that can fire. A member
+with one alternative for an offer is written straight into the successor,
+and itertools.product runs only over the members with two or more, which
+gives the order of a product over all members. Ids follow first appearance,
+gates are numbered by their first member (each component's gates in name
+order) and offers keep their first-seen order, so exploration order does not
+depend on them.
 
 explore is the one breadth-first search of the package. It walks any system
 with an initial_state and enabled_actions(state): a composition, an Lts, or a
@@ -110,7 +114,8 @@ def parse_action(label: str) -> Action:
 @dataclass(frozen=True)
 class Receive:
     """A step output (Receive(gate), accept) takes the offers that fire on
-    gate: accept(offers) returns the next local state, or None to refuse."""
+    gate: accept(local_state, offers) returns the receiving component's next
+    local state, or None to refuse; one function may serve every state."""
     gate: str
 
 
@@ -161,19 +166,10 @@ class Composition:
         self._member_bits: List[int] = [
             sum(self._gate_bits[g] for g in c.sync_set) for c in self.components]
         # per component: local id -> local state, local state -> local id,
-        # and the step cache, local id -> None or a frozen entry (solo,
-        # blocked, offered, part_0, part_1, ...):
-        # - solo: tuple of (action, next id) on unsynchronized gates;
-        # - blocked: gate mask of member gates where the local state neither
-        #   offers nor receives, so the component cannot take part;
-        # - offered: gate mask of gates with a concrete offer;
-        # - part_k, at slot 3 + k for the k-th gate of _member_gates[i]: None
-        #   if blocked; the offers, a tuple of (action, next ids tuple) in
-        #   first-seen order, if nothing receives there; else the entry's one
-        #   mutable object, the list [offers, accepted, accept, ...], where
-        #   accepted is the receivers' memo, id(action) -> accepted next ids
-        #   tuple, None until the gate is first tried (most receivers never
-        #   are), and the accept functions follow it.
+        # and the step cache, local id -> None or the entry (solo, blocked,
+        # offered, part_0, part_1, ...) of the module docstring, part_k at
+        # slot 3 + k for the k-th gate of _member_gates[i]: offers in
+        # first-seen order, or the list [offers, memo or None, accept, ...];
         # _labels maps each distinct label to its one canonical Action, so
         # offers match by identity, and _canonical maps the id() of each
         # canonical Action, which _labels keeps alive, to the action itself
@@ -236,11 +232,13 @@ class Composition:
                 continue
             for k, (a, nxts) in enumerate(offers):
                 if a is act:  # another successor for an offer listed before
+                    if type(nxts) is int:
+                        nxts = (nxts,)
                     if nxt not in nxts:
                         offers[k] = (act, nxts + (nxt,))
                     break
             else:
-                offers.append((act, (nxt,)))
+                offers.append((act, nxt))
             offered |= bits[gate]
         entry = self._steps[i][lid] = (
             tuple(solo.values()), self._member_bits[i] & ~member, offered,
@@ -303,22 +301,24 @@ class Composition:
                 succ = list(state)
                 choices = []
                 for i, offers, part, accepted in parts:
-                    alts = ()
-                    for a, nxts in offers:
+                    for a, alts in offers:
                         if a is act:
-                            alts = nxts
                             break
+                    else:
+                        alts = ()
                     if accepted is not None:
                         got = accepted.get(id(act))
                         if got is None:
                             got = []
                             for accept in itertools.islice(part, 2, None):
-                                nxt = accept(act.offers)
+                                nxt = accept(self._locals[i][state[i]], act.offers)
                                 if nxt is not None:
                                     got.append(self._local_id(i, nxt))
                             got = accepted[id(act)] = tuple(got)
-                        alts += got
-                    if len(alts) == 1:
+                        alts = ((alts,) if type(alts) is int else alts) + got
+                    if type(alts) is int:
+                        succ[i] = alts
+                    elif len(alts) == 1:
                         succ[i] = alts[0]
                     elif alts:
                         choices.append((i, alts))

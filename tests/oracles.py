@@ -56,7 +56,7 @@ def brute_force_edges(comp: Composition):
             emitted = {act.offers for i in members for act, _ in per[i]
                        if not isinstance(act, Receive) and act.gate == gate}
             for offers in emitted:
-                options = [takers(per[i], gate, offers) for i in members]
+                options = [takers(per[i], state[i], gate, offers) for i in members]
                 for pick in itertools.product(*options):
                     ns = list(state)
                     for i, nxt in zip(members, pick):
@@ -80,15 +80,16 @@ def brute_force_edges(comp: Composition):
     return init, seen, edges
 
 
-def takers(steps, gate, offers) -> List:
-    """A component's next states when offers fire on gate: its concrete
-    offers of exactly these values and its receivers that accept them."""
+def takers(steps, local, gate, offers) -> List:
+    """A component's next states from local state local when offers fire on
+    gate: its concrete offers of exactly these values and its receivers
+    that accept them."""
     out = []
     for act, nxt in steps:
         if act.gate != gate:
             continue
         if isinstance(act, Receive):
-            nxt = nxt(offers)
+            nxt = nxt(local, offers)
             if nxt is not None:
                 out.append(nxt)
         elif act.offers == offers:
@@ -121,7 +122,7 @@ def receiver_cases(comp: Composition, edges) -> Set[str]:
                 cases.add("one participant offers and receives")
             offered = {a.offers for i in ms for a, _ in per[i]
                        if not isinstance(a, Receive) and a.gate == gate}
-            if any(r and not takers(per[i], gate, o)
+            if any(r and not takers(per[i], st[i], gate, o)
                    for o in offered for i, r in zip(ms, receives)):
                 cases.add("a receiver refuses an offer")
     return cases
@@ -399,6 +400,12 @@ def import_aut_lines(data: str) -> Lts:
     """Read a whole .aut text line by line into an Lts built from triples;
     the reference for every layout import_aut reads and every error it
     reports."""
+    try:
+        data.encode("ascii")
+    except UnicodeEncodeError as e:
+        # the line of the first character past ASCII, counted in the text
+        # before it with a stand-in for it
+        raise AutFormatError(f"not ascii: {e}", len((data[:e.start] + "?").splitlines()))
     lines = data.splitlines()
     if not lines:
         raise AutFormatError("empty file", 1)
@@ -429,8 +436,6 @@ def import_aut_lines(data: str) -> Lts:
             raise AutFormatError(f"state out of range in {raw!r}", ln)
         act = actions.get(label)
         if act is None:
-            if not label.isascii():
-                raise AutFormatError(f"not ascii: label {label!r}", ln)
             act = actions[label] = _parse_label(label)
         transitions.append((src, act, dst))
     if len(transitions) != ntrans:
@@ -510,22 +515,22 @@ def random_composition(rng: random.Random, max_components=3, max_states=4,
 
 
 def _random_accept(rng: random.Random, nstates: int):
-    """A receiver's accept: refuse everything, take everything to one state,
-    take one arity to a state picked by the first value, or take a random
-    table of value lists."""
+    """A receiver's accept(local, offers): refuse everything, take
+    everything to one state, take one arity to a state picked by the first
+    value and the local state, or take a random table of value lists."""
     kind = rng.randrange(4)
     target = rng.randrange(nstates)
     if kind == 0:
-        return lambda offers: None
+        return lambda local, offers: None
     if kind == 1:
-        return lambda offers: target
+        return lambda local, offers: target
     if kind == 2:
         arity = rng.randint(0, 2)
-        return lambda offers: None if len(offers) != arity else \
-            (_POOL.index(offers[0]) + target) % nstates if offers else target
+        return lambda local, offers: None if len(offers) != arity else \
+            (_POOL.index(offers[0]) + target + local) % nstates if offers else target
     table = {tuple(rng.choice(_POOL) for _ in range(rng.randint(0, 2))): rng.randrange(nstates)
              for _ in range(rng.randint(1, 6))}
-    return table.get
+    return lambda local, offers: table.get(offers)
 
 
 def random_lts(rng: random.Random, max_states=200, labels=("a", "b", "c", "d")) -> Lts:

@@ -215,10 +215,16 @@ def test_import_reports_the_line_of_the_first_non_ascii_byte(monkeypatch):
     ('des (0, 2, 3)\n(0, "a", 1)\n(1, "caf\u00e9", 2)\n', 3),
     ('des (0, 2, 3)\n(0,  "a", 1)\n(1, "a\u00e9", 2)\n', 3),
     ('des (0, 2, 3)\x0c(0, "a", 1)\x0c(1, "caf\u00e9", 2)\x0c', 3),
-], ids=["exported", "later-line", "loose", "ff"])
+    ('des (0, 1, 2)\n(0,\u00a0"a", 1)\n', 2),
+    ('des (0, 1, 2)\u2028(0, "a", 1)\n', 1),
+    ('des\u3000(0, 1, 2)\n(0, "a", 1)\n', 1),
+], ids=["exported", "later-line", "loose", "ff", "nbsp-spacing", "line-separator",
+        "ideographic-space"])
 def test_a_non_ascii_label_in_a_text_stream_is_refused_at_its_line(text, line):
-    # export_aut cannot write such a label; the per-line reader refuses it
-    # alike, and the same text read as bytes is refused at the same line
+    # export_aut cannot write such a text; a text stream is refused at the
+    # first character past ASCII, labels, spacing and line ends alike, as
+    # the per-line reader refuses it, and the same text read as bytes is
+    # refused at the same line
     with pytest.raises(AutFormatError, match="not ascii") as exc:
         import_aut(io.StringIO(text))
     with pytest.raises(AutFormatError) as ref:

@@ -232,11 +232,11 @@ def test_receivers_decode_equal_copies_of_shared_records_alike():
                 continue
             (accept,) = [f for r, f in c.step(local) if r == Receive("OBSTACLE_POSITION")]
             for act, copy in zip(moves, copies):
-                got = accept(act.offers)
-                assert accept(copy.offers) == got
+                got = accept(local, act.offers)
+                assert accept(local, copy.offers) == got
                 results.add((c.id, got is None))
             with pytest.raises(ValueError_):
-                accept(malformed)
+                accept(local, malformed)
     # every receiver accepted some move, and MAP_MANAGER refused some
     assert results == {("MAP_MANAGER", False), ("MAP_MANAGER", True), ("LIDAR_MANAGER", False)}
 
@@ -275,7 +275,7 @@ def test_manager_offers_only_the_random_moves_the_distance_rule_allows():
 
 
 def test_car_position_receivers_replace_only_the_car_cell():
-    # every CAR_POSITION receiver is bound to its local state; for any car
+    # every CAR_POSITION receiver, handed its local state: for any car
     # move, the shared offer and an equal copy parsed back from its text,
     # it keeps the rest of that state and takes the new car cell
     scn = RANDOM_WALK
@@ -306,7 +306,7 @@ def test_car_position_receivers_replace_only_the_car_cell():
             for accept in [f for r, f in c.step(local) if r == Receive("CAR_POSITION")]:
                 for act, copy in zip(moves, copies):
                     want = expected[c.id](local, (act.offers[1].x, act.offers[1].y))
-                    assert accept(act.offers) == want == accept(copy.offers)
+                    assert accept(local, act.offers) == want == accept(local, copy.offers)
                     outcomes.add((c.id, want[3][0] if c.id == "MAP_MANAGER" else None))
     assert outcomes == {("OBSTACLES_MANAGER", None), ("MAP_MANAGER", "coll"),
                         ("MAP_MANAGER", "grid_car"), ("LIDAR_MANAGER", None)}
@@ -314,9 +314,11 @@ def test_car_position_receivers_replace_only_the_car_cell():
 
 def test_exploring_the_exposed_grid_allocates_at_most_900_bytes_per_state():
     # explore's memory on the exposed grid is mostly the kernel's step cache:
-    # with slot-indexed entries and receivers bound to their local state the
-    # tracemalloc peak is 760 bytes per state (770 on Python 3.10); a dict
-    # of gates per entry and a closure per receiver take about 1,060
+    # with slot-indexed entries, one receiver function per component and
+    # gate and a bare id for a single successor the tracemalloc peak is 622
+    # bytes per state (633 on Python 3.10); a functools.partial per
+    # receiving local state and a 1-tuple per single successor took 760, and
+    # a dict of gates per entry and a closure per receiver about 1,060
     scn = load_scenario(str(CONFIGS / "grid.json"))
     tracemalloc.start()
     try:

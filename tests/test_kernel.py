@@ -62,7 +62,7 @@ def test_two_way_rendezvous_requires_equal_offers():
         [("g !3", (3, 1)), ("g !2", (2, 2))]
     # a member that also receives is never the source, though its one offer
     # is the shortest list
-    r = table_component("R", {"g"}, {0: [(g(2), 5), (Receive("g"), lambda offers: 9)]})
+    r = table_component("R", {"g"}, {0: [(g(2), 5), (Receive("g"), lambda local, offers: 9)]})
     comp = Composition((p, q, r))
     acts = comp.enabled_actions(comp.initial_state)
     assert [(a.text(), comp.local_states(s)) for a, s in acts] == \
@@ -316,7 +316,7 @@ def test_receivers_take_the_offered_value():
                                               (Action("g", (Nat(3),)), 3)]})
     # takes odd values to the value itself, refuses even ones
     odd = Component("R", frozenset({"g"}), 0, lambda s: [
-        (Receive("g"), lambda offers: offers[0].n if offers[0].n % 2 else None)])
+        (Receive("g"), lambda local, offers: offers[0].n if offers[0].n % 2 else None)])
     comp = Composition((sender, odd))
     acts = comp.enabled_actions(comp.initial_state)
     assert [(a.text(), comp.local_states(s)) for a, s in acts] == [
@@ -333,13 +333,11 @@ def test_receiver_memo_calls_accept_once_per_local_state_and_offers():
 
     calls = []
 
-    def accept_from(s):
-        def accept(offers):
-            calls.append((s, offers))
-            return (s + offers[0].n) % 3
-        return accept
+    def accept(s, offers):
+        calls.append((s, offers))
+        return (s + offers[0].n) % 3
 
-    receiver = Component("C", frozenset({"g"}), 0, lambda s: [(Receive("g"), accept_from(s))])
+    receiver = Component("C", frozenset({"g"}), 0, lambda s: [(Receive("g"), accept)])
     comp = Composition((sender("A"), sender("B"), receiver))
     lts = explore(comp)
     assert sorted(calls, key=lambda c: (c[0], c[1][0].n)) == [
@@ -348,17 +346,52 @@ def test_receiver_memo_calls_accept_once_per_local_state_and_offers():
     assert lts_edge_set(lts, comp) == brute_force_edges(comp)
 
 
+def test_a_receiver_gets_the_receiving_components_local_state():
+    # C's local states are strings, unlike S's and unlike the ids the
+    # kernel numbers both with; its one receiver reads the state it is in
+    seen = []
+
+    def accept(local, offers):
+        seen.append((local, offers[0].n))
+        return local + "x" if len(local) < 3 else None
+
+    sender = table_component("S", {"g"}, {s: [(Action("g", (Nat(s),)), s + 1)] for s in range(3)})
+    receiver = Component("C", frozenset({"g"}), "c", lambda s: [(Receive("g"), accept)])
+    comp = Composition((sender, receiver))
+    lts = explore(comp)
+    assert seen == [("c", 0), ("cx", 1), ("cxx", 2)]
+    assert [comp.local_states(s) for s in lts.state_payload] == [(0, "c"), (1, "cx"), (2, "cxx")]
+
+
+@pytest.mark.parametrize("scenario, build", [
+    ("grid.json", lambda scn: build_grid_composition(scn, expose_grid=True)),
+    ("crossroad.json", build_control_composition),
+], ids=["grid-exposed", "crossroad"])
+def test_the_models_hand_the_kernel_one_receiver_per_component_and_gate(scenario, build):
+    # a receiver takes its local state from the kernel, so no local state
+    # brings receiver objects of its own into the step cache
+    comp = build(load_scenario(CONFIGS / scenario))
+    lts = explore(comp)
+    receivers = collections.defaultdict(set)
+    for i, c in enumerate(comp.components):
+        for local in {comp.local_states(s)[i] for s in lts.state_payload}:
+            for act, accept in c.step(local):
+                if isinstance(act, Receive):
+                    receivers[c.id, act.gate].add(accept)
+    assert receivers and all(len(accepts) == 1 for accepts in receivers.values())
+
+
 def test_gate_fires_only_on_concrete_offers():
     def receiver(cid):
         return Component(cid, frozenset({"g"}), 0,
-                         lambda s: [(Receive("g"), lambda offers: 1)] if s == 0 else [])
+                         lambda s: [(Receive("g"), lambda local, offers: 1)] if s == 0 else [])
     comp = Composition((receiver("A"), receiver("B")))
     assert comp.enabled_actions(comp.initial_state) == []
     # when everyone receives, the concrete offers are tried in member order
     both = Component("C", frozenset({"g"}), 0, lambda s: [
-        (Action("g", (Nat(2),)), 2), (Receive("g"), lambda offers: 3)] if s == 0 else [])
+        (Action("g", (Nat(2),)), 2), (Receive("g"), lambda local, offers: 3)] if s == 0 else [])
     other = table_component("D", {"g"}, {0: [(Action("g", (Nat(1),)), 1),
-                                             (Receive("g"), lambda offers: 4)]})
+                                             (Receive("g"), lambda local, offers: 4)]})
     comp = Composition((receiver("A"), both, other))
     acts = comp.enabled_actions(comp.initial_state)
     assert [(a.text(), comp.local_states(s)) for a, s in acts] == [
@@ -374,10 +407,10 @@ def test_successors_follow_the_product_order_of_the_members_alternatives():
     b = table_component("B", {"g"}, {0: [(g, 1), (g, 2)]})
     a = table_component("A", {"g"}, {0: [(g, 1)]})
     c = Component("C", frozenset({"g"}), 0, lambda s: [
-        (Receive("g"), lambda offers: 5), (Receive("g"), lambda offers: None),
-        (Receive("g"), lambda offers: 6)] if s == 0 else [])
+        (Receive("g"), lambda local, offers: 5), (Receive("g"), lambda local, offers: None),
+        (Receive("g"), lambda local, offers: 6)] if s == 0 else [])
     d = Component("D", frozenset({"g"}), 0, lambda s: [
-        (Receive("g"), lambda offers: 7)] if s == 0 else [])
+        (Receive("g"), lambda local, offers: 7)] if s == 0 else [])
     comp = Composition((b, a, c, d))
     acts = comp.enabled_actions(comp.initial_state)
     assert [(act.text(), comp.local_states(s)) for act, s in acts] == [
@@ -424,7 +457,7 @@ def test_a_canonical_label_is_found_by_identity_without_hashing():
 
 def test_receiving_unlisted_gate_is_an_error():
     p = table_component("P", {"g"}, {0: [(Action("g"), 1)]})
-    rogue = Component("R", frozenset({"h"}), 0, lambda s: [(Receive("g"), lambda offers: 1)])
+    rogue = Component("R", frozenset({"h"}), 0, lambda s: [(Receive("g"), lambda local, offers: 1)])
     comp = Composition((p, rogue))
     with pytest.raises(CompositionError):
         comp.enabled_actions(comp.initial_state)
