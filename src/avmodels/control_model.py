@@ -5,7 +5,7 @@ are crossroads. The car sits on a street (an edge); moving means picking one
 of the outgoing edges of the street's head vertex, by index. Obstacles occupy
 streets and follow finite scripts of operations.
 
-build_control_composition wires six components around eleven gates:
+build_control_composition wires six components around twelve gates:
 
     RADAR     --UPDATE_GRID-->       fed by the map, reports changes
     RADAR     --CURRENT_GRID-->      to ACTION

@@ -34,8 +34,9 @@ blocked). A slot holds the offers on the gate, each (action, next id), or
 (action, next ids tuple) for two or more successors; with receivers it is a
 list of the offers, the receivers' memo and their accept functions. The
 memo, made the first time the gate is tried (most receivers never are), is
-all that changes later; on a miss, accept gets the member's local state, so
-one accept function per component and gate serves every local state. A
+all that changes later; it holds one result as a bare id, as the offers
+do. On a miss, accept gets the member's local state, so one accept
+function per component and gate serves every local state. A
 rendezvous reads each member's slot without a table lookup. enabled_actions
 ORs the masks over a state's components and tries only the gates someone
 offers and no member blocks, which are the only ones that can fire. A member
@@ -56,12 +57,12 @@ transition (compressed sparse row), two int arrays (label id, target) and
 one table of labels. The source of a transition is where it lies between
 the offsets, so no array holds it. explore appends ints to those arrays as
 it goes, giving a label its id the first time it fires, so an explored
-system, products included, never holds a tuple per transition. A Product's
-states are (system state, monitor state) pairs, and the monitor's step cuts
-an edge by returning None; the property observers, the END_OBSTACLE count
-of the liveness checks, the testgen purpose and the replay of a folded
-scenario are all monitors. search explores up to a goal and returns the
-trace to it.
+system, products included, never holds a tuple per transition. A Product
+node is one flat tuple, the system state and then the monitor state
+(node[-1]); the monitor's step cuts an edge by returning None. The property
+observers, the END_OBSTACLE count of the liveness checks, the testgen
+purpose and the replay of a folded scenario are all monitors. search
+explores up to a goal and returns the trace to it.
 """
 from __future__ import annotations
 
@@ -314,8 +315,11 @@ class Composition:
                                 nxt = accept(self._locals[i][state[i]], act.offers)
                                 if nxt is not None:
                                     got.append(self._local_id(i, nxt))
-                            got = accepted[id(act)] = tuple(got)
-                        alts = ((alts,) if type(alts) is int else alts) + got
+                            got = accepted[id(act)] = got[0] if len(got) == 1 else tuple(got)
+                        if alts != ():  # widen to join the concrete successors
+                            got = (((alts,) if type(alts) is int else alts)
+                                   + ((got,) if type(got) is int else got))
+                        alts = got
                     if type(alts) is int:
                         succ[i] = alts
                     elif len(alts) == 1:
@@ -608,25 +612,30 @@ class Monitor:
     step: Callable[[Hashable, Action], Optional[Hashable]] = field(compare=False)
 
 
-@dataclass(frozen=True)
 class Product:
-    """The system whose states are (system state, monitor state). Each edge
-    of the system moves the monitor along; an edge the monitor's step
+    """The system whose nodes are the system state followed by the monitor
+    state: (*ids, m) over a system of tuple states such as a Composition,
+    (s, m) over an Lts. The system's initial state decides the form once, as
+    the node (0, m) of a one-component composition is an Lts node too. Each
+    edge of the system moves the monitor along; an edge the monitor's step
     returns None for is left out.
     """
-    system: object
-    monitor: Monitor
+
+    def __init__(self, system, monitor: Monitor):
+        self.system, self.monitor = system, monitor
+        self.flat = type(system.initial_state) is tuple
 
     @property
     def initial_state(self) -> tuple:
-        return self.system.initial_state, self.monitor.initial
+        init, m = self.system.initial_state, self.monitor.initial
+        return init + (m,) if self.flat else (init, m)
 
     def enabled_actions(self, node: tuple) -> List[Tuple[Action, tuple]]:
-        state, m = node
+        flat, m = self.flat, node[-1]
         step = self.monitor.step
         edges = []
-        for act, succ in self.system.enabled_actions(state):
+        for act, succ in self.system.enabled_actions(node[:-1] if flat else node[0]):
             m2 = step(m, act)
             if m2 is not None:
-                edges.append((act, (succ, m2)))
+                edges.append((act, succ + (m2,) if flat else (succ, m2)))
         return edges

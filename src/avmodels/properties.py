@@ -1,13 +1,13 @@
 """Temporal property checks over transition systems.
 
 Checks run as observer products: a kernel.Product of the system with a
-monitor, whose states are (system state, monitor state). A safety monitor
-steps to VIOLATION; the liveness checks' monitor counts the END_OBSTACLE
-actions taken, cuts the edges of terminal actions and ends at the _STUCK
-edge of a state with no way out. kernel.search explores each product
-breadth first, on the fly up to the first violation, so the checked system
-may be an explored Lts or a Composition; a product past explore's default
-limits raises ExplorationLimitError. Verdicts carry the counterexample as a
+monitor, whose nodes are the system state followed by the monitor state,
+node[-1]. A safety monitor steps to VIOLATION; the liveness checks' monitor
+counts the END_OBSTACLE actions taken, cuts the edges of terminal actions
+and ends at the _STUCK edge of a state with no way out. kernel.search
+explores each product breadth first, on the fly up to the first violation,
+so the checked system may be an explored Lts or a Composition; a product
+past explore's default limits raises ExplorationLimitError. Verdicts carry the counterexample as a
 replayable label sequence (for lassos, a prefix plus the repeating cycle).
 """
 from __future__ import annotations
@@ -58,7 +58,7 @@ def product_with_monitor(system, monitor: Monitor):
     monitor, up to the first VIOLATION. Returns None on pass or the shortest
     label trace reaching VIOLATION.
     """
-    return search(Product(system, monitor), lambda node: node[1] == VIOLATION)[1]
+    return search(Product(system, monitor), lambda node: node[-1] == VIOLATION)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +146,7 @@ def _escape(system, terminal_gates, end_obstacle_total):
         return system.enabled_actions(state) or [(_STUCK, state)]
 
     stepped = SimpleNamespace(initial_state=system.initial_state, enabled_actions=edges)
-    product, trace = search(Product(stepped, Monitor(0, count)), lambda node: node[1] is _STUCK)
+    product, trace = search(Product(stepped, Monitor(0, count)), lambda node: node[-1] is _STUCK)
     return product, None if trace is None else trace[:-1]
 
 

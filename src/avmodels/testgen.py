@@ -3,13 +3,13 @@
 A test purpose is an ordered list of action patterns. Its monitor counts
 down the patterns still to match: a transition matching the next pattern
 takes one off, anything else leaves the count in place. The purpose product
-is the kernel.Product of the model with that monitor, so its states are
-(model state, patterns left), and the states with none left are accepting.
-The product is explored on the fly and breadth first up to the first
-accepting state; a shortest trace into it is the generated test. For
-grid-model witnesses the trace folds into a tick-by-tick scenario. Replaying
-one is a search too: the product of the model with a monitor that counts
-the scenario's steps matched, up to the state where all are.
+is the kernel.Product of the model with that monitor: its states are the
+model state and then the patterns left, accepting with none left. The
+product is explored on the fly and breadth first up to the first accepting
+state; a shortest trace into it is the generated test. For grid-model
+witnesses the trace folds into a tick-by-tick scenario. Replaying one is a
+search too: the product of the model with a monitor that counts the
+scenario's steps matched, up to the state where all are.
 """
 from __future__ import annotations
 
@@ -118,15 +118,16 @@ def _purpose_monitor(patterns: Tuple[ActionPattern, ...]) -> Monitor:
 
 
 def _accepting(node: tuple) -> bool:
-    return node[1] == 0
+    return node[-1] == 0
 
 
 def product_with_purpose(system, purpose: TestPurpose,
                          limits: ExplorationLimits = ExplorationLimits()
                          ) -> Tuple[Lts, List[str]]:
     """Explore the product of system (a Composition or an Lts) with the
-    purpose on the fly, up to its first accepting state. The payload is
-    (system state, patterns left) and the limits count product states.
+    purpose on the fly, up to its first accepting state. A payload node is
+    the system state followed by the patterns left, and the limits count
+    product states.
     A purpose gate that the explored part never fires gets a warning: the
     search ran dry without it. Raises ExplorationLimitError on a limit.
     """
@@ -361,9 +362,9 @@ def replay(scn: GridScenario, sim: SimScenario) -> List[Action]:
         return None
 
     explored, trace = search(Product(build_grid_composition(scn), Monitor((0, 0), step)),
-                             lambda node: node[1][0] == n and node[1][1] >= ends_wanted)
+                             lambda node: node[-1][0] == n and node[-1][1] >= ends_wanted)
     if trace is None:
-        at = max(seen[0] for _, seen in explored.state_payload)
+        at = max(node[-1][0] for node in explored.state_payload)
         tick, what = steps[at][1:] if at < n else (last, "the last END_OBSTACLE")
         raise ReplayError(at, tick, f"{what}: no run of the model makes this move")
     return list(trace)

@@ -20,7 +20,8 @@ from avmodels.properties import (
     VIOLATION, Monitor, check_deadlock_freedom, check_inevitable_termination,
     product_with_monitor,
 )
-from avmodels.scenarios import load_scenario
+from avmodels.scenarios import load_scenario, read_json
+from avmodels.testgen import extract_test, parse_purpose, product_with_purpose
 from avmodels.values import Rec, Sym, ValueError_
 
 from conftest import CONFIGS
@@ -315,10 +316,12 @@ def test_car_position_receivers_replace_only_the_car_cell():
 def test_exploring_the_exposed_grid_allocates_at_most_900_bytes_per_state():
     # explore's memory on the exposed grid is mostly the kernel's step cache:
     # with slot-indexed entries, one receiver function per component and
-    # gate and a bare id for a single successor the tracemalloc peak is 622
-    # bytes per state (633 on Python 3.10); a functools.partial per
-    # receiving local state and a 1-tuple per single successor took 760, and
-    # a dict of gates per entry and a closure per receiver about 1,060
+    # gate and a bare id for a single successor, among the offers and in
+    # the receivers' memo, the tracemalloc peak is 600 bytes per state (610
+    # on Python 3.10); a 1-tuple per memo entry took 622, a
+    # functools.partial per receiving local state and a 1-tuple per single
+    # successor 760, and a dict of gates per entry and a closure per
+    # receiver about 1,060
     scn = load_scenario(str(CONFIGS / "grid.json"))
     tracemalloc.start()
     try:
@@ -328,6 +331,28 @@ def test_exploring_the_exposed_grid_allocates_at_most_900_bytes_per_state():
         tracemalloc.stop()
     assert lts.num_states == 22_983
     assert peak / lts.num_states <= 900
+
+
+def test_a_testgen_over_the_whole_grid_allocates_at_most_590_bytes_per_product_state():
+    # no run reaches this purpose, so its product spans the grid. A first
+    # run fills the interpreter's free lists, which tracemalloc does not
+    # see, so the measured run does not depend on the tests before it. Flat
+    # (*ids, patterns left) nodes and bare ids in the receivers' memo take
+    # that run's peak to 555 bytes per product state (561 on Python 3.10, 553
+    # on 3.12); a (state, patterns left) 2-tuple per node and a 1-tuple per
+    # memo entry took 620 (659 on 3.10, 641 on 3.12)
+    scn = load_scenario(str(CONFIGS / "grid.json"))
+    purpose = parse_purpose(read_json(str(CONFIGS / "purpose_collision_building.json")))
+    product_with_purpose(build_grid_composition(scn), purpose)
+    tracemalloc.start()
+    try:
+        product, _ = product_with_purpose(build_grid_composition(scn), purpose)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert extract_test(product) is None
+    assert product.num_states == 22_983
+    assert peak / product.num_states <= 590
 
 
 # ---------------------------------------------------------------------------

@@ -197,6 +197,25 @@ def test_product_runs_the_monitor_and_a_none_step_cuts_the_edge():
     assert [(s, a.text(), d) for s, a, d in product.transitions] == [(0, "a", 1), (0, "b", 2)]
 
 
+def test_a_product_node_is_the_system_state_followed_by_the_monitor_state():
+    # over a composition a node is one flat tuple, the local ids and then
+    # the monitor state; over an Lts it is (state, monitor state). The one-
+    # component composition's nodes look like Lts nodes, yet its system
+    # states stay 1-tuples
+    monitor = Monitor(0, lambda m, act: m + 1)
+    two = Composition((table_component("A", set(), {0: [(Action("a"), 1)]}),
+                       table_component("B", set(), {0: [(Action("b"), 1)]})))
+    one = Composition((table_component("A", set(), {0: [(Action("a"), 1)]}),))
+    assert explore(Product(two, monitor)).state_payload == (
+        (0, 0, 0), (1, 0, 1), (0, 1, 1), (1, 1, 2))
+    assert explore(Product(explore(two), monitor)).state_payload == (
+        (0, 0), (1, 1), (2, 1), (3, 2))
+    product = Product(one, monitor)
+    assert explore(product).state_payload == ((0, 0), (1, 1))
+    assert product.enabled_actions((0, 5)) == [(Action("a"), (1, 6))]
+    assert Product(explore(one), monitor).enabled_actions((0, 5)) == [(Action("a"), (1, 6))]
+
+
 def test_search_returns_a_shortest_trace_or_none():
     lts = Lts(5, 0, ((0, Action("a"), 1), (1, Action("b"), 2), (2, Action("c"), 3),
                      (0, Action("d"), 3), (4, Action("e"), 0)))
@@ -379,6 +398,18 @@ def test_the_models_hand_the_kernel_one_receiver_per_component_and_gate(scenario
                 if isinstance(act, Receive):
                     receivers[c.id, act.gate].add(accept)
     assert receivers and all(len(accepts) == 1 for accepts in receivers.values())
+
+
+def test_a_receivers_memo_keeps_a_single_result_as_the_bare_id():
+    # the memo lives in the step cache's receiver slots, [offers, memo,
+    # accept, ...]; no result stays (), two or more stay a tuple
+    comp = build_grid_composition(load_scenario(CONFIGS / "grid.json"), expose_grid=True)
+    explore(comp)
+    results = [got for steps in comp._steps for entry in steps if entry is not None
+               for part in entry[3:] if type(part) is list and part[1] is not None
+               for got in part[1].values()]
+    assert results and not any(type(got) is tuple and len(got) == 1 for got in results)
+    assert any(type(got) is int for got in results)
 
 
 def test_gate_fires_only_on_concrete_offers():

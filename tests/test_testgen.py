@@ -104,6 +104,25 @@ def test_product_stops_at_the_first_accepting_state():
     assert extract_test(product) == (simple("a"), simple("b"))
 
 
+def test_a_grid_product_node_is_the_local_ids_then_the_patterns_left(reference):
+    # over the composition each node is one flat tuple; over its explored
+    # Lts a node stays (state, patterns left), and both products agree
+    scn, lts = reference
+    comp = build_grid_composition(scn)
+    purpose = parse_purpose([{"gate": "COLLISION", "offers": ["Pedestrian"]}])
+    product, _ = product_with_purpose(comp, purpose)
+    assert product.num_states == 1_139
+    assert all(type(node) is tuple and len(node) == len(comp.components) + 1
+               and node[-1] in (0, 1) for node in product.state_payload)
+    assert product.state_payload[-1][-1] == 0
+    assert len(comp.local_states(product.state_payload[-1][:-1])) == len(comp.components)
+    over_lts, _ = product_with_purpose(lts, purpose)
+    assert all(type(s) is int for s, _ in over_lts.state_payload)
+    assert ([left for _, left in over_lts.state_payload]
+            == [node[-1] for node in product.state_payload])
+    assert extract_test(over_lts) == extract_test(product)
+
+
 def test_extract_test_needs_a_product():
     with pytest.raises(PurposeError):
         extract_test(Lts(1, 0, ()))
