@@ -36,13 +36,14 @@ transitions are sorted by them once.
 """
 from __future__ import annotations
 
+import itertools
 import re
 from array import array
 from bisect import bisect_left
 from typing import IO, Dict, List, Tuple
 
 from . import values
-from .kernel import Action, Lts, _by_source, _sources, parse_action
+from .kernel import Action, Lts, _sources, parse_action
 
 _HEADER_RE = re.compile(r"des\s*\(\s*([0-9]+)\s*,\s*([0-9]+)\s*,\s*([0-9]+)\s*\)\s*\Z")
 _TRANS_RE = re.compile(r"\(\s*([0-9]+)\s*,\s*\"([^\"]*)\"\s*,\s*([0-9]+)\s*\)\s*\Z")
@@ -159,7 +160,29 @@ def import_aut(source: IO) -> Lts:
     if nstates < 1 or initial >= nstates:
         raise AutFormatError("initial state out of range", 1)
     offsets, lab, dst = _by_source(nstates, src, lab, dst)
-    return Lts.from_arrays(nstates, initial, offsets, lab, dst, tuple(labels))
+    return Lts(nstates, initial, offsets, lab, dst, tuple(labels))
+
+
+def _by_source(n: int, src: array, lab: array, dst: array):
+    """The offsets of each state's first transition, and lab and dst stably
+    sorted by their sources (a counting sort, skipped when they already
+    are). src is left as it was."""
+    counts = [0] * n  # a list: its items are quicker to add to than an array's
+    last, ordered = 0, True
+    for s in src:
+        counts[s] += 1
+        if s < last:
+            ordered = False
+        last = s
+    offsets = array("i", itertools.accumulate(counts, initial=0))
+    if ordered:
+        return offsets, lab, dst
+    order = array("i", [0]) * len(src)
+    free = offsets[:-1]
+    for k, s in enumerate(src):
+        order[free[s]] = k
+        free[s] += 1
+    return (offsets, *(array("i", map(a.__getitem__, order)) for a in (lab, dst)))
 
 
 def _read_header(text: str) -> Tuple[int, int, int, int]:

@@ -357,42 +357,19 @@ class Lts:
     States are 0..num_states-1. A state's transitions are those from
     offsets[state] to offsets[state + 1] (compressed sparse row), and
     transition k goes under labels[lab[k]] to dst[k]: lab and dst are
-    array('i'), grouped by source, and labels holds one Action per label
-    id, equal actions sharing one id. The source of transition k is the
-    state whose range holds k, so no array stores it and no state keeps a
-    list of its own. An Lts built from (src, action, dst) triples in any
-    order sorts them by source once, stably, and numbers the labels in order
-    of first appearance; transitions and outgoing() rebuild the triples and
-    the per-state edge lists on demand. state_payload, when present, maps
-    indices back to the states of the system they were explored from (a
-    Composition's id tuples decode through its local_states). An Lts is
-    itself a system that explore accepts.
+    array('i'), grouped by source, offsets is num_states + 1 long, and
+    labels holds one Action per label id, equal actions sharing one id. The
+    source of transition k is the state whose range holds k, so no array
+    stores it and no state keeps a list of its own. An Lts keeps the arrays
+    it is given. state_payload, when present, maps indices back to the
+    states of the system they were explored from (a Composition's id tuples
+    decode through its local_states). An Lts is itself a system that
+    explore accepts.
     """
     __slots__ = ("num_states", "initial", "offsets", "lab", "dst", "labels", "state_payload")
 
-    def __init__(self, num_states: int, initial: int,
-                 transitions: Iterable[Tuple[int, Action, int]] = (),
-                 state_payload: Optional[tuple] = None):
-        ids: Dict[Action, int] = {}
-        src, lab, dst = array("i"), array("i"), array("i")
-        for s, act, d in transitions:
-            src.append(s)
-            lab.append(ids.setdefault(act, len(ids)))
-            dst.append(d)
-        offsets, lab, dst = _by_source(num_states, src, lab, dst)
-        self._store(num_states, initial, offsets, lab, dst, tuple(ids), state_payload)
-
-    @classmethod
-    def from_arrays(cls, num_states: int, initial: int, offsets: array, lab: array, dst: array,
-                    labels: tuple, state_payload: Optional[tuple] = None) -> "Lts":
-        """The Lts of the given arrays, which it keeps: lab and dst grouped
-        by source, and offsets, num_states + 1 long, where each state's
-        transitions start."""
-        lts = cls.__new__(cls)
-        lts._store(num_states, initial, offsets, lab, dst, labels, state_payload)
-        return lts
-
-    def _store(self, num_states, initial, offsets, lab, dst, labels, state_payload):
+    def __init__(self, num_states: int, initial: int, offsets: array, lab: array, dst: array,
+                 labels: tuple, state_payload: Optional[tuple] = None):
         self.num_states = num_states
         self.initial = initial
         self.offsets, self.lab, self.dst = offsets, lab, dst
@@ -415,9 +392,6 @@ class Lts:
         return tuple(zip(_sources(self.offsets, 0, self.num_states),
                          map(self.labels.__getitem__, self.lab), self.dst))
 
-    def outgoing(self) -> List[List[Tuple[Action, int]]]:
-        return [self.enabled_actions(s) for s in range(self.num_states)]
-
     def alphabet(self) -> Set[str]:
         return {a.gate for a in self.labels}
 
@@ -437,28 +411,6 @@ class Lts:
     def __repr__(self):
         return (f"Lts(num_states={self.num_states}, initial={self.initial}, "
                 f"transitions={len(self.dst)}, labels={len(self.labels)})")
-
-
-def _by_source(n: int, src: array, lab: array, dst: array):
-    """The offsets of each state's first transition, and lab and dst stably
-    sorted by their sources (a counting sort, skipped when they already
-    are). src is left as it was."""
-    counts = [0] * n  # a list: its items are quicker to add to than an array's
-    last, ordered = 0, True
-    for s in src:
-        counts[s] += 1
-        if s < last:
-            ordered = False
-        last = s
-    offsets = array("i", itertools.accumulate(counts, initial=0))
-    if ordered:
-        return offsets, lab, dst
-    order = array("i", [0]) * len(src)
-    free = offsets[:-1]
-    for k, s in enumerate(src):
-        order[free[s]] = k
-        free[s] += 1
-    return (offsets, *(array("i", map(a.__getitem__, order)) for a in (lab, dst)))
 
 
 def _sources(offsets: array, first: int, stop: int) -> Iterable[int]:
@@ -517,7 +469,7 @@ def explore(system, limits: ExplorationLimits = ExplorationLimits(),
         # the states not walked yet have no transitions
         n = len(payload)
         offsets.extend(array("i", [len(dst)]) * (n + 1 - len(offsets)))
-        return Lts.from_arrays(n, 0, offsets, lab, dst, tuple(labels), tuple(payload))
+        return Lts(n, 0, offsets, lab, dst, tuple(labels), tuple(payload))
 
     if goal is not None and goal(init):
         return explored()

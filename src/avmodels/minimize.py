@@ -44,7 +44,7 @@ from .kernel import Lts
 
 def minimize(lts: Lts) -> Lts:
     if lts.num_states == 0:
-        return Lts(0, 0, ())
+        return Lts(0, 0, array("i", [0]), array("i"), array("i"), ())
     blocks = partition(lts)
     # the members of a block have the same (label, successor block) pairs, so
     # the block's first member gives its transitions; blocks are numbered by
@@ -63,8 +63,7 @@ def minimize(lts: Lts) -> Lts:
                 q_lab.append(lid)
                 q_dst.append(t[1])
         q_offsets.append(len(q_dst))
-    return Lts.from_arrays(len(q_offsets) - 1, blocks[lts.initial], q_offsets, q_lab, q_dst,
-                           lts.labels)
+    return Lts(len(q_offsets) - 1, blocks[lts.initial], q_offsets, q_lab, q_dst, lts.labels)
 
 
 def partition(lts: Lts) -> List[int]:

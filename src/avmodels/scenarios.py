@@ -89,9 +89,9 @@ def _flag(value, where: str) -> bool:
     return value
 
 
-def _street(value, where: str) -> str:
+def _name(value, where: str, of: str) -> str:
     if not isinstance(value, str):
-        raise ScenarioError(f"{where}: expected a street name, got {value!r}")
+        raise ScenarioError(f"{where}: expected a {of} name, got {value!r}")
     return value
 
 
@@ -118,14 +118,14 @@ def _graph_scenario(data) -> ControlScenario:
     car = _req(data, "car", "scenario")
     if not isinstance(car, dict):
         raise ScenarioError("car: expected an object")
-    position = _street(_req(car, "position", "car"), "car.position")
-    destination = _street(_req(car, "destination", "car"), "car.destination")
+    position = _name(_req(car, "position", "car"), "car.position", "street")
+    destination = _name(_req(car, "destination", "car"), "car.destination", "street")
     obstacles = []
     for i, ob in enumerate(_list(data.get("obstacles", []), "obstacles")):
         where = f"obstacles[{i}]"
         if not isinstance(ob, dict):
             raise ScenarioError(f"{where}: expected an object")
-        street = _street(_req(ob, "position", where), f"{where}.position")
+        street = _name(_req(ob, "position", where), f"{where}.position", "street")
         moves = []
         for j, mv in enumerate(_list(ob.get("moves", []), f"{where}.moves")):
             if mv in (RANDOM, LEAVE):
@@ -153,7 +153,7 @@ def _obstacle(ob, where: str, mobile: bool) -> ObstacleRec:
     if not isinstance(ob, dict):
         raise ScenarioError(f"{where}: expected an object")
     fields = dict(
-        kind=str(_req(ob, "kind", where)),
+        kind=_name(_req(ob, "kind", where), f"{where}.kind", "kind"),
         x=_nat(_req(ob, "x", where), f"{where}.x"),
         y=_nat(_req(ob, "y", where), f"{where}.y"),
         w=_nat(ob.get("w", 1), f"{where}.w"),

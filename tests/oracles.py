@@ -6,14 +6,18 @@ value list on every participant, a naive greatest-fixpoint bisimulation,
 whole-partition signature refinement, a solved attacker/defender game, exact
 rational geometry for line-of-sight, subset replay of traces and
 level-by-level shortest distances, an .aut reader that splits the whole text
-into lines, and an .aut writer that sorts one row per transition.
+into lines, and an .aut writer that sorts one row per transition. An Lts
+built here from (source, action, target) triples sorts them with sorted(),
+and outgoing() lists every state's edges at once.
 """
 from __future__ import annotations
 
+import collections
 import copy
 import itertools
 import random
 import re
+from array import array
 from fractions import Fraction
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -376,12 +380,35 @@ def oracle_perception(m, prev=None, prev_car=None):
 
 
 # ---------------------------------------------------------------------------
+# an Lts from triples, and its edges state by state
+
+def lts_from_triples(num_states: int, initial: int, triples) -> Lts:
+    """The Lts of (source, action, target) triples in any order. A stable
+    sort by source keeps each state's edges in input order, and the labels
+    are numbered in order of first appearance, equal actions sharing one."""
+    triples = list(triples)
+    ids: Dict[Action, int] = {}
+    for _, act, _ in triples:
+        ids.setdefault(act, len(ids))
+    rows = sorted(triples, key=lambda t: t[0])
+    counts = collections.Counter(s for s, _, _ in rows)
+    offsets = array("i", itertools.accumulate((counts[s] for s in range(num_states)), initial=0))
+    return Lts(num_states, initial, offsets, array("i", [ids[a] for _, a, _ in rows]),
+               array("i", [d for _, _, d in rows]), tuple(ids))
+
+
+def outgoing(lts: Lts) -> List[List[Tuple[Action, int]]]:
+    """Each state's (action, target) edges, in the Lts's order."""
+    return [lts.enabled_actions(s) for s in range(lts.num_states)]
+
+
+# ---------------------------------------------------------------------------
 # traces, replayed on every branch at once
 
 def trace_exists(lts: Lts, labels) -> bool:
     """Is there a path from the initial state along exactly these labels?"""
     cur = {lts.initial}
-    out = lts.outgoing()
+    out = outgoing(lts)
     for act in labels:
         cur = {dst for s in cur for a, dst in out[s] if a == act}
         if not cur:
@@ -445,7 +472,7 @@ def import_aut_lines(data: str) -> Lts:
         )
     if nstates < 1 or initial >= nstates:
         raise AutFormatError("initial state out of range", 1)
-    return Lts(nstates, initial, tuple(transitions))
+    return lts_from_triples(nstates, initial, transitions)
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +566,7 @@ def random_lts(rng: random.Random, max_states=200, labels=("a", "b", "c", "d")) 
     for s in range(n):
         for _ in range(rng.randint(0, 3)):
             transitions.append((s, Action(rng.choice(labels)), rng.randrange(n)))
-    return Lts(n, 0, tuple(transitions))
+    return lts_from_triples(n, 0, transitions)
 
 
 ACTION_POOL = (Action("a"), Action("i"), Action("G", (Nat(7),)), Action("G", (Nat(7), Nat(7))),
@@ -612,7 +639,7 @@ def mixed_lts(rng: random.Random, labels=("a", "b")) -> Lts:
             edges.append((chain[0], rng.choice(acts), rng.choice(layer)))
     perm = list(range(count))
     rng.shuffle(perm)
-    return Lts(count, perm[0], tuple((perm[s], a, perm[d]) for s, a, d in edges))
+    return lts_from_triples(count, perm[0], ((perm[s], a, perm[d]) for s, a, d in edges))
 
 
 _MOVES = ("up", "down", "left", "right", "none", "random")

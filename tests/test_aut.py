@@ -15,7 +15,7 @@ from avmodels.aut import AutFormatError, _parse_label, export_aut, import_aut
 from avmodels.kernel import Action, Lts
 from avmodels.values import Nat, Pos, Sym
 
-from oracles import import_aut_lines, random_lts, sorted_rows_aut
+from oracles import import_aut_lines, lts_from_triples, random_lts, sorted_rows_aut
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
@@ -27,7 +27,7 @@ def roundtrip(lts):
 
 
 def test_export_golden_bytes():
-    lts = Lts(3, 0, (
+    lts = lts_from_triples(3, 0, (
         (1, Action("TICK"), 2),
         (0, Action("CAR_MOVE", (Sym("brakes"),)), 1),
         (0, Action("UPDATE_POSITION", (Pos(1, 2),)), 0),
@@ -43,7 +43,7 @@ def test_export_golden_bytes():
 
 
 def test_roundtrip_preserves_structure_and_labels():
-    lts = Lts(4, 1, (
+    lts = lts_from_triples(4, 1, (
         (1, Action("g", (Nat(0), Nat(1))), 2),
         (2, Action("i"), 3),
         (3, Action("STOP"), 0),
@@ -119,13 +119,14 @@ def test_import_rejects_count_mismatch():
 
 
 def test_export_rejects_unprintable_labels():
-    lts = Lts(2, 0, ((0, Action('with"quote'), 1),))
+    lts = lts_from_triples(2, 0, ((0, Action('with"quote'), 1),))
     with pytest.raises(ValueError):
         export_aut(lts, io.StringIO())
 
 
 @pytest.mark.parametrize("lts", [
-    Lts(0, 0, ()), Lts(2, 0, ()), Lts(3, 5, ((0, Action("a"), 1),)),
+    lts_from_triples(0, 0, ()), lts_from_triples(2, 0, ()),
+    lts_from_triples(3, 5, ((0, Action("a"), 1),)),
 ], ids=["no-states", "more-than-2T+1-states", "initial-past-the-last"])
 @pytest.mark.parametrize("sink", [io.StringIO, io.BytesIO])
 def test_export_refuses_a_header_import_refuses_and_writes_nothing(lts, sink):
@@ -150,7 +151,7 @@ def test_export_in_chunks_of_any_size_writes_the_same_bytes(monkeypatch, lines):
         wide = rng.randrange(n)
         triples += [(wide, rng.choice(labels), rng.randrange(n)) for _ in range(8)]
         rng.shuffle(triples)
-        lts = Lts(n, rng.randrange(n), triples)
+        lts = lts_from_triples(n, rng.randrange(n), triples)
         buf = io.BytesIO()
         export_aut(lts, buf)
         cases.append((lts, triples, buf.getvalue()))
@@ -188,7 +189,7 @@ def test_a_label_with_a_natural_past_the_int_digit_limit_is_opaque():
 
 
 def test_empty_lts_roundtrip():
-    lts = Lts(1, 0, ())
+    lts = lts_from_triples(1, 0, ())
     back = roundtrip(lts)
     assert back.num_states == 1
     assert back.transitions == ()
@@ -261,7 +262,7 @@ def reference_import(text: str) -> Lts:
         transitions.append((int(line[1:first].rstrip(" ,")), _parse_label(line[first + 1:last]),
                             int(line[last + 1:].strip(" ,)"))))
     assert len(transitions) == ntrans
-    return Lts(nstates, initial, tuple(transitions))
+    return lts_from_triples(nstates, initial, tuple(transitions))
 
 
 LABELS = ("a", "G !7", "G !007", "G !7 !7", "CAR_MOVE !brakes", "CAR_MOVE !turned_n(1)",
@@ -395,8 +396,8 @@ def test_a_non_ascii_digit_in_a_text_stream_is_a_format_error_at_its_line(text, 
 
 def long_chain(k: int) -> str:
     buf = io.StringIO()
-    export_aut(Lts(k + 1, 0, tuple((i, Action("CAR_MOVE", (Sym("brakes"),)), i + 1)
-                                   for i in range(k))), buf)
+    export_aut(lts_from_triples(k + 1, 0, ((i, Action("CAR_MOVE", (Sym("brakes"),)), i + 1)
+                                            for i in range(k))), buf)
     return buf.getvalue()
 
 
@@ -458,7 +459,7 @@ def test_a_digit_moved_elsewhere_reads_as_the_per_line_reader_reads_it(seed, dig
 def many_labels_aut(ntrans: int, nlabels: int = 50) -> bytes:
     """An exported .aut of ntrans transitions, two per state, over nlabels labels."""
     buf = io.BytesIO()
-    export_aut(Lts(ntrans // 2 + 1, 0, tuple(
+    export_aut(lts_from_triples(ntrans // 2 + 1, 0, tuple(
         (k // 2, Action("CAR_MOVE", (Nat(k * 7 % nlabels),)), k // 2 + 1 - k % 2)
         for k in range(ntrans))), buf)
     return buf.getvalue()

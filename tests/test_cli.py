@@ -275,9 +275,20 @@ DEEP = "[" * 3000 + "]" * 3000  # deeper than the interpreter's recursion limit
                  "purpose.json": [{"gate": "TICK", "offers": [DEEP]}]}, 2),
     # a label that is not canonical value text stays an opaque label
     ("minimize", {"in.aut": f'des (0, 1, 1)\n(0, "G !{DEEP}", 0)\n'}, 0),
+    ("explore", {"scenario.json": dict(
+        TINY_GRID, static=[dict(TINY_GRID["static"][0], kind=True)])}, 2),
+    ("explore", {"scenario.json": dict(
+        TINY_GRID, static=[dict(TINY_GRID["static"][0], kind=None)])}, 2),
+    ("testgen", {"scenario.json": dict(
+        TINY_GRID, mobile=[dict(TINY_GRID["mobile"][0], kind=True)]),
+                 "purpose.json": [{"gate": "TICK"}]}, 2),
+    ("testgen", {"scenario.json": dict(
+        TINY_GRID, mobile=[dict(TINY_GRID["mobile"][0], kind=None)]),
+                 "purpose.json": [{"gate": "TICK"}]}, 2),
 ], ids=["edges-not-a-list", "obstacles-not-a-list", "moves-not-a-list",
         "static-not-a-list", "mobile-not-a-list", "car-move-a-list", "obstacle-move-an-object",
-        "deep-purpose-offer", "deep-aut-label"])
+        "deep-purpose-offer", "deep-aut-label", "static-kind-true", "static-kind-null",
+        "mobile-kind-true", "mobile-kind-null"])
 def test_malformed_inputs_exit_with_a_documented_code(tmp_path, capsys, command, inputs, code):
     for name, data in inputs.items():
         path = tmp_path / name
@@ -381,9 +392,11 @@ def test_a_street_position_that_is_not_a_name_exits_2_naming_the_field(tmp_path,
     (dict(TINY_GRID, width=0), "degenerate grid"),
     (dict(TINY_GRID, static=[dict(TINY_GRID["static"][0], w=0)]),
      "static[0]: Rock: extent must be positive"),
+    (dict(TINY_GRID, mobile=[dict(TINY_GRID["mobile"][0], kind=True)]),
+     "mobile[0].kind: expected a kind name, got True"),
 ], ids=["not-an-object", "no-model-keys", "negative-height", "vertex-a-list", "short-edge",
         "boolean-edge-endpoint", "graph-car-a-string", "grid-car-a-list", "obstacle-a-string",
-        "unknown-move-word", "static-a-number", "zero-width", "zero-extent"])
+        "unknown-move-word", "static-a-number", "zero-width", "zero-extent", "kind-a-boolean"])
 def test_a_malformed_scenario_exits_2_with_its_one_error_line(tmp_path, data, message):
     code, out, err = run_main(["explore", "--scenario", write_json(tmp_path / "s.json", data),
                                "--out", str(tmp_path / "out.aut")])
@@ -448,9 +461,11 @@ ROUND_2_OBSTACLES = {**other_car([6, 6], [6, 5]), **pedestrian([4, 5], [5, 5])}
     ([{"obstacles": {**pedestrian([3, 5], [4, 5]), **other_car([6, 7], [6, 6])}}],
      "tick 1: Pedestrian moves from (3, 5) to (4, 5) right: "
      "no run of the model makes this move"),
+    ([ROUND_1, {"obstacles": other_car([6, 6], [6, 5]), "car": {"from": [6, 9], "to": [6, 8]}}],
+     "tick 2: the car moves from (6, 9) to (6, 8): no run of the model makes this move"),
 ], ids=["from-elsewhere", "direction-a-number", "into-a-building", "off-the-map",
         "onto-an-obstacle", "from-the-old-cell", "car-from-elsewhere",
-        "jumps-and-turns", "car-beyond-its-speed", "out-of-mobile-order"])
+        "jumps-and-turns", "car-beyond-its-speed", "out-of-mobile-order", "pedestrian-skipped"])
 def test_render_rejects_a_move_the_model_cannot_make(tmp_path, ticks, message):
     sim = write_json(tmp_path / "sim.json", {"ticks": ticks})
     code, out, err = run_main(["render", "--scenario", str(CONFIGS / "grid.json"), "--sim", sim])

@@ -13,6 +13,8 @@ from avmodels.properties import (
 )
 from avmodels.values import Nat, Rec, Seq, Sym, ValueError_, text
 
+from oracles import outgoing
+
 # the nine-crossroad city used throughout: 11 two-way streets, each
 # direction its own edge, declared clockwise from the northwest corner
 CITY_EDGES = (
@@ -132,7 +134,7 @@ def test_obstacle_turning_into_the_cars_path_can_collide():
     lts = explore(build_control_composition(scn))
     assert "COLLISION" in lts.alphabet()
     # collisions end the run: no action ever follows one
-    out = lts.outgoing()
+    out = outgoing(lts)
     for src, act, dst in lts.transitions:
         if act.gate == "COLLISION":
             assert out[dst] == []

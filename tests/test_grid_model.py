@@ -25,7 +25,7 @@ from avmodels.testgen import extract_test, parse_purpose, product_with_purpose
 from avmodels.values import Rec, Sym, ValueError_
 
 from conftest import CONFIGS
-from oracles import trace_exists
+from oracles import outgoing, trace_exists
 
 
 @pytest.fixture(scope="module")
@@ -148,7 +148,7 @@ def replay_perception(scn, lts):
     statics = [(ob.kind, ob.transparent, ob.anchor(), ob.w, ob.h)
                for ob in scn.static]
     spec = {ob.kind: ob for ob in scn.mobile}
-    out = lts.outgoing()
+    out = outgoing(lts)
     init = (tuple(sorted((ob.kind, ob.anchor()) for ob in scn.mobile)),
             (scn.car.x, scn.car.y), None, None)
     ext = {lts.initial: init}
@@ -382,7 +382,7 @@ def test_distance_restraint_prunes_receding_random_moves():
                                            moves=("random",)),),
                        car=CarSpec(4, 4), dist_min=0)
     lts = explore(build_grid_composition(scn))
-    out = lts.outgoing()
+    out = outgoing(lts)
     first = [a for a, _ in out[1] if a.gate == "OBSTACLE_POSITION"]
     assert [a for a, _ in out[0]][0].gate == "GRID_UPDATE"
     assert {a.offers[0].fields[3].name for a in first} == {"right", "down"}
@@ -438,7 +438,7 @@ def test_cyclic_obstacle_never_ends():
 
 def test_rounds_continue_after_a_collision(reference):
     scn, lts = reference
-    out = lts.outgoing()
+    out = outgoing(lts)
     assert any(a.gate == "COLLISION" and out[dst]
                for _, a, dst in lts.transitions)
 

@@ -1,10 +1,13 @@
 """Every module-level import of the package and of its tests is used, every
 module-level definition of the package is used inside it or exported, and no
-package module uses the tuple views of an Lts."""
+package module uses the tuple views of an Lts (transitions, the one an Lts
+still has, and outgoing)."""
 import ast
 import pathlib
 
 import pytest
+
+from avmodels.kernel import Lts
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "avmodels"
@@ -107,6 +110,10 @@ def tuple_view_uses(source: str) -> list:
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_package_module_uses_the_tuple_views_of_an_lts(path):
     assert tuple_view_uses(path.read_text(encoding="utf-8")) == []
+
+
+def test_an_lts_has_no_outgoing_view():
+    assert not hasattr(Lts, "outgoing")
 
 
 def test_the_guard_sees_a_tuple_view():

@@ -12,15 +12,15 @@ from avmodels.control_model import build_control_composition
 from avmodels.grid_model import build_grid_composition
 from avmodels.kernel import (
     Action, Component, Composition, CompositionError, ExplorationLimitError,
-    ExplorationLimits, INTERNAL, Lts, Monitor, Product, Receive, explore, parse_action,
+    ExplorationLimits, INTERNAL, Monitor, Product, Receive, explore, parse_action,
     search,
 )
 from avmodels.scenarios import load_scenario
 from avmodels.values import Nat, Sym
 
 from oracles import (
-    brute_force_edges, lts_edge_set, random_composition, receiver_cases, sorted_rows_aut,
-    unsorted_triples,
+    brute_force_edges, lts_edge_set, lts_from_triples, outgoing, random_composition,
+    receiver_cases, sorted_rows_aut, unsorted_triples,
 )
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
@@ -121,7 +121,7 @@ def test_explore_numbers_states_in_discovery_order():
     assert tuple(map(comp.local_states, lts.state_payload)) == ((0,), (1,), (2,))
     assert [(s, a.text(), d) for s, a, d in lts.transitions] == [
         (0, "a", 1), (0, "b", 2), (1, "c", 2)]
-    assert lts.outgoing()[2] == []
+    assert outgoing(lts)[2] == []
 
 
 def test_explore_max_states_truncates_with_partial():
@@ -163,7 +163,8 @@ def test_explore_stops_right_after_discovering_the_goal():
 
 
 def test_explore_accepts_an_lts():
-    lts = Lts(3, 2, ((2, Action("a"), 0), (0, Action("b"), 2), (1, Action("c"), 0)))
+    lts = lts_from_triples(3, 2, (
+        (2, Action("a"), 0), (0, Action("b"), 2), (1, Action("c"), 0)))
     again = explore(lts)
     assert again.state_payload == (2, 0)  # renumbered from the initial state
     assert [(s, a.text(), d) for s, a, d in again.transitions] == [(0, "a", 1), (1, "b", 0)]
@@ -182,14 +183,16 @@ def test_explore_deduplicates_identical_transitions():
     assert len(comp.enabled_actions(comp.initial_state)) == 1
     # an Lts may list a transition twice, into a new state or a known one;
     # different actions into one state all stay
-    lts = Lts(3, 0, ((0, Action("a"), 1), (0, Action("b"), 1), (0, Action("a"), 1),
-                     (0, Action("a"), 2), (1, Action("a"), 1), (1, Action("a"), 1)))
+    lts = lts_from_triples(3, 0, (
+        (0, Action("a"), 1), (0, Action("b"), 1), (0, Action("a"), 1),
+        (0, Action("a"), 2), (1, Action("a"), 1), (1, Action("a"), 1)))
     assert [(s, a.text(), d) for s, a, d in explore(lts).transitions] == [
         (0, "a", 1), (0, "b", 1), (0, "a", 2), (1, "a", 1)]
 
 
 def test_product_runs_the_monitor_and_a_none_step_cuts_the_edge():
-    lts = Lts(4, 0, ((0, Action("a"), 1), (0, Action("b"), 2), (1, Action("b"), 3)))
+    lts = lts_from_triples(4, 0, (
+        (0, Action("a"), 1), (0, Action("b"), 2), (1, Action("b"), 3)))
     # the monitor counts a's and refuses any b after an a
     monitor = Monitor(0, lambda m, act: m + 1 if act.gate == "a" else (None if m else m))
     product = explore(Product(lts, monitor))
@@ -217,8 +220,9 @@ def test_a_product_node_is_the_system_state_followed_by_the_monitor_state():
 
 
 def test_search_returns_a_shortest_trace_or_none():
-    lts = Lts(5, 0, ((0, Action("a"), 1), (1, Action("b"), 2), (2, Action("c"), 3),
-                     (0, Action("d"), 3), (4, Action("e"), 0)))
+    lts = lts_from_triples(5, 0, (
+        (0, Action("a"), 1), (1, Action("b"), 2), (2, Action("c"), 3),
+        (0, Action("d"), 3), (4, Action("e"), 0)))
     explored, trace = search(lts, lambda s: s == 3)
     assert trace == (Action("d"),)
     assert explored.state_payload[-1] == 3
@@ -228,7 +232,7 @@ def test_search_returns_a_shortest_trace_or_none():
 
 
 def test_search_raises_on_a_limit():
-    line = Lts(4, 0, tuple((i, Action("a"), i + 1) for i in range(3)))
+    line = lts_from_triples(4, 0, tuple((i, Action("a"), i + 1) for i in range(3)))
     assert search(line, lambda s: s == 3, ExplorationLimits(max_states=4))[1] == (Action("a"),) * 3
     for limits, reason in ((ExplorationLimits(max_states=3), "max_states"),
                            (ExplorationLimits(max_depth=2), "max_depth")):
@@ -495,9 +499,9 @@ def test_receiving_unlisted_gate_is_an_error():
 
 
 def test_alphabet_and_outgoing():
-    lts = Lts(2, 0, ((0, Action("a"), 1), (0, Action("b"), 0)))
+    lts = lts_from_triples(2, 0, ((0, Action("a"), 1), (0, Action("b"), 0)))
     assert lts.alphabet() == {"a", "b"}
-    out = lts.outgoing()
+    out = outgoing(lts)
     assert [(a.text(), d) for a, d in out[0]] == [("a", 1), ("b", 0)]
     assert out[1] == []
 
@@ -506,21 +510,28 @@ def test_alphabet_and_outgoing():
 @given(seed=st.integers(0, 2**32 - 1))
 def test_lts_arrays_keep_the_triples_they_were_built_from(seed):
     n, initial, triples = unsorted_triples(random.Random(seed))
-    lts = Lts(n, initial, triples)
+    # an .aut file whose lines keep the triples' order, not sorted by source
+    text = "".join([f"des ({initial}, {len(triples)}, {n})\n"]
+                   + [f'({s}, "{a.text()}", {d})\n' for s, a, d in triples])
+    lts = import_aut(io.StringIO(text))
     # the stable sort by source keeps each state's edges in input order
     for state in range(n):
         assert lts.enabled_actions(state) == [(a, d) for s, a, d in triples if s == state]
     # equal actions share one label id, numbered in order of first appearance
     assert lts.labels == tuple(dict.fromkeys(a for _, a, _ in triples))
     assert len(set(lts.labels)) == len(lts.labels)
+    built = lts_from_triples(n, initial, triples)
+    assert (lts.num_states, lts.initial) == (n, initial)
+    assert (lts.offsets, lts.lab, lts.dst, lts.labels) == (
+        built.offsets, built.lab, built.dst, built.labels)
     data = io.BytesIO()
     export_aut(lts, data)
     assert data.getvalue() == sorted_rows_aut(n, initial, triples)
     back = import_aut(io.BytesIO(data.getvalue()))
-    rows = Lts(n, initial, sorted(triples, key=lambda t: (t[0], t[1].text(), t[2])))
+    rows = lts_from_triples(n, initial, sorted(triples, key=lambda t: (t[0], t[1].text(), t[2])))
     assert (back.num_states, back.initial) == (n, initial)
-    assert (back.offsets, back.lab, back.dst) == (rows.offsets, rows.lab, rows.dst)
-    assert back.labels == rows.labels
+    assert (back.offsets, back.lab, back.dst, back.labels) == (
+        rows.offsets, rows.lab, rows.dst, rows.labels)
 
 
 @pytest.mark.parametrize("name, build", [

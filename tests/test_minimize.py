@@ -2,12 +2,12 @@ import io
 import random
 
 from avmodels.aut import import_aut
-from avmodels.kernel import Action, Lts
+from avmodels.kernel import Action
 from avmodels.minimize import minimize, partition
 
 from oracles import (
-    game_bisimulation, mixed_lts, naive_bisimulation, partition_to_relation, random_lts,
-    signature_refinement,
+    game_bisimulation, lts_from_triples, mixed_lts, naive_bisimulation, outgoing,
+    partition_to_relation, random_lts, signature_refinement,
 )
 
 
@@ -17,7 +17,7 @@ def simple(a):
 
 def test_minimize_merges_language_equal_states():
     # two branches doing "a" then "b", distinguishable only by identity
-    lts = Lts(5, 0, (
+    lts = lts_from_triples(5, 0, (
         (0, simple("a"), 1), (0, simple("a"), 2),
         (1, simple("b"), 3), (2, simple("b"), 4),
     ))
@@ -30,7 +30,7 @@ def test_minimize_merges_language_equal_states():
 def test_minimize_keeps_behavioural_differences():
     # state 2 can do "c", state 1 cannot, so the two "a"-edges must stay
     # apart; the dead states 1 and 3 merge
-    lts = Lts(4, 0, (
+    lts = lts_from_triples(4, 0, (
         (0, simple("a"), 1), (0, simple("a"), 2),
         (2, simple("c"), 3),
     ))
@@ -42,7 +42,7 @@ def test_minimize_keeps_behavioural_differences():
 
 def test_minimize_collapses_bisimilar_cycles():
     # a two-cycle and a one-cycle on the same label are bisimilar
-    lts = Lts(3, 0, (
+    lts = lts_from_triples(3, 0, (
         (0, simple("a"), 1), (1, simple("a"), 0), (2, simple("a"), 2),
     ))
     small = minimize(lts)
@@ -78,9 +78,9 @@ def test_minimize_is_idempotent():
 
 
 def test_minimize_preserves_initial_block():
-    lts = Lts(2, 1, ((1, simple("a"), 0),))
+    lts = lts_from_triples(2, 1, ((1, simple("a"), 0),))
     small = minimize(lts)
-    out = small.outgoing()
+    out = outgoing(small)
     assert [(a.text(), d) for a, d in out[small.initial]] != []
 
 
@@ -97,7 +97,7 @@ def test_partition_splits_a_labelled_chain_one_state_per_round():
     # one depth-first sweep; whole-partition refinement splits off one state
     # per round and needs k rounds
     k = 40
-    lts = Lts(k, 0, tuple((i, simple("a"), i + 1) for i in range(k - 1)))
+    lts = lts_from_triples(k, 0, tuple((i, simple("a"), i + 1) for i in range(k - 1)))
     assert partition(lts) == signature_refinement(lts) == list(range(k))
     assert minimize(lts).num_states == k
 
@@ -105,7 +105,7 @@ def test_partition_splits_a_labelled_chain_one_state_per_round():
 def test_partition_with_two_same_label_edges_into_one_block():
     # 0 reaches the bisimilar 1 and 2 by "a", 3 reaches only 4: 0 ~ 3, and
     # 5 -b-> 1 and 5 -b-> 2 is one edge of the quotient
-    lts = Lts(6, 0, (
+    lts = lts_from_triples(6, 0, (
         (0, simple("a"), 1), (0, simple("a"), 2), (3, simple("a"), 4),
         (1, simple("c"), 1), (2, simple("c"), 2), (4, simple("c"), 4),
         (5, simple("b"), 1), (5, simple("b"), 2),
@@ -117,7 +117,7 @@ def test_partition_with_two_same_label_edges_into_one_block():
 
 def test_partition_of_isolated_states_without_incoming_edges():
     # 0, 2 and 4 have no incoming edges; 0 and 4 are dead, 2 steps to 3
-    lts = Lts(5, 0, ((1, simple("a"), 3), (2, simple("a"), 3), (3, simple("b"), 3)))
+    lts = lts_from_triples(5, 0, ((1, simple("a"), 3), (2, simple("a"), 3), (3, simple("b"), 3)))
     assert partition(lts) == signature_refinement(lts) == [0, 1, 1, 2, 0]
 
 
@@ -140,7 +140,7 @@ def test_partition_matches_the_oracles_on_mixed_acyclic_and_cyclic_ltss():
 def test_a_sink_and_a_self_loop_on_the_same_label_stay_apart():
     # 0 -a-> 1 ends, 2 -a-> 2 never does; 1 is settled by the depth-first
     # sweep, 2 can reach a cycle, so they start in different blocks
-    lts = Lts(3, 0, ((0, simple("a"), 1), (2, simple("a"), 2)))
+    lts = lts_from_triples(3, 0, ((0, simple("a"), 1), (2, simple("a"), 2)))
     assert partition(lts) == signature_refinement(lts) == [0, 1, 2]
     assert minimize(lts).num_states == 3
 
@@ -151,10 +151,10 @@ def test_a_long_chain_downwards_is_settled_by_an_iterative_sweep():
     # than a recursive search could go
     n = 100_000
     chain = [(s, simple("a"), s - 1) for s in range(1, n)]
-    small = minimize(Lts(n, n - 1, chain))
+    small = minimize(lts_from_triples(n, n - 1, chain))
     assert (small.num_states, len(small.dst)) == (n, n - 1)
     # closed into a ring, every state has an infinite "a"-path: one block
-    ring = minimize(Lts(n, n - 1, chain + [(0, simple("a"), n - 1)]))
+    ring = minimize(lts_from_triples(n, n - 1, chain + [(0, simple("a"), n - 1)]))
     assert (ring.num_states, ring.initial, ring.transitions) == (1, 0, ((0, simple("a"), 0),))
 
 
@@ -168,8 +168,8 @@ def test_partition_does_not_depend_on_the_state_numbering():
         n = lts.num_states
         perm = list(range(n))
         rng.shuffle(perm)
-        renumbered = Lts(n, perm[lts.initial],
-                         tuple((perm[s], a, perm[d]) for s, a, d in lts.transitions))
+        renumbered = lts_from_triples(n, perm[lts.initial],
+                                      tuple((perm[s], a, perm[d]) for s, a, d in lts.transitions))
         moved = [0] * n
         for s, b in enumerate(partition(lts)):
             moved[perm[s]] = b

@@ -9,7 +9,7 @@ from avmodels.control_model import (
     BRAKES, ControlScenario, GraphMap, Turn, build_control_composition, consistent_move,
 )
 from avmodels.grid_model import build_grid_composition
-from avmodels.kernel import Action, Lts, explore
+from avmodels.kernel import Action, explore
 from avmodels.properties import (
     VIOLATION, Monitor, PropertySchemaError, Verdict,
     check_consistent_updates, check_deadlock_freedom,
@@ -19,7 +19,7 @@ from avmodels.properties import (
 from avmodels.scenarios import load_scenario
 from avmodels.values import Nat, Rec, Sym
 
-from oracles import random_composition, trace_exists
+from oracles import lts_from_triples, random_composition, trace_exists
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
@@ -38,7 +38,7 @@ def forbid(gate):
 # monitor product
 
 def test_product_finds_shortest_violation():
-    lts = Lts(6, 0, (
+    lts = lts_from_triples(6, 0, (
         (0, simple("a"), 1), (1, simple("a"), 2), (2, simple("bad"), 3),
         (0, simple("b"), 4), (4, simple("bad"), 5),
     ))
@@ -47,7 +47,7 @@ def test_product_finds_shortest_violation():
 
 
 def test_product_passes_when_nothing_matches():
-    lts = Lts(2, 0, ((0, simple("a"), 1),))
+    lts = lts_from_triples(2, 0, ((0, simple("a"), 1),))
     assert product_with_monitor(lts, forbid("bad")) is None
 
 
@@ -58,7 +58,7 @@ def test_product_tracks_monitor_state():
             return 0
         return VIOLATION if state else 1
 
-    lts = Lts(4, 0, (
+    lts = lts_from_triples(4, 0, (
         (0, simple("a"), 1), (1, simple("b"), 2), (2, simple("a"), 1),
         (1, simple("a"), 3),
     ))
@@ -67,7 +67,7 @@ def test_product_tracks_monitor_state():
 
 
 def test_trace_exists_walks_nondeterminism():
-    lts = Lts(4, 0, (
+    lts = lts_from_triples(4, 0, (
         (0, simple("a"), 1), (0, simple("a"), 2), (2, simple("b"), 3),
     ))
     assert trace_exists(lts, (simple("a"), simple("b")))
@@ -95,8 +95,8 @@ def mov(control):
 
 
 def path_lts(*actions):
-    return Lts(len(actions) + 1, 0,
-               tuple((i, a, i + 1) for i, a in enumerate(actions)))
+    return lts_from_triples(len(actions) + 1, 0,
+                            tuple((i, a, i + 1) for i, a in enumerate(actions)))
 
 
 def test_consistent_updates_accepts_a_real_drive():
@@ -160,7 +160,7 @@ def test_each_street_set_and_control_is_computed_once():
     for b in range(branches):
         mid, end = 1 + 2 * b, 2 + 2 * b
         transitions += [(0, mov(Turn(0)), mid), (mid, mov(BRAKES), end)]
-    lts = Lts(1 + 2 * branches, 0, tuple(transitions))
+    lts = lts_from_triples(1 + 2 * branches, 0, tuple(transitions))
     assert check_consistent_updates(lts, GMAP, consistent=counting).passed
     streets = GMAP.streets()
     turned = {t for s in streets for t in streets if consistent_move(GMAP, s, Turn(0), t)}
@@ -179,7 +179,7 @@ def test_bad_car_move_raises_after_a_cached_step():
 
 
 def test_unrelated_gates_pass_vacuously():
-    lts = Lts(3, 0, ((0, simple("TICK"), 1), (1, simple("TICK"), 2)))
+    lts = lts_from_triples(3, 0, ((0, simple("TICK"), 1), (1, simple("TICK"), 2)))
     assert check_consistent_updates(lts, GMAP).passed
 
 
@@ -201,7 +201,7 @@ def test_termination_fails_on_a_bare_sink():
 
 
 def test_termination_fails_on_a_terminal_free_loop():
-    lts = Lts(2, 0, ((0, simple("go"), 1), (1, simple("loop"), 1)))
+    lts = lts_from_triples(2, 0, ((0, simple("go"), 1), (1, simple("loop"), 1)))
     verdict = check_inevitable_termination(lts)
     assert verdict.kind == "fail_lasso"
     assert verdict.trace == (simple("go"),)
@@ -212,7 +212,7 @@ def test_termination_fails_on_a_terminal_free_loop():
 
 
 def test_lasso_prefix_may_be_empty():
-    lts = Lts(1, 0, ((0, simple("spin"), 0),))
+    lts = lts_from_triples(1, 0, ((0, simple("spin"), 0),))
     verdict = check_inevitable_termination(lts)
     assert verdict.kind == "fail_lasso"
     assert verdict.trace == ()
@@ -242,12 +242,12 @@ def test_custom_terminal_gates():
 
 
 def test_a_model_gate_named_stuck_is_an_ordinary_action():
-    behind = Lts(2, 0, ((0, simple("STUCK"), 1), (1, simple("ARRIVAL"), 1)))
+    behind = lts_from_triples(2, 0, ((0, simple("STUCK"), 1), (1, simple("ARRIVAL"), 1)))
     assert check_deadlock_freedom(behind).passed
     assert check_inevitable_termination(behind).passed
     verdict = check_deadlock_freedom(path_lts(simple("STUCK")))
     assert verdict.kind == "fail" and verdict.trace == (simple("STUCK"),)
-    assert check_deadlock_freedom(Lts(1, 0, ())).trace == ()
+    assert check_deadlock_freedom(lts_from_triples(1, 0, ())).trace == ()
 
 
 class CountingSystem:

@@ -12,7 +12,7 @@ from avmodels.properties import (
 )
 from avmodels.testgen import ActionPattern, TestPurpose, extract_test, product_with_purpose
 
-from oracles import random_lts, shortest_distance, trace_exists
+from oracles import outgoing, random_lts, shortest_distance, trace_exists
 
 LABELS = ("a", "b", "c", "ARRIVAL")
 SEEDS = range(150)
@@ -23,7 +23,7 @@ def test_counterexamples_and_witnesses_are_shortest():
     for seed in SEEDS:
         rng = random.Random(seed)
         lts = random_lts(rng, max_states=60, labels=LABELS)
-        out = lts.outgoing()
+        out = outgoing(lts)
 
         # a monitor forbidding one label: VIOLATION is one edge past the
         # nearest state offering it

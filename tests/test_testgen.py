@@ -5,7 +5,7 @@ import pytest
 
 from avmodels.cli import main
 from avmodels.grid_model import build_grid_composition
-from avmodels.kernel import Action, Lts
+from avmodels.kernel import Action
 from avmodels.perception import obstacle_value, position_value
 from avmodels.scenarios import scenario_from_json
 from avmodels.testgen import (
@@ -14,6 +14,8 @@ from avmodels.testgen import (
     product_with_purpose, replay, trace_to_scenario,
 )
 from avmodels.values import Sym
+
+from oracles import lts_from_triples, outgoing
 
 
 @pytest.fixture(scope="module")
@@ -73,7 +75,7 @@ def test_empty_purpose_is_rejected():
 # purpose product and witness extraction
 
 def test_product_cursor_and_witness():
-    lts = Lts(3, 0, (
+    lts = lts_from_triples(3, 0, (
         (0, simple("a"), 1), (1, simple("b"), 2), (2, simple("c"), 0),
     ))
     product, warnings = product_with_purpose(
@@ -84,7 +86,7 @@ def test_product_cursor_and_witness():
 
 
 def test_product_warns_on_gates_missing_from_the_model():
-    lts = Lts(2, 0, ((0, simple("a"), 1),))
+    lts = lts_from_triples(2, 0, ((0, simple("a"), 1),))
     product, warnings = product_with_purpose(
         lts, TestPurpose((ActionPattern("zzz"),)))
     assert warnings == ["purpose step 0: gate zzz never occurs in the model"]
@@ -92,7 +94,7 @@ def test_product_warns_on_gates_missing_from_the_model():
 
 
 def test_product_stops_at_the_first_accepting_state():
-    lts = Lts(5, 0, (
+    lts = lts_from_triples(5, 0, (
         (0, simple("a"), 1), (1, simple("b"), 2), (1, simple("c"), 3),
         (2, simple("a"), 4),
     ))
@@ -100,7 +102,7 @@ def test_product_stops_at_the_first_accepting_state():
     assert warnings == []
     # c and everything behind the accepting state stay unexplored
     assert product.state_payload == ((0, 1), (1, 1), (2, 0))  # (state, patterns left)
-    assert product.outgoing()[-1] == []
+    assert outgoing(product)[-1] == []
     assert extract_test(product) == (simple("a"), simple("b"))
 
 
@@ -125,11 +127,11 @@ def test_a_grid_product_node_is_the_local_ids_then_the_patterns_left(reference):
 
 def test_extract_test_needs_a_product():
     with pytest.raises(PurposeError):
-        extract_test(Lts(1, 0, ()))
+        extract_test(lts_from_triples(1, 0, ()))
 
 
 def test_ordered_patterns_must_match_in_order():
-    lts = Lts(4, 0, (
+    lts = lts_from_triples(4, 0, (
         (0, simple("b"), 1), (1, simple("a"), 2), (2, simple("b"), 3),
     ))
     product, _ = product_with_purpose(
@@ -207,24 +209,50 @@ def test_fold_rejects_protocol_violations():
         trace_to_scenario((car_move((4, 4), (4, 3)),
                            car_move((4, 3), (4, 2))))
     with pytest.raises(FoldError):
-        # second tick closes without W (learned live in round one)
-        trace_to_scenario((
-            ob_move("W", (0, 0), (1, 0), "right"), Action("TICK"),
-            car_move((4, 4), (4, 3)), Action("TICK"),
-        ))
-    with pytest.raises(FoldError):
-        trace_to_scenario((end_of("W"), end_of("W")))
-    with pytest.raises(FoldError, match="W moved while ended"):
-        trace_to_scenario((end_of("W"), ob_move("W", (0, 0), (1, 0), "right")))
-    with pytest.raises(FoldError, match="V ended but never moved"):
-        # V was not live at the first TICK
-        trace_to_scenario((ob_move("W", (0, 0), (1, 0), "right"), Action("TICK"),
-                           end_of("V")))
-    with pytest.raises(FoldError):
         trace_to_scenario((Action("REQUEST_PATH"),))
     for offers in ((Sym("W"),), (Sym("W"), Sym("W"), Sym("down"))):
         with pytest.raises(FoldError):
             trace_to_scenario((Action("OBSTACLE_POSITION", offers),))
+
+
+# W has one move and V two, so W ends after the first round and V after the
+# second; the car stays where it is
+ROUNDS = scenario_from_json({
+    "width": 6, "height": 6,
+    "mobile": [{"kind": "W", "x": 0, "y": 0, "moves": ["right"]},
+               {"kind": "V", "x": 0, "y": 5, "moves": ["right", "right"]}],
+    "car": {"x": 5, "y": 2, "moves": ["none", "none", "none"]}})
+W_1 = ob_move("W", (0, 0), (1, 0), "right")
+V_1, V_2 = ob_move("V", (0, 5), (1, 5), "right"), ob_move("V", (1, 5), (2, 5), "right")
+STAY = car_move((5, 2), (5, 2))
+
+
+# the fold projects these traces without checking rounds across ticks;
+# replay rejects the sim each one folds into, at the step the model cannot take
+@pytest.mark.parametrize("trace, message", [
+    ((W_1, V_1, STAY, Action("TICK"), end_of("W"), STAY, Action("TICK")),
+     "tick 2: the car moves from (5, 2) to (5, 2)"),
+    ((W_1, V_1, STAY, Action("TICK"), end_of("W"),
+      ob_move("W", (1, 0), (2, 0), "right"), V_2, STAY, Action("TICK")),
+     "tick 2: W moves from (1, 0) to (2, 0) right"),
+    ((W_1, STAY, Action("TICK"), end_of("V")),
+     "tick 1: the car moves from (5, 2) to (5, 2)"),
+    ((W_1, V_1, STAY, Action("TICK"), end_of("W"), end_of("W"), end_of("V")),
+     "tick 1: the last END_OBSTACLE"),
+], ids=["tick-closed-before-every-live-obstacle-moved", "moved-while-ended",
+        "ended-but-never-moved", "ended-twice"])
+def test_replay_rejects_a_trace_that_breaks_the_rounds(trace, message):
+    sim = trace_to_scenario(trace)
+    with pytest.raises(ReplayError) as err:
+        replay(ROUNDS, sim)
+    assert str(err.value) == f"{message}: no run of the model makes this move"
+
+
+def test_replay_takes_the_rounds_the_model_makes():
+    sim = trace_to_scenario((W_1, V_1, STAY, Action("TICK"), end_of("W"), V_2, STAY,
+                             Action("TICK"), end_of("V")))
+    assert sim.terminal == "END"
+    assert trace_to_scenario(replay(ROUNDS, sim)) == sim
 
 
 WALKER = {"kind": "Walker", "x": 0, "y": 0, "moves": ["right"]}
